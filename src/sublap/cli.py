@@ -347,10 +347,8 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
 def _sweep_row(task) -> dict:
     from .sublinear import hardy_sweep
 
-    p, beta, q, alpha, opts_kw = task
-    opts = SolverOptions(**opts_kw)
-    row = hardy_sweep(p, beta, q, [alpha], options=opts)[0]
-    return row
+    p, beta, q, alpha, opts = task
+    return hardy_sweep(p, beta, q, [alpha], options=opts)[0]
 
 
 def cmd_sweep(cfg: dict, axes: list[str], jobs: int) -> int:
@@ -365,15 +363,11 @@ def cmd_sweep(cfg: dict, axes: list[str], jobs: int) -> int:
         name, values = _parse_axis(spec)
         axis_values[name] = values
     tasks = []
-    opts_kw = {f: getattr(opts, f) for f in (
-        "n_nodes", "grading_ratio", "y_floor", "n_gauss", "cum_gauss",
-        "bracket_tol", "max_root_iter", "divergence_cap", "trunc_tol",
-        "max_trunc_level")}
     for p in axis_values["p"]:
         for beta in axis_values["beta"]:
             for q in axis_values["q"]:
                 for alpha in axis_values["alpha"]:
-                    tasks.append((p, beta, q, alpha, opts_kw))
+                    tasks.append((p, beta, q, alpha, opts))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))

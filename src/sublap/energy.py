@@ -1,7 +1,9 @@
 """Generalized energies of measures and their sharp-constant identities.
 
 E_gamma(mu) = integral of (W mu)^gamma against mu, evaluated as a monotone
-limit over the truncation ladder (each level is one exact Dirichlet solve).
+limit over the truncation ladder (each level is one exact Dirichlet solve) by
+the solver's single driver ``_monotone_limit``, which also runs potentials
+and the measure integrals here.
 On each finite level the measure-side integral, the gradient energy
 gamma * integral |u'|^p u^(gamma-1) w dx and the transformed-gradient energy
 integral |v'|^p w dx with v = u^((p-1+gamma)/p) are tied together by the
@@ -17,14 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalInvariantError, ValidationError
+from .errors import ValidationError
 from .measures import RadonMeasure
 from .params import energy_constant
-from .quadrature import increments_stagnant, points_from_x
+from .quadrature import points_from_x
 from .solver import (
     DEFAULT_OPTIONS,
     PotentialResult,
     SolverOptions,
+    _ladder_schedule,
+    _monotone_limit,
     measure_quadrature,
     solve_dirichlet,
 )
@@ -44,12 +48,6 @@ class EnergyReport:
     levels_used: int
     ladder_converged: bool
     solution: PotentialResult | None = None
-
-
-def _ladder_schedule(options: SolverOptions, schedule=None) -> tuple[int, ...]:
-    if schedule is None:
-        return tuple(range(1, options.max_trunc_level + 1))
-    return tuple(schedule)
 
 
 def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> float:
@@ -75,51 +73,24 @@ def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
 
     Returns (value, last_level_solution, levels, converged, diverged)
     [plus the per-level energy list when ``return_levels``]; the value is
-    +inf when the ladder exceeds the cap or its increments stagnate.
+    +inf when the ladder exceeds the cap or its increments settle into
+    geometric growth.  Energy ladders near a solvability threshold
+    decelerate through ratio one over many levels before their asymptotic
+    rate appears, so only growth (ratio 1.02 or more) counts as divergence.
     """
     if mu.is_zero:
         return (0.0, None, 0, True, False, []) if return_levels else (0.0, None, 0, True, False)
-    cap = options.divergence_cap if cap is None else cap
-    schedule = _ladder_schedule(options, schedule)
-    prev = None
-    last_res = None
-    increments: list[float] = []
-    level_values: list[float] = []
-    levels = 0
-    converged = diverged = False
-    value = 0.0
-    for k in schedule:
+
+    def level(k):
         mu_k = mu.truncate(k)
         res = solve_dirichlet(p, w, mu_k, options)
-        e_k = _level_energy(res, mu_k, gamma)
-        levels += 1
-        level_values.append(e_k)
-        if prev is not None:
-            if e_k < prev - 1e-9 * (1.0 + abs(prev)):
-                raise InternalInvariantError(
-                    f"energy.energy_ladder: level {k} decreased the energy "
-                    f"({prev:.6e} -> {e_k:.6e}); the ladder must be monotone"
-                )
-            increments.append(e_k - prev)
-        prev = e_k
-        value = e_k
-        last_res = res
-        if e_k > cap:
-            diverged = True
-            break
-        scale = max(abs(e_k), 1e-300)
-        if len(increments) >= 2 and increments[-1] <= tol * scale and increments[-2] <= tol * scale:
-            converged = True
-            break
-        if increments_stagnant(increments, tol * scale, require_growth=True):
-            diverged = True
-            break
-    if diverged:
-        value = INF
-        converged = False
-    if return_levels:
-        return value, last_res, levels, converged, diverged, level_values
-    return value, last_res, levels, converged, diverged
+        return _level_energy(res, mu_k, gamma), res
+
+    lim = _monotone_limit(level, _ladder_schedule(options, schedule), tol,
+                          options.divergence_cap if cap is None else cap,
+                          growth=1.02, drop_slack=1e-9)
+    out = (lim.value, lim.payload, lim.levels, lim.converged, lim.diverged)
+    return out + (lim.values,) if return_levels else out
 
 
 def _gradient_energy(res: PotentialResult, gamma: float) -> float:
@@ -218,40 +189,26 @@ def measure_integral(fn, mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTI
                      tol: float = 1e-9) -> tuple[float, bool, bool]:
     """Ladder integral of fn (vectorized over Points) against mu.
 
-    Same monotone-limit semantics as the energy ladder but without solves;
+    Same monotone-limit semantics as the energy ladder but without solves
+    and without the monotonicity assertion (increments count by magnitude);
     fn must be nonnegative.  Returns (value, converged, diverged).
     """
     if mu.is_zero:
         return 0.0, True, False
-    cap = options.divergence_cap if cap is None else cap
-    schedule = _ladder_schedule(options, schedule)
-    prev = None
-    increments: list[float] = []
-    converged = diverged = False
-    value = 0.0
-    for k in schedule:
+
+    def level(k):
         mu_k = mu.truncate(k)
         pts, wq, dens = measure_quadrature(mu_k, options)
         total = float(np.dot(wq, np.asarray(fn(pts)) * dens))
         locs = mu_k.atom_locations
         if locs.size:
             total += float(np.dot(mu_k.atom_masses, np.asarray(fn(points_from_x(locs)))))
-        if prev is not None:
-            increments.append(total - prev)
-        prev = total
-        value = total
-        if total > cap:
-            diverged = True
-            break
-        scale = max(abs(total), 1e-300)
-        if len(increments) >= 2 and abs(increments[-1]) <= tol * scale \
-                and abs(increments[-2]) <= tol * scale:
-            converged = True
-            break
-        if increments_stagnant(increments, tol * scale, require_growth=True):
-            diverged = True
-            break
-    return (INF if diverged else value), converged, diverged
+        return total, None
+
+    lim = _monotone_limit(level, _ladder_schedule(options, schedule), tol,
+                          options.divergence_cap if cap is None else cap,
+                          growth=1.02, drop_slack=None)
+    return lim.value, lim.converged, lim.diverged
 
 
 def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,

@@ -767,10 +767,6 @@ class RadonMeasure:
     def interior_breaks(self) -> tuple[float, ...]:
         return self.density.interior_breaks()
 
-    def has_closed_cum(self) -> bool:
-        probe = points_from_x(np.asarray([0.25]))
-        return self.density.cum0_many(probe) is not None
-
 
 @dataclass(frozen=True)
 class CumulativeMass:

@@ -123,9 +123,7 @@ class PanelSet:
     """Composite quadrature structure over a cell partition of [-1, 1].
 
     Arrays are flat over all quadrature points; ``cell_id`` maps each point to
-    the grid cell it integrates, ``panel_id`` to its panel.  ``panel_lo_x`` /
-    ``panel_hi_x`` give panel extents (x-coordinates; for endpoint panels the
-    values may round to +-1, the y bookkeeping below stays exact).
+    the grid cell it integrates, ``panel_id`` to its panel.
     """
 
     pts: Points
@@ -133,10 +131,7 @@ class PanelSet:
     cell_id: np.ndarray    # int, per point
     panel_id: np.ndarray   # int, per point
     panel_cell: np.ndarray  # int, per panel
-    panel_lo: np.ndarray   # per panel, x of lower edge
-    panel_hi: np.ndarray   # per panel, x of upper edge
     n_cells: int
-    tail_estimate: float   # bound for the dropped mass of endpoint ladders
 
 
 def endpoint_panel_edges(y_hi: float, y_cut: float, ratio: float = 0.25) -> np.ndarray:
@@ -220,8 +215,6 @@ def build_panels(
     n_plain = plain.size
     panel_ids = [np.repeat(np.arange(n_plain, dtype=np.int64), n_gauss)]
     panel_cell = list(plain)
-    panel_lo = list(a_p)
-    panel_hi = list(b_p)
     pid = n_plain
 
     def add_panel(cell, a_x, b_x, a_y=None, b_y=None, side=0):
@@ -236,7 +229,6 @@ def build_panels(
             if h <= 0.0:
                 return
             pp = points_from_edge(side, a_y + t * h)
-            a_x, b_x = sorted((side * (1.0 - a_y), side * (1.0 - b_y)))
         px.append(pp.x)
         ps.append(pp.side)
         py.append(pp.y)
@@ -244,8 +236,6 @@ def build_panels(
         cell_ids.append(np.full(n_gauss, cell, dtype=np.int64))
         panel_ids.append(np.full(n_gauss, pid, dtype=np.int64))
         panel_cell.append(cell)
-        panel_lo.append(a_x)
-        panel_hi.append(b_x)
         pid += 1
 
     def add_tail_point(cell, side, y0, s):
@@ -259,12 +249,8 @@ def build_panels(
         cell_ids.append(np.asarray([cell], dtype=np.int64))
         panel_ids.append(np.asarray([pid], dtype=np.int64))
         panel_cell.append(cell)
-        lo_x, hi_x = sorted((side * 1.0, side * (1.0 - y0)))
-        panel_lo.append(lo_x)
-        panel_hi.append(hi_x)
         pid += 1
 
-    tail_estimate = 0.0
     for c, kind in special.items():
         a, b = gx[c], gx[c + 1]
         if kind == "left":
@@ -275,7 +261,6 @@ def build_panels(
             for j in range(len(edges) - 1):
                 add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=-1)
             add_tail_point(c, -1, edges[0], tail_s_left)
-            tail_estimate += edges[0]
         elif kind == "right":
             y_hi = gy[-2] if gs[-2] > 0 else 1.0 - gx[-2]
             edges = endpoint_panel_edges(y_hi, min(y_cut_right, y_hi / 4.0), edge_ratio)[::-1]
@@ -284,7 +269,6 @@ def build_panels(
             for j in range(len(edges) - 1):
                 add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=1)
             add_tail_point(c, 1, edges[0], tail_s_right)
-            tail_estimate += edges[0]
         elif kind == "split":
             sub = interior_breaks[(interior_breaks > a) & (interior_breaks < b)]
             cuts = np.concatenate([[a], np.sort(sub), [b]])
@@ -302,10 +286,7 @@ def build_panels(
         cell_id=np.concatenate(cell_ids),
         panel_id=np.concatenate(panel_ids),
         panel_cell=np.asarray(panel_cell, dtype=np.int64),
-        panel_lo=np.asarray(panel_lo),
-        panel_hi=np.asarray(panel_hi),
         n_cells=n_cells,
-        tail_estimate=tail_estimate,
     )
 
 
@@ -422,31 +403,6 @@ def _bi_graded_edges(a: float, b: float, levels: int = 10, ratio: float = 0.3) -
         offs.append(1.0 - h)
     offs.append(1.0)
     return a + width * np.unique(np.asarray(offs))
-
-
-def increments_stagnant(increments: list[float], floor: float,
-                        require_growth: bool = False) -> bool:
-    """True when a monotone ladder's increments have stopped decaying.
-
-    Default mode flags increment ratios that have settled at or above one
-    (logarithmic or power divergence); convergent ladders keep their ratios
-    drifting downward, which the settle test excludes.  ``require_growth``
-    is stricter: it fires only once the ratios have settled into genuine
-    geometric growth, because energy ladders near a solvability threshold
-    decelerate through ratio one over many levels before their asymptotic
-    rate appears, and must not be cut off mid-transit.
-    """
-    if len(increments) < 10 or increments[-1] <= floor:
-        return False
-    tail = np.asarray(increments[-6:])
-    if np.any(tail <= 0.0):
-        return False
-    ratios = tail[1:] / tail[:-1]
-    gm = float(np.exp(np.mean(np.log(ratios))))
-    settled = float(np.max(ratios) / np.min(ratios)) <= 1.06
-    if require_growth:
-        return gm >= 1.02 and settled
-    return gm >= 0.98 and settled
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ which keeps interior fluxes fully accurate even when a deeply truncated
 measure carries astronomically large one-sided mass.
 
 The extended potential of a possibly infinite measure is the monotone limit of
-these solves along the truncation ladder F_k = [-1 + 2^-k, 1 - 2^-k].
+these solves along the truncation ladder F_k = [-1 + 2^-k, 1 - 2^-k].  One
+driver, ``_monotone_limit``, runs every such limit in the package (potentials
+here, energies and measure integrals in ``energy``) and holds the only cap,
+convergence, stagnation and monotonicity tests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .quadrature import (
     build_panels,
     gauss_rule,
     graded_grid,
-    increments_stagnant,
     points_from_x,
 )
 from .weights import Weight
@@ -257,8 +259,11 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     y_cut_r = 10.0 ** np.floor(np.log10(max(y_cut_r, 1e-280)))
     key = _structure_key(mu, opts, extra_nodes, ladder_nodes,
                          y_cut_l, y_cut_r, deep_l + tail_s, deep_r + tail_s)
-    if key is not None and key in _PANEL_CACHE:
-        return _PANEL_CACHE[key]
+    # one lookup: a concurrent clear() between a membership test and the
+    # read would raise KeyError
+    cached = None if key is None else _PANEL_CACHE.get(key)
+    if cached is not None:
+        return cached
     grid = _master_grid(mu, opts, extra_nodes)
     panels = build_panels(
         grid,
@@ -579,6 +584,101 @@ def _hermite_at_points(nodes: Points, u_nodes: np.ndarray,
     return np.maximum(out, 0.0)
 
 
+@dataclass
+class _Limit:
+    """Outcome of ``_monotone_limit``: the last level's value (+inf once the
+    ladder diverged) and payload, every level's value, and how it stopped."""
+
+    value: object = 0.0
+    payload: object = None
+    values: list = field(default_factory=list)
+    levels: int = 0
+    last_level: int = 0
+    converged: bool = False
+    diverged: bool = False
+
+
+def _ladder_schedule(options: SolverOptions, schedule=None,
+                     start_level: int | None = None) -> tuple[int, ...]:
+    """Truncation levels to walk: ``schedule`` (default 1..max_trunc_level),
+    from ``start_level`` on when given (its last level if none is that deep)."""
+    schedule = tuple(range(1, options.max_trunc_level + 1)) if schedule is None \
+        else tuple(schedule)
+    if start_level is not None:
+        schedule = tuple(k for k in schedule if k >= start_level) or schedule[-1:]
+    return schedule
+
+
+def _tail_ratio(increments) -> tuple[np.ndarray, float]:
+    """Ratios of successive positive increments among the last six, and their
+    geometric mean (nan when there is no ratio)."""
+    tail = np.asarray(increments[-6:], dtype=float)
+    pos = tail[tail > 0.0]
+    ratios = pos[1:] / pos[:-1]
+    gm = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else math.nan
+    return ratios, gm
+
+
+def _monotone_limit(evaluate, schedule, tol: float, cap: float,
+                    growth: float, drop_slack: float | None) -> _Limit:
+    """Monotone limit of ``evaluate(k) -> (value, payload)`` along ``schedule``.
+
+    The value is a number or an array compared pointwise.  The ladder stops
+    as converged after two successive increments of at most ``tol`` times the
+    current sup, and as diverged once the sup exceeds ``cap`` or the
+    increments stagnate at ratio ``growth`` or more.  With a ``drop_slack``
+    a decrease beyond drop_slack * (1 + the larger level magnitude) breaks
+    the monotonicity the limit rests on and raises, and increments count by
+    their signed maximum; without one (no monotonicity is asserted) they
+    count by magnitude.
+    """
+    lim = _Limit()
+    increments: list[float] = []
+    steps: list[float] = []
+    for k in schedule:
+        value, lim.payload = evaluate(k)
+        lim.levels += 1
+        lim.last_level = k
+        if lim.values:
+            prev = lim.values[-1]
+            inc = float(np.max(value - prev))
+            if drop_slack is None:
+                steps.append(float(np.max(np.abs(value - prev))))
+            else:
+                drop = float(np.max(prev - value))
+                slack = drop_slack * (1.0 + max(float(np.max(np.abs(prev))),
+                                                float(np.max(np.abs(value)))))
+                if drop > slack:
+                    raise InternalInvariantError(
+                        f"solver.monotone_limit: level {k} lowered the values by "
+                        f"{drop:.3e}; a truncation ladder must be monotone"
+                    )
+                steps.append(inc)
+            increments.append(inc)
+        lim.values.append(value)
+        lim.value = value
+        sup = float(np.max(value))
+        if sup > cap:
+            lim.diverged = True
+            break
+        floor = tol * max(abs(sup), 1e-300)
+        if len(steps) >= 2 and steps[-1] <= floor and steps[-2] <= floor:
+            lim.converged = True
+            break
+        if len(increments) >= 10 and increments[-1] > floor:
+            # six positive increments whose ratios settled at ``growth`` or
+            # more are not decaying: a slowly divergent limit (convergent
+            # ladders keep their ratios drifting down, which the settle
+            # test excludes)
+            ratios, gm = _tail_ratio(increments)
+            if ratios.size == 5 and gm >= growth and np.max(ratios) / np.min(ratios) <= 1.06:
+                lim.diverged = True
+                break
+    if lim.diverged:
+        lim.value = INF
+    return lim
+
+
 def potential(p: float, w: Weight, mu: RadonMeasure,
               options: SolverOptions = DEFAULT_OPTIONS,
               schedule: tuple[int, ...] | None = None,
@@ -588,84 +688,34 @@ def potential(p: float, w: Weight, mu: RadonMeasure,
               start_level: int | None = None) -> PotentialResult:
     """Extended potential of a possibly infinite measure via monotone truncation.
 
-    Runs the ladder mu_k = truncate(mu, k), asserting pointwise monotonicity in
-    k at the shared master nodes; declares convergence when the successive
-    sup-differences fall below tolerance and divergence when values exceed the
-    cap or the increments stop decaying (slowly divergent limits never reach a
-    fixed cap, so increment stagnation is also treated as divergence).
+    Runs the ladder mu_k = truncate(mu, k) through ``_monotone_limit`` on the
+    values at master nodes shared by every level (atoms + graded grid, no
+    window edges).  Divergence covers increments that settle at ratio 0.98
+    or more, not only the cap: slowly divergent limits never reach a fixed
+    cap.
     """
     if not w.conjugate_integrable(p):
         raise ValidationError("solver.potential: w^(-1/(p-1)) is not integrable")
     if mu.is_zero:
         return solve_dirichlet(p, w, mu, options, extra_nodes)
-    cap = options.divergence_cap if cap is None else cap
-    tol = options.trunc_tol if tol is None else tol
-    if schedule is None:
-        schedule = tuple(range(1, options.max_trunc_level + 1))
-    if start_level is not None:
-        lead = [k for k in schedule if k >= start_level]
-        schedule = tuple(lead) if lead else (schedule[-1],)
-
-    prev_vals = None
-    prev_result = None
-    increments: list[float] = []
-    levels_used = 0
-    converged = False
-    diverged = False
-    last_k = schedule[0] if schedule else 1
-
-    for k in schedule:
-        mu_k = mu.truncate(k)
-        res = solve_dirichlet(p, w, mu_k, options, extra_nodes=extra_nodes)
-        levels_used += 1
-        last_k = k
-        vals = _values_on_master(res, mu, options, extra_nodes)
-        if prev_vals is not None:
-            slack = 1e-10 * (1.0 + float(np.max(np.abs(vals))))
-            drop = float(np.max(prev_vals - vals))
-            if drop > slack:
-                raise InternalInvariantError(
-                    f"solver.potential: truncation values decreased by {drop:.3e} "
-                    f"at level {k}; ladder must be monotone"
-                )
-            inc = float(np.max(vals - prev_vals))
-            increments.append(inc)
-        prev_vals = vals
-        prev_result = res
-        sup = float(np.max(vals))
-        if sup > cap:
-            diverged = True
-            break
-        scale = max(sup, 1e-300)
-        if len(increments) >= 2 and increments[-1] <= tol * scale \
-                and increments[-2] <= tol * scale:
-            converged = True
-            break
-        if increments_stagnant(increments, tol * scale):
-            # increments not decaying: slowly divergent limit
-            diverged = True
-            break
-
-    assert prev_result is not None
-    if diverged:
-        grid = prev_result.u.grid
-        inf_vals = np.full(grid.x.size, INF)
-        gf = GridFunction(grid=grid, values=inf_vals)
-        return replace(prev_result, u=gf, diverged=True,
-                       truncation_levels_used=levels_used, ladder_converged=False,
-                       truncation_last_level=last_k, quad=None)
-    return replace(prev_result, truncation_levels_used=levels_used,
-                   ladder_converged=converged, diverged=False,
-                   truncation_last_level=last_k)
-
-
-def _values_on_master(res: PotentialResult, mu: RadonMeasure,
-                      options: SolverOptions, extra_nodes: tuple[float, ...]) -> np.ndarray:
-    """Values of a ladder solve at master comparison nodes (atoms + graded grid,
-    no window edges, so every level shares them)."""
     master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
                          tuple(mu.atom_locations.tolist()) + tuple(extra_nodes))
-    return res.u.values_at(master)
+
+    def level(k):
+        res = solve_dirichlet(p, w, mu.truncate(k), options, extra_nodes=extra_nodes)
+        return res.u.values_at(master), res
+
+    lim = _monotone_limit(level, _ladder_schedule(options, schedule, start_level),
+                          options.trunc_tol if tol is None else tol,
+                          options.divergence_cap if cap is None else cap,
+                          growth=0.98, drop_slack=1e-10)
+    res = lim.payload
+    assert res is not None
+    if lim.diverged:
+        res = replace(res, u=GridFunction(grid=res.u.grid, values=np.full(res.u.x.size, INF)),
+                      quad=None)
+    return replace(res, truncation_levels_used=lim.levels, diverged=lim.diverged,
+                   ladder_converged=lim.converged, truncation_last_level=lim.last_level)
 
 
 def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,

@@ -27,6 +27,7 @@ from .solver import (
     GridFunction,
     PotentialResult,
     SolverOptions,
+    _tail_ratio,
     potential,
 )
 from .weights import Weight
@@ -423,14 +424,8 @@ def _trend_classification(e_levels: list[float]) -> str:
     """Classify an exhausted ladder by the geometric trend of its increments."""
     if len(e_levels) < 6:
         return "inconclusive"
-    inc = np.diff(np.asarray(e_levels))
-    inc = inc[-6:]
-    pos = inc[inc > 0.0]
-    if pos.size < 3:
-        return "solvable"
-    ratios = pos[1:] / pos[:-1]
-    r = float(np.exp(np.mean(np.log(ratios))))
-    if r <= 0.97:
+    ratios, r = _tail_ratio(np.diff(np.asarray(e_levels)))
+    if ratios.size < 2 or r <= 0.97:
         return "solvable"
     if r >= 1.03:
         return "not_solvable"

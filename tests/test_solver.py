@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from sublap.errors import ValidationError
+from sublap import solver
+from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import PowerDensity, RadonMeasure, dirac, lebesgue, power_measure
 from sublap.quadrature import bracketed_root
 from sublap.solver import (
     SolverOptions,
+    _monotone_limit,
     check_comparison,
     potential,
     solve_dirichlet,
@@ -145,6 +149,93 @@ def test_potential_monotone_in_truncation_level():
             vals = res.u.values_at(prev.u.grid)
             assert np.min(vals - prev.u.values) > -1e-11
         prev = res
+
+
+# -- the monotone-limit driver on synthetic ladders ---------------------------------
+
+def _ladder(values):
+    return lambda k: (values[k - 1], k)
+
+
+LEVELS = tuple(range(1, 41))
+
+
+@pytest.mark.parametrize("growth", [0.98, 1.02])
+def test_monotone_limit_geometric_decay_converges(growth):
+    # increments 2^-k: the first two at most 1e-9 of the value are 2^-30, 2^-31
+    lim = _monotone_limit(_ladder([1.0 - 0.5 ** k for k in LEVELS]), LEVELS,
+                          tol=1e-9, cap=1e12, growth=growth, drop_slack=1e-9)
+    assert lim.converged and not lim.diverged
+    assert lim.levels == lim.last_level == 31 and lim.payload == 31
+    assert lim.value == 1.0 - 0.5 ** 31 and len(lim.values) == 31
+
+
+def test_monotone_limit_constant_increments_stagnate_only_at_ratio_one():
+    ramp = _ladder([float(k) for k in LEVELS])
+    lim = _monotone_limit(ramp, LEVELS, tol=1e-9, cap=1e12, growth=0.98, drop_slack=1e-10)
+    # ten increments of ratio one: a logarithmic-type divergence
+    assert lim.diverged and not lim.converged
+    assert lim.levels == 11 and lim.value == math.inf
+    lim = _monotone_limit(ramp, LEVELS, tol=1e-9, cap=1e12, growth=1.02, drop_slack=1e-9)
+    # growth mode waits for genuine geometric growth: the schedule runs out
+    assert not lim.diverged and not lim.converged
+    assert lim.levels == 40 and lim.value == 40.0
+
+
+def test_monotone_limit_cap_crossing_diverges():
+    lim = _monotone_limit(_ladder([10.0 ** k for k in LEVELS]), LEVELS,
+                          tol=1e-9, cap=1e5, growth=1.02, drop_slack=1e-9)
+    assert lim.diverged and not lim.converged
+    assert lim.levels == 6 and lim.value == math.inf
+    assert lim.values[-1] == 1e6
+
+
+def test_monotone_limit_vector_values_use_the_sup():
+    vals = [np.array([0.0, 1.0 - 0.5 ** k, 0.5]) for k in LEVELS]
+    lim = _monotone_limit(_ladder(vals), LEVELS, tol=1e-9, cap=1e12,
+                          growth=0.98, drop_slack=1e-10)
+    assert lim.converged and lim.levels == 31
+    lim = _monotone_limit(_ladder(vals), LEVELS, tol=1e-9, cap=0.7,
+                          growth=0.98, drop_slack=1e-10)
+    assert lim.diverged and lim.levels == 2
+
+
+def test_monotone_limit_drop_beyond_slack_raises():
+    dropping = _ladder([1.0, 2.0, 2.0 - 1e-6, 3.0])
+    with pytest.raises(InternalInvariantError):
+        _monotone_limit(dropping, (1, 2, 3, 4), tol=1e-9, cap=1e12,
+                        growth=1.02, drop_slack=1e-9)
+    # a drop within the slack is rounding, not a broken ladder
+    _monotone_limit(_ladder([1.0, 2.0, 2.0 - 1e-10, 3.0]), (1, 2, 3, 4),
+                    tol=1e-9, cap=1e12, growth=1.02, drop_slack=1e-9)
+
+
+def test_monotone_limit_without_slack_accepts_drops():
+    lim = _monotone_limit(_ladder([1.0, 2.0, 2.0 - 1e-6, 3.0]), (1, 2, 3, 4),
+                          tol=1e-9, cap=1e12, growth=1.02, drop_slack=None)
+    assert lim.levels == 4 and lim.value == 3.0
+    assert not lim.converged and not lim.diverged
+    # increments count by magnitude there: two small drops still converge
+    lim = _monotone_limit(_ladder([1.0, 1.0 - 1e-12, 1.0 - 2e-12]), (1, 2, 3),
+                          tol=1e-9, cap=1e12, growth=1.02, drop_slack=None)
+    assert lim.converged
+
+
+# -- panel cache ------------------------------------------------------------------
+
+def test_panel_cache_lookup_survives_concurrent_clear(monkeypatch):
+    class ClearedAfterMembershipTest(dict):
+        # another thread's clear() landing between a membership test and
+        # the read that follows it
+        def __contains__(self, key):
+            found = super().__contains__(key)
+            self.clear()
+            return found
+
+    monkeypatch.setattr(solver, "_PANEL_CACHE", ClearedAfterMembershipTest())
+    first = solve_dirichlet(2.0, W1, dirac(0.0))
+    second = solve_dirichlet(2.0, W1, dirac(0.0))
+    assert np.array_equal(first.u.values, second.u.values)
 
 
 # -- homogeneity ------------------------------------------------------------------
