@@ -34,7 +34,7 @@ from .measures import (
     ZeroDensity,
 )
 from .params import ProblemParams
-from .solver import DEFAULT_OPTIONS, SolverOptions, potential, solve_dirichlet
+from .solver import DEFAULT_OPTIONS, SolverOptions, potential
 from .weights import Weight, constant_weight, power_weight
 
 OUT_ENV = "SUBLAP_OUT"
@@ -200,11 +200,7 @@ def cmd_solve(cfg: dict) -> int:
     mu = build_measure(cfg)
     opts = build_options(cfg)
     out = cfg["output"]["directory"]
-    finite = math.isfinite(mu.total_mass())
-    if finite:
-        res = solve_dirichlet(prob.p, w, mu, opts)
-    else:
-        res = potential(prob.p, w, mu, opts)
+    res = potential(prob.p, w, mu, opts)
     rows = zip(res.u.x, res.u.values,
                res.u_prime if res.u_prime is not None else np.full(res.u.x.size, math.nan),
                res.flux_nodes if res.flux_nodes is not None else np.full(res.u.x.size, math.nan))
@@ -295,9 +291,7 @@ def cmd_iterate(cfg: dict) -> int:
     })
     print(f"iterate: steps={trace.steps} converged={trace.converged} "
           f"diverged={trace.diverged}")
-    if trace.diverged:
-        return 2
-    if not trace.converged:
+    if trace.diverged or not trace.converged:
         return 2
     return 0
 

@@ -1,10 +1,11 @@
 """Generalized energies of measures and their sharp-constant identities.
 
-E_gamma(mu) = integral of (W mu)^gamma against mu, evaluated as a monotone
-limit over the truncation ladder (each level is one exact Dirichlet solve) by
-the solver's single driver ``_monotone_limit``, which also runs potentials
-and the measure integrals here.
-On each finite level the measure-side integral, the gradient energy
+E_gamma(mu) = integral of (W mu)^gamma against mu.  For a measure of finite
+mass it comes from one exact Dirichlet solve; for infinite mass it is the
+monotone limit over the truncation ladder (each level is one exact solve),
+run by the solver's single driver ``_monotone_limit``, which also runs
+potentials and the measure integrals here.
+On each solved measure the measure-side integral, the gradient energy
 gamma * integral |u'|^p u^(gamma-1) w dx and the transformed-gradient energy
 integral |v'|^p w dx with v = u^((p-1+gamma)/p) are tied together by the
 integration-by-parts identity with the explicit constant c_E; the module
@@ -28,7 +29,8 @@ from .solver import (
     PotentialResult,
     SolverOptions,
     _ladder_schedule,
-    _monotone_limit,
+    _Limit,
+    _truncation_limit,
     measure_quadrature,
     solve_dirichlet,
 )
@@ -40,7 +42,7 @@ INF = math.inf
 @dataclass
 class EnergyReport:
     e_gamma: float              # may be +inf
-    grad_energy: float          # integral |u'|^p u^(gamma-1) w dx (last ladder level)
+    grad_energy: float          # integral |u'|^p u^(gamma-1) w dx (last solved level)
     v_energy: float             # integral |v'|^p w dx, v = u^((p-1+gamma)/p)
     sandwich_pass: bool         # e_gamma <= v_energy <= c_E * e_gamma
     identity_gap: float         # relative deviation across the identity
@@ -68,29 +70,25 @@ def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> flo
 def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
                   options: SolverOptions = DEFAULT_OPTIONS,
                   schedule=None, cap: float | None = None,
-                  tol: float = 1e-9, return_levels: bool = False):
-    """Monotone truncation limit of E_gamma(mu).
+                  tol: float = 1e-9) -> _Limit:
+    """E_gamma(mu) as a ``_Limit``: ``value`` (+inf once diverged), the
+    ``payload`` solution of the last solved level, the per-level energies in
+    ``values``, and ``levels``, ``converged`` and ``diverged``.
 
-    Returns (value, last_level_solution, levels, converged, diverged)
-    [plus the per-level energy list when ``return_levels``]; the value is
-    +inf when the ladder exceeds the cap or its increments settle into
-    geometric growth.  Energy ladders near a solvability threshold
-    decelerate through ratio one over many levels before their asymptotic
-    rate appears, so only growth (ratio 1.02 or more) counts as divergence.
+    A measure of finite mass is one solve (``levels`` 0); one of infinite
+    mass walks the truncation ladder, which diverges when it exceeds the cap
+    or its increments settle into geometric growth.  Energy ladders near a
+    solvability threshold decelerate through ratio one over many levels
+    before their asymptotic rate appears, so only growth (ratio 1.02 or
+    more) counts as divergence.
     """
-    if mu.is_zero:
-        return (0.0, None, 0, True, False, []) if return_levels else (0.0, None, 0, True, False)
-
-    def level(k):
-        mu_k = mu.truncate(k)
+    def level(mu_k):
         res = solve_dirichlet(p, w, mu_k, options)
         return _level_energy(res, mu_k, gamma), res
 
-    lim = _monotone_limit(level, _ladder_schedule(options, schedule), tol,
-                          options.divergence_cap if cap is None else cap,
-                          growth=1.02, drop_slack=1e-9)
-    out = (lim.value, lim.payload, lim.levels, lim.converged, lim.diverged)
-    return out + (lim.values,) if return_levels else out
+    return _truncation_limit(mu, level, _ladder_schedule(options, schedule), tol,
+                             options.divergence_cap if cap is None else cap,
+                             growth=1.02, drop_slack=1e-9)
 
 
 def _gradient_energy(res: PotentialResult, gamma: float) -> float:
@@ -114,13 +112,13 @@ def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     if not (0.0 < gamma < INF):
         raise ValidationError(f"energy.energy: need finite gamma > 0, got {gamma}")
     c_E = energy_constant(p, gamma)
-    e_val, last_res, levels, conv, div = energy_ladder(p, w, mu, gamma, options, schedule)
-    if div or last_res is None:
+    lim = energy_ladder(p, w, mu, gamma, options, schedule)
+    e_val, last_res = lim.value, lim.payload
+    if lim.diverged:
         return EnergyReport(
-            e_gamma=INF if div else 0.0, grad_energy=INF if div else 0.0,
-            v_energy=INF if div else 0.0, sandwich_pass=not div,
-            identity_gap=0.0, diverged=div, levels_used=levels,
-            ladder_converged=conv, solution=last_res,
+            e_gamma=INF, grad_energy=INF, v_energy=INF, sandwich_pass=False,
+            identity_gap=0.0, diverged=True, levels_used=lim.levels,
+            ladder_converged=lim.converged, solution=last_res,
         )
     grad = _gradient_energy(last_res, gamma)
     v_energy = c_E * gamma * grad
@@ -133,7 +131,7 @@ def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     return EnergyReport(
         e_gamma=e_val, grad_energy=grad, v_energy=v_energy,
         sandwich_pass=bool(sandwich), identity_gap=gap, diverged=False,
-        levels_used=levels, ladder_converged=conv, solution=last_res,
+        levels_used=lim.levels, ladder_converged=lim.converged, solution=last_res,
     )
 
 
@@ -142,10 +140,10 @@ def triple_norm(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     """|||mu|||_gamma = E_gamma(mu)^((p-1)/(p-1+gamma))."""
     if not (0.0 < gamma < INF):
         raise ValidationError("energy.triple_norm: need finite gamma > 0")
-    e_val, _, _, _, div = energy_ladder(p, w, mu, gamma, options, schedule)
-    if div:
+    lim = energy_ladder(p, w, mu, gamma, options, schedule)
+    if lim.diverged:
         return INF
-    return e_val ** ((p - 1.0) / (p - 1.0 + gamma))
+    return lim.value ** ((p - 1.0) / (p - 1.0 + gamma))
 
 
 def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
@@ -155,9 +153,6 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
     agrees with the global sup (the weak-maximum-principle identity)."""
     from .solver import potential
 
-    if mu.is_zero:
-        return {"value": 0.0, "sup_support": 0.0, "sup_global": 0.0,
-                "gap": 0.0, "agree": True, "diverged": False}
     res = potential(p, w, mu, options, schedule=schedule)
     if res.diverged:
         return {"value": INF, "sup_support": INF, "sup_global": INF,
@@ -187,17 +182,14 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
 def measure_integral(fn, mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,
                      schedule=None, cap: float | None = None,
                      tol: float = 1e-9) -> tuple[float, bool, bool]:
-    """Ladder integral of fn (vectorized over Points) against mu.
+    """Integral of fn (vectorized over Points) against mu.
 
-    Same monotone-limit semantics as the energy ladder but without solves
-    and without the monotonicity assertion (increments count by magnitude);
-    fn must be nonnegative.  Returns (value, converged, diverged).
+    One quadrature sum for a measure of finite mass; for infinite mass the
+    same monotone ladder as the energies, without solves.  fn must be
+    nonnegative, so the ladder is monotone.  Returns (value, converged,
+    diverged).
     """
-    if mu.is_zero:
-        return 0.0, True, False
-
-    def level(k):
-        mu_k = mu.truncate(k)
+    def level(mu_k):
         pts, wq, dens = measure_quadrature(mu_k, options)
         total = float(np.dot(wq, np.asarray(fn(pts)) * dens))
         locs = mu_k.atom_locations
@@ -205,9 +197,9 @@ def measure_integral(fn, mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTI
             total += float(np.dot(mu_k.atom_masses, np.asarray(fn(points_from_x(locs)))))
         return total, None
 
-    lim = _monotone_limit(level, _ladder_schedule(options, schedule), tol,
-                          options.divergence_cap if cap is None else cap,
-                          growth=1.02, drop_slack=None)
+    lim = _truncation_limit(mu, level, _ladder_schedule(options, schedule), tol,
+                            options.divergence_cap if cap is None else cap,
+                            growth=1.02, drop_slack=1e-9)
     return lim.value, lim.converged, lim.diverged
 
 
@@ -224,15 +216,16 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
     ghat = (gamma + q) * (p - 1.0) / (p - 1.0 - q)
     if mu.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "pass": True, "margin": 0.0}
-    e_mu, _, _, _, div_mu = energy_ladder(p, w, mu, gamma, options, schedule)
-    e_nu, _, _, _, div_nu = energy_ladder(p, w, nu, ghat, options, schedule)
+    lim_mu = energy_ladder(p, w, mu, gamma, options, schedule)
+    lim_nu = energy_ladder(p, w, nu, ghat, options, schedule)
     res_mu = potential(p, w, mu, options, schedule=schedule)
-    if res_mu.diverged or div_mu or div_nu:
+    if res_mu.diverged or lim_mu.diverged or lim_nu.diverged:
         return {"lhs": INF, "rhs": INF, "pass": True, "margin": 0.0,
                 "diverged": True}
     u_mu = res_mu.u
     lhs, _, lhs_div = measure_integral(
         lambda pts: u_mu.values_at(pts) ** (gamma + q), nu, options, schedule)
+    e_mu, e_nu = lim_mu.value, lim_nu.value
     rhs = (c_E * e_mu) ** ((gamma + q) / (p - 1.0 + gamma)) \
         * e_nu ** ((p - 1.0 - q) / (p - 1.0 + gamma))
     ok = bool(lhs <= rhs * (1.0 + tol)) if not lhs_div else False

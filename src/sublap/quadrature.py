@@ -53,14 +53,6 @@ def points_from_edge(side: int, y: np.ndarray) -> Points:
     return Points(x=x, side=np.full_like(y, float(side)), y=y)
 
 
-def merge_points(*pts: Points) -> Points:
-    return Points(
-        x=np.concatenate([p.x for p in pts]),
-        side=np.concatenate([p.side for p in pts]),
-        y=np.concatenate([p.y for p in pts]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # graded grid
 # ---------------------------------------------------------------------------

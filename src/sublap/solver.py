@@ -11,11 +11,13 @@ finds on ctilde = flux just right of 0 and the cumulative S(x) = mu((0, x]),
 which keeps interior fluxes fully accurate even when a deeply truncated
 measure carries astronomically large one-sided mass.
 
-The extended potential of a possibly infinite measure is the monotone limit of
-these solves along the truncation ladder F_k = [-1 + 2^-k, 1 - 2^-k].  One
-driver, ``_monotone_limit``, runs every such limit in the package (potentials
-here, energies and measure integrals in ``energy``) and holds the only cap,
-convergence, stagnation and monotonicity tests.
+The extended potential of a measure of infinite mass is the monotone limit
+of these solves along the truncation ladder F_k = [-1 + 2^-k, 1 - 2^-k]; a
+measure of finite mass is solved once, exactly.  ``_truncation_limit`` makes
+that choice for every limit in the package (potentials here, energies and
+measure integrals in ``energy``), and one driver, ``_monotone_limit``, walks
+every ladder and holds the only convergence, stagnation and monotonicity
+tests.
 """
 
 from __future__ import annotations
@@ -428,10 +430,10 @@ def solve_dirichlet(p: float, w: Weight, mu: RadonMeasure,
         ws = _Workspace(p, w, mu, options,
                         extra_nodes=extra_nodes + (x_star,),
                         ladder_nodes=(x_star,))
-        c, g_res, it_b = ws.solve_constant()
+        c, _, it_b = ws.solve_constant()
         iters += it_b
     else:
-        c, g_res = c_a, None
+        c = c_a
 
     return _assemble(ws, c, iters)
 
@@ -601,11 +603,13 @@ class _Limit:
 def _ladder_schedule(options: SolverOptions, schedule=None,
                      start_level: int | None = None) -> tuple[int, ...]:
     """Truncation levels to walk: ``schedule`` (default 1..max_trunc_level),
-    from ``start_level`` on when given (its last level if none is that deep)."""
+    from ``start_level`` on when given, but never fewer than its last three
+    levels: two increments are the fewest the convergence test can pass on."""
     schedule = tuple(range(1, options.max_trunc_level + 1)) if schedule is None \
         else tuple(schedule)
     if start_level is not None:
-        schedule = tuple(k for k in schedule if k >= start_level) or schedule[-1:]
+        tail = tuple(k for k in schedule if k >= start_level)
+        schedule = tail if len(tail) >= 3 else schedule[-3:]
     return schedule
 
 
@@ -620,41 +624,33 @@ def _tail_ratio(increments) -> tuple[np.ndarray, float]:
 
 
 def _monotone_limit(evaluate, schedule, tol: float, cap: float,
-                    growth: float, drop_slack: float | None) -> _Limit:
+                    growth: float, drop_slack: float) -> _Limit:
     """Monotone limit of ``evaluate(k) -> (value, payload)`` along ``schedule``.
 
     The value is a number or an array compared pointwise.  The ladder stops
     as converged after two successive increments of at most ``tol`` times the
     current sup, and as diverged once the sup exceeds ``cap`` or the
-    increments stagnate at ratio ``growth`` or more.  With a ``drop_slack``
-    a decrease beyond drop_slack * (1 + the larger level magnitude) breaks
-    the monotonicity the limit rests on and raises, and increments count by
-    their signed maximum; without one (no monotonicity is asserted) they
-    count by magnitude.
+    increments stagnate at ratio ``growth`` or more.  A decrease beyond
+    drop_slack * (1 + the larger level magnitude) breaks the monotonicity the
+    limit rests on and raises.
     """
     lim = _Limit()
     increments: list[float] = []
-    steps: list[float] = []
     for k in schedule:
         value, lim.payload = evaluate(k)
         lim.levels += 1
         lim.last_level = k
         if lim.values:
             prev = lim.values[-1]
-            inc = float(np.max(value - prev))
-            if drop_slack is None:
-                steps.append(float(np.max(np.abs(value - prev))))
-            else:
-                drop = float(np.max(prev - value))
-                slack = drop_slack * (1.0 + max(float(np.max(np.abs(prev))),
-                                                float(np.max(np.abs(value)))))
-                if drop > slack:
-                    raise InternalInvariantError(
-                        f"solver.monotone_limit: level {k} lowered the values by "
-                        f"{drop:.3e}; a truncation ladder must be monotone"
-                    )
-                steps.append(inc)
-            increments.append(inc)
+            drop = float(np.max(prev - value))
+            slack = drop_slack * (1.0 + max(float(np.max(np.abs(prev))),
+                                            float(np.max(np.abs(value)))))
+            if drop > slack:
+                raise InternalInvariantError(
+                    f"solver.monotone_limit: level {k} lowered the values by "
+                    f"{drop:.3e}; a truncation ladder must be monotone"
+                )
+            increments.append(float(np.max(value - prev)))
         lim.values.append(value)
         lim.value = value
         sup = float(np.max(value))
@@ -662,7 +658,7 @@ def _monotone_limit(evaluate, schedule, tol: float, cap: float,
             lim.diverged = True
             break
         floor = tol * max(abs(sup), 1e-300)
-        if len(steps) >= 2 and steps[-1] <= floor and steps[-2] <= floor:
+        if len(increments) >= 2 and increments[-1] <= floor and increments[-2] <= floor:
             lim.converged = True
             break
         if len(increments) >= 10 and increments[-1] > floor:
@@ -679,6 +675,26 @@ def _monotone_limit(evaluate, schedule, tol: float, cap: float,
     return lim
 
 
+def _truncation_limit(mu: RadonMeasure, evaluate, schedule, tol: float, cap: float,
+                      growth: float, drop_slack: float) -> _Limit:
+    """Limit of ``evaluate(measure) -> (value, payload)`` over the truncations
+    of mu: the one place that decides whether a measure needs a ladder.
+
+    Declared endpoint exponents below one on both sides mean finite mass (the
+    rule of ``Density.side_mass``), and such a measure is its own limit: one
+    exact evaluation of mu, converged at level 0 unless its sup exceeds
+    ``cap``.  Only infinite mass walks mu.truncate(k) along ``schedule``
+    through ``_monotone_limit``.
+    """
+    if mu.sing(-1) < 1.0 and mu.sing(1) < 1.0:
+        value, payload = evaluate(mu)
+        diverged = float(np.max(value)) > cap
+        return _Limit(value=INF if diverged else value, payload=payload, values=[value],
+                      converged=not diverged, diverged=diverged)
+    return _monotone_limit(lambda k: evaluate(mu.truncate(k)), schedule, tol, cap,
+                           growth, drop_slack)
+
+
 def potential(p: float, w: Weight, mu: RadonMeasure,
               options: SolverOptions = DEFAULT_OPTIONS,
               schedule: tuple[int, ...] | None = None,
@@ -686,31 +702,27 @@ def potential(p: float, w: Weight, mu: RadonMeasure,
               tol: float | None = None,
               extra_nodes: tuple[float, ...] = (),
               start_level: int | None = None) -> PotentialResult:
-    """Extended potential of a possibly infinite measure via monotone truncation.
+    """Extended potential of a possibly infinite measure.
 
-    Runs the ladder mu_k = truncate(mu, k) through ``_monotone_limit`` on the
-    values at master nodes shared by every level (atoms + graded grid, no
-    window edges).  Divergence covers increments that settle at ratio 0.98
-    or more, not only the cap: slowly divergent limits never reach a fixed
-    cap.
+    A measure of finite mass gets ``solve_dirichlet``'s result as it is,
+    unless it passes the cap.  One of infinite mass runs the ladder mu_k = truncate(mu, k) through
+    ``_monotone_limit`` on the values at master nodes shared by every level
+    (atoms + graded grid, no window edges).  Divergence covers increments
+    that settle at ratio 0.98 or more, not only the cap: slowly divergent
+    limits never reach a fixed cap.
     """
-    if not w.conjugate_integrable(p):
-        raise ValidationError("solver.potential: w^(-1/(p-1)) is not integrable")
-    if mu.is_zero:
-        return solve_dirichlet(p, w, mu, options, extra_nodes)
     master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
                          tuple(mu.atom_locations.tolist()) + tuple(extra_nodes))
 
-    def level(k):
-        res = solve_dirichlet(p, w, mu.truncate(k), options, extra_nodes=extra_nodes)
+    def level(mu_k):
+        res = solve_dirichlet(p, w, mu_k, options, extra_nodes=extra_nodes)
         return res.u.values_at(master), res
 
-    lim = _monotone_limit(level, _ladder_schedule(options, schedule, start_level),
-                          options.trunc_tol if tol is None else tol,
-                          options.divergence_cap if cap is None else cap,
-                          growth=0.98, drop_slack=1e-10)
+    lim = _truncation_limit(mu, level, _ladder_schedule(options, schedule, start_level),
+                            options.trunc_tol if tol is None else tol,
+                            options.divergence_cap if cap is None else cap,
+                            growth=0.98, drop_slack=1e-10)
     res = lim.payload
-    assert res is not None
     if lim.diverged:
         res = replace(res, u=GridFunction(grid=res.u.grid, values=np.full(res.u.x.size, INF)),
                       quad=None)

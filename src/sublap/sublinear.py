@@ -240,14 +240,14 @@ def verify_equivalence(p: float, w: Weight, sigma: RadonMeasure, q: float,
     """
     _validate_sub_natural(p, q, sigma)
     ghat = (gamma + q) * (p - 1.0) / (p - 1.0 - q)
-    e_val, _, _, _, div = energy_ladder(p, w, sigma, ghat, options, schedule)
-    if div:
+    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    if lim.diverged:
         trace = iterate(p, w, sigma, q, gamma, options=options, schedule=schedule,
                         max_steps=min(max_steps, 25), keep_iterates=False)
         return CriterionReport(C1=INF, C2=INF, chain_pass=bool(trace.diverged),
                                link_upper=trace.diverged, link_lower=trace.diverged,
                                diverged=True, trace=trace)
-    C2 = e_val ** (1.0 / (gamma + q))
+    C2 = lim.value ** (1.0 / (gamma + q))
     trace = iterate(p, w, sigma, q, gamma, options=options, schedule=schedule,
                     max_steps=max_steps, keep_iterates=False)
     C1 = trace.norms[-1]
@@ -272,11 +272,12 @@ def finite_energy_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
     """
     _validate_sub_natural(p, q, sigma)
     ghat = (1.0 + q) * (p - 1.0) / (p - 1.0 - q)
-    e_val, _, _, _, div = energy_ladder(p, w, sigma, ghat, options, schedule)
-    if div:
+    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    if lim.diverged:
         raise ValidationError(
             "sublinear.finite_energy_check: the energy criterion is infinite"
         )
+    e_val = lim.value
     trace = iterate(p, w, sigma, q, gamma=1.0, options=options, schedule=schedule,
                     max_steps=max_steps, keep_iterates=False)
     if not trace.converged:
@@ -396,26 +397,25 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
                 f"sublinear.hardy_sweep: alpha={alpha} outside the bounded window"
             )
         sigma = power_measure(alpha)
-        value, _, levels, conv, div, e_levels = energy_ladder(
-            p, w, sigma, ghat, options, schedule, cap=cap, return_levels=True)
-        if div:
+        lim = energy_ladder(p, w, sigma, ghat, options, schedule, cap=cap)
+        if lim.diverged:
             classification = "not_solvable"
-        elif conv:
+        elif lim.converged:
             classification = "solvable"
         else:
-            classification = _trend_classification(e_levels)
+            classification = _trend_classification(lim.values)
         in_band = abs(alpha - alpha_star) <= dead_band * (1.0 + 1e-9) + 1e-12
         expected = "solvable" if alpha < alpha_star else "not_solvable"
         agree = (classification == expected) or in_band
         rows.append({
             "alpha": float(alpha),
             "alpha_star": alpha_star,
-            "energy": value,
+            "energy": lim.value,
             "classification": classification,
             "expected": expected,
             "in_dead_band": bool(in_band),
             "agree": bool(agree),
-            "levels": levels,
+            "levels": lim.levels,
         })
     return rows
 

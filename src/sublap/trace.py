@@ -49,12 +49,11 @@ def trace_bracket(p: float, w: Weight, sigma: RadonMeasure, q: float,
     """Bracket C_T between the two explicit functions of the energy integral."""
     if not (-1.0 < q < p - 1.0):
         raise ValidationError(f"trace.trace_bracket: need -1 < q < p - 1, got q={q}")
-    if sigma.is_zero:
-        return TraceBracket(lower=0.0, upper=0.0, energy_value=0.0)
     theta, ghat = _trace_exponents(p, q)
-    e_val, _, _, _, div = energy_ladder(p, w, sigma, ghat, options, schedule)
-    if div:
+    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    if lim.diverged:
         raise ValidationError("trace.trace_bracket: the energy integral is infinite")
+    e_val = lim.value
     c_v = envelope_constant(p, q)
     upper = e_val ** (1.0 / theta)
     lower = ((1.0 + q) ** ((1.0 + q) / (p - 1.0 - q)) * c_v ** (1.0 + q) * e_val) \

@@ -31,6 +31,19 @@ def test_solve_writes_green_function(tmp_path):
     assert "flux_constant = 0.5" in report
 
 
+def test_solve_walks_the_ladder_only_for_infinite_mass(tmp_path):
+    out = tmp_path / "finite"
+    assert main(["--config", write_config(tmp_path, DIRAC_CFG), "--out", str(out), "solve"]) == 0
+    assert "truncation_levels_used = 0" in (out / "solve_report.txt").read_text().splitlines()
+    cfg = dict(DIRAC_CFG, measure={"density": {"family": "power", "alpha": 1.2}})
+    out = tmp_path / "infinite"
+    assert main(["--config", write_config(tmp_path, cfg, "power.json"), "--out", str(out),
+                 "solve"]) == 0
+    report = dict(line.split(" = ") for line in
+                  (out / "solve_report.txt").read_text().splitlines())
+    assert int(report["truncation_levels_used"]) > 0
+
+
 def test_solve_deterministic_output(tmp_path):
     cfg = write_config(tmp_path, DIRAC_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

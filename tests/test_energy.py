@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sublap.energy import (
+    _level_energy,
     energy,
     energy_ladder,
+    measure_integral,
     mee_bound,
     quasi_additivity_check,
     sup_norm_energy,
@@ -13,6 +15,7 @@ from sublap.energy import (
 )
 from sublap.errors import ValidationError
 from sublap.measures import RadonMeasure, TabulatedDensity, dirac, lebesgue, power_measure
+from sublap.solver import potential, solve_dirichlet
 from sublap.weights import constant_weight, power_weight
 
 W1 = constant_weight()
@@ -163,16 +166,15 @@ def test_weighted_norm_inequality_explicit_test_functions():
     # |W(f sigma)|_{L^(gamma+q)(sigma)} is controlled by
     # (c_E E_ghat(sigma)^((p-1-q)/(gamma+q)))^(1/(p-1)) |f|^(1/(p-1)) with
     # f measured in L^((gamma+q)/q)(sigma); checked on explicit f
-    from sublap.energy import measure_integral
     from sublap.measures import CallableFactor
     from sublap.params import energy_constant
-    from sublap.solver import potential
 
     p, q, gamma = 2.0, 0.5, 1.0
     sigma = dirac(0.2, 0.8).add(lebesgue(0.5))
     ghat = (gamma + q) * (p - 1.0) / (p - 1.0 - q)
-    e_sig, _, _, _, div = energy_ladder(p, W1, sigma, ghat)
-    assert not div
+    lim = energy_ladder(p, W1, sigma, ghat)
+    assert not lim.diverged
+    e_sig = lim.value
     c_E = energy_constant(p, gamma)
     fs = [lambda x: np.ones_like(np.asarray(x, dtype=float)),
           lambda x: (1.0 + np.asarray(x)) / 2.0,
@@ -195,7 +197,29 @@ def test_weighted_norm_inequality_explicit_test_functions():
 # -- ladders ---------------------------------------------------------------------------
 
 def test_energy_ladder_monotone_levels():
-    out = energy_ladder(2.0, W1, power_measure(0.8), 1.0, return_levels=True)
-    levels = out[5]
-    assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
-    assert len(levels) >= 3
+    # infinite mass with finite energy: the ladder walks its whole schedule
+    lim = energy_ladder(2.0, W1, power_measure(1.2), 1.0)
+    assert not lim.diverged and lim.levels == len(lim.values) == 40
+    assert all(b >= a - 1e-12 for a, b in zip(lim.values, lim.values[1:]))
+
+
+def test_energy_of_finite_measure_is_one_solve():
+    mu = power_measure(0.8)
+    lim = energy_ladder(2.0, W1, mu, 1.0)
+    assert lim.levels == 0 and lim.converged and not lim.diverged
+    assert lim.value == _level_energy(solve_dirichlet(2.0, W1, mu), mu, 1.0)
+
+
+def test_measure_integral_of_finite_measure_is_one_exact_sum():
+    # the mass of (1 - |x|)^(-1/2) dx is 4
+    val, conv, div = measure_integral(lambda pts: np.ones(len(pts)), power_measure(0.5))
+    assert val == pytest.approx(4.0, rel=1e-12)
+    assert conv and not div
+
+
+def test_finite_mass_limits_keep_the_cap():
+    assert potential(2.0, W1, D0, cap=0.4).diverged
+    lim = energy_ladder(2.0, W1, D0, 1.0, cap=0.4)
+    assert lim.diverged and lim.value == math.inf
+    assert measure_integral(lambda pts: np.full(len(pts), 2.0), D0, cap=1.0) \
+        == (math.inf, False, True)

@@ -9,6 +9,7 @@ from sublap.measures import PowerDensity, RadonMeasure, dirac, lebesgue, power_m
 from sublap.quadrature import bracketed_root
 from sublap.solver import (
     SolverOptions,
+    _ladder_schedule,
     _monotone_limit,
     check_comparison,
     potential,
@@ -125,12 +126,19 @@ def test_potential_power_density_green_oracle():
 
 
 def test_potential_of_finite_measure_matches_direct_solve():
-    mu = dirac(0.1, 0.4).add(lebesgue(0.3))
-    direct = solve_dirichlet(2.0, W1, mu)
-    ladder = potential(2.0, W1, mu)
-    assert ladder.ladder_converged
-    vals = ladder.u.values_at(direct.u.grid)
-    assert np.max(np.abs(vals - direct.u.values)) < 1e-9
+    # finite mass is solved once; the ladder it no longer walks must still
+    # converge to that solve
+    for mu in (dirac(0.1, 0.4).add(lebesgue(0.3)), power_measure(0.5)):
+        res = potential(2.0, W1, mu)
+        assert res.truncation_levels_used == 0 and res.ladder_converged
+        assert np.array_equal(res.u.values, solve_dirichlet(2.0, W1, mu).u.values)
+        grid = res.u.grid
+        lim = _monotone_limit(
+            lambda k: (solve_dirichlet(2.0, W1, mu.truncate(k)).u.values_at(grid), None),
+            _ladder_schedule(solver.DEFAULT_OPTIONS), tol=1e-9, cap=1e12,
+            growth=0.98, drop_slack=1e-10)
+        assert lim.converged and lim.levels > 2
+        assert np.max(np.abs(lim.value - res.u.values)) < 1e-9
 
 
 def test_potential_divergence_detected():
@@ -210,15 +218,12 @@ def test_monotone_limit_drop_beyond_slack_raises():
                     tol=1e-9, cap=1e12, growth=1.02, drop_slack=1e-9)
 
 
-def test_monotone_limit_without_slack_accepts_drops():
-    lim = _monotone_limit(_ladder([1.0, 2.0, 2.0 - 1e-6, 3.0]), (1, 2, 3, 4),
-                          tol=1e-9, cap=1e12, growth=1.02, drop_slack=None)
-    assert lim.levels == 4 and lim.value == 3.0
-    assert not lim.converged and not lim.diverged
-    # increments count by magnitude there: two small drops still converge
-    lim = _monotone_limit(_ladder([1.0, 1.0 - 1e-12, 1.0 - 2e-12]), (1, 2, 3),
-                          tol=1e-9, cap=1e12, growth=1.02, drop_slack=None)
-    assert lim.converged
+def test_ladder_schedule_start_hint_keeps_three_levels():
+    # two levels give one increment, on which a ladder can never converge
+    opts = solver.DEFAULT_OPTIONS
+    assert _ladder_schedule(opts, start_level=39) == (38, 39, 40)
+    assert _ladder_schedule(opts, start_level=99) == (38, 39, 40)
+    assert _ladder_schedule(opts, start_level=30) == tuple(range(30, 41))
 
 
 # -- panel cache ------------------------------------------------------------------
