@@ -92,11 +92,26 @@ def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
 
 
 def _gradient_energy(res: PotentialResult, gamma: float) -> float:
-    """integral |u'|^p u^(gamma-1) w dx from the flux representation."""
+    """integral |u'|^p u^(gamma-1) w dx from the flux representation.
+
+    Pure atoms with a constant weight (the case ``_assemble`` solves in
+    closed form) are integrated in closed form too: on each run of cells
+    with one slope c, u is linear, so the integral there is
+    w |c|^(p-1) |u_end^gamma - u_start^gamma| / gamma.
+    """
     quad = res.quad
     if quad is None:
         return 0.0
     p = res.p
+    w = res.weight
+    if res.measure.density.is_zero and w.family == "constant":
+        # cell i carries the flux just left of node i + 1
+        slope = res.u_prime[1:]
+        u = res.u.values
+        starts = np.flatnonzero(np.concatenate([[True], slope[1:] != slope[:-1]]))
+        ends = np.append(starts[1:], slope.size)
+        runs = np.abs(slope[starts]) ** (p - 1.0) * np.abs(u[ends] ** gamma - u[starts] ** gamma)
+        return float(w.value * np.sum(runs) / gamma)
     pp = p / (p - 1.0)
     e = 1.0 / (p - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):

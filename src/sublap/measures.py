@@ -692,13 +692,15 @@ class RadonMeasure:
         Sb[~hit_r] = S_int[n_l:]
         Sa[hit_l] = -self.side_mass(-1)
         Sb[hit_r] = self.side_mass(1)
+        # the ball is open: an atom exactly at its right end b is taken out
+        # of Sb (the left end is already out of Sa's right-continuous S);
+        # no atom sits at b = 1
         locs = self.atom_locations
         atom_b = np.zeros(rs.size)
         if locs.size:
-            masses = self.atom_masses
-            for i, bb in enumerate(b):
-                if not hit_r[i]:
-                    atom_b[i] = float(masses[locs == bb].sum())
+            i = np.minimum(np.searchsorted(locs, b), locs.size - 1)
+            on_end = locs[i] == b
+            atom_b[on_end] = self.atom_masses[i[on_end]]
         out = Sb - Sa - atom_b
         out[b <= a] = 0.0
         return out

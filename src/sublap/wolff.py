@@ -46,6 +46,21 @@ def _kink_radii(mu: RadonMeasure, x: float, R: float) -> np.ndarray:
     return np.asarray(sorted(r for r in radii if 0.0 < r < R))
 
 
+def _graded_offsets() -> np.ndarray:
+    """Panel edges of one piece, scaled to [0, 1]: geometric grading toward
+    both piece ends (kinks of mu(B)/w(B)), ratio 0.35 over 18 steps."""
+    offs = [0.0, 0.5, 1.0]
+    h = 0.5
+    for _ in range(18):
+        h *= 0.35
+        offs.append(h)
+        offs.append(1.0 - h)
+    return np.unique(np.asarray(offs))
+
+
+_OFFSETS = _graded_offsets()
+
+
 def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = DEFAULT_RADIUS,
                     n_gauss: int = 12) -> WolffSample:
     """One sample of the truncated Wolff potential by graded quadrature.
@@ -53,8 +68,14 @@ def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = 
     The r-axis is split at the kink radii (atom distances, clipping radii,
     density regime edges); each piece gets geometrically graded Gauss panels
     so the power behavior of the integrand near r = 0 and near each kink is
-    resolved; the smallest band below the innermost scale uses the bounded
-    limit of the integrand.
+    resolved.  The panel touching r = 0 evaluates at interior Gauss radii,
+    where the integrand is bounded, so no special sliver is needed.
+
+    The integrand is evaluated in one pass: the Gauss radii of every panel
+    form one array, with one ``ball_masses`` and one ``ball_weight`` call.
+    A radius below the float spacing at x gives an empty ball (x - r ==
+    x + r, mass and weight 0); its integrand is taken as 0, since the true
+    panel value is at most the bounded r -> 0 limit times r, below rounding.
     """
     if not (R > 0.0):
         raise ValidationError("wolff.wolff_truncated: need R > 0")
@@ -68,32 +89,20 @@ def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = 
     if math.isinf(mu.ball_masses(x, np.asarray([R]))[0]):
         return WolffSample(x=x, R=R, value=INF)
 
-    cuts = [0.0] + list(_kink_radii(mu, x, R)) + [R]
+    cuts = np.concatenate([[0.0], _kink_radii(mu, x, R), [R]])
+    edges = cuts[:-1, None] + np.diff(cuts)[:, None] * _OFFSETS
+    hj = np.diff(edges, axis=1)
+    keep = hj > 0.0
+    hj, lo = hj[keep], edges[:, :-1][keep]
     t, tw = gauss_rule(n_gauss)
+    rj = (lo[:, None] + t * hj[:, None]).ravel()
+    mb = mu.ball_masses(x, rj)
+    wb = w.ball_weight(x, rj)
+    q = np.divide(rj ** p * mb, wb, out=np.zeros_like(mb), where=wb > 0.0)
+    g = (q ** e / rj).reshape(hj.size, t.size)
     total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 0.0:
-            continue
-        # geometric grading toward both piece ends (kinks of mu(B)/w(B));
-        # the panel touching r = 0 still evaluates at interior Gauss radii,
-        # where the integrand is bounded, so no special sliver is needed
-        width = hi - lo
-        offs = [0.0, 0.5, 1.0]
-        h = 0.5
-        for _ in range(18):
-            h *= 0.35
-            offs.append(h)
-            offs.append(1.0 - h)
-        edges = lo + width * np.unique(np.asarray(offs))
-        for j in range(len(edges) - 1):
-            hj = edges[j + 1] - edges[j]
-            if hj <= 0.0:
-                continue
-            rj = edges[j] + t * hj
-            mb = mu.ball_masses(x, rj)
-            wb = np.asarray([w.ball_weight(x, r) for r in rj])
-            g = (rj ** p * mb / wb) ** e / rj
-            total += hj * float(tw @ g)
+    for j in range(hj.size):
+        total += hj[j] * float(tw @ g[j])
     return WolffSample(x=x, R=R, value=total)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sublap.energy import (
+    _gradient_energy,
     _level_energy,
     energy,
     energy_ladder,
@@ -29,6 +30,11 @@ def test_dirac_energy_gamma_one():
     assert rep.grad_energy == pytest.approx(0.5, rel=1e-12)
     assert rep.identity_gap < 1e-12
     assert rep.sandwich_pass
+
+
+def test_gradient_energy_of_dirac_green_function_is_exact():
+    # u = (1 - |x|)/2: int |u'|^2 dx = 1/2 with no rounding on the pure-atom path
+    assert _gradient_energy(solve_dirichlet(2.0, W1, D0), 1.0) == 0.5
 
 
 def test_dirac_energy_gamma_two():

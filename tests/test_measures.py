@@ -140,6 +140,21 @@ def test_ball_masses_vectorized_matches_scalar():
         assert v == pytest.approx(ball_mass(mu, 0.1, float(r)), rel=1e-12)
 
 
+def test_ball_masses_open_ball_with_atoms_on_the_ends():
+    # x = 0.25 with atoms at x - r and x + r for r = 0.5, at x itself, at
+    # x + r for r = 0.25 and at x - r for r = 0.75 (all exact in binary)
+    atoms = ((-0.5, 16.0), (-0.25, 1.0), (0.25, 2.0), (0.5, 8.0), (0.75, 4.0))
+    rs = np.asarray([0.25, 0.5, 0.75, 1.5])
+    expected = np.asarray([2.0, 10.0, 15.0, 31.0])
+    vec = RadonMeasure(atoms=atoms).ball_masses(0.25, rs)
+    assert np.array_equal(vec, expected)
+    mu = RadonMeasure(atoms=atoms).add(lebesgue(0.5))
+    vec = mu.ball_masses(0.25, rs)
+    for r, v in zip(rs, vec):
+        assert v == ball_mass(mu, 0.25, float(r))
+    assert np.array_equal(vec, expected + 0.5 * np.asarray([0.5, 1.0, 1.5, 2.0]))
+
+
 # -- scale / add --------------------------------------------------------------
 
 def test_scale_atom():

@@ -73,3 +73,24 @@ def test_conjugate_singularity_exponent():
     assert w.conjugate_singularity(2.0, 1) == pytest.approx(0.6)
     assert power_weight(-0.5).conjugate_singularity(2.0, 1) == 0.0
     assert constant_weight().conjugate_singularity(3.0, -1) == 0.0
+
+
+def test_ball_weight_of_an_array_matches_scalar_calls():
+    # x = 0.3 clips at +1 from r = 0.7 and at both ends from r = 1.3;
+    # x = -0.6 clips at -1 only for r in [0.4, 1.6)
+    rs = np.asarray([0.1, 0.5, 0.9, 1.2, 1.5, 3.0])
+    custom = Weight(family="custom", func=lambda x: 1.0 + 0.5 * x ** 2)
+    for w in (constant_weight(2.5), power_weight(-0.4), power_weight(0.7), custom):
+        for x in (0.3, -0.6):
+            vec = w.ball_weight(x, rs)
+            scalars = [w.ball_weight(x, float(r)) for r in rs]
+            assert isinstance(scalars[0], float)
+            assert vec.shape == rs.shape
+            assert np.array_equal(vec, scalars)
+
+
+def test_ball_weight_rejects_nonpositive_radii_in_an_array():
+    w = power_weight(0.5)
+    for rs in ([0.1, 0.0, 0.3], [-0.2], [0.5, np.nan]):
+        with pytest.raises(ValidationError):
+            w.ball_weight(0.0, np.asarray(rs))

@@ -55,6 +55,21 @@ def test_homogeneity():
         assert abs(v2 - 3.0 ** (1.0 / (p - 1.0)) * v1) / v2 < 1e-10
 
 
+def test_sample_next_to_an_atom_is_finite():
+    # x within 2.4e-6 of an atom: the innermost kink radius is so small that
+    # the graded panels reach radii below the float spacing at x, where the
+    # ball is empty and the integrand was 0/0 = nan
+    p, x, a = 2.316315187136168, -0.2301246200270064, 3.252514059696759
+    w = power_weight(-0.06359048409051127)
+    mu = RadonMeasure(atoms=((0.3702158425127331, 1.6326008463812662),
+                             (-0.23012238258379492, 1.3959036890658385))) \
+        .add(power_measure(0.28296805038187894, 1.3128108152277251))
+    v1 = wolff_truncated(p, w, mu, x, 2.0).value
+    v2 = wolff_truncated(p, w, mu.scale(a), x, 2.0).value
+    assert math.isfinite(v1) and v1 > 0.0
+    assert abs(v2 - a ** (1.0 / (p - 1.0)) * v1) / v2 < 1e-10
+
+
 def test_infinite_flag_when_ball_swallows_singular_edge():
     # (1-|x|)^(-1.5) has infinite mass near the endpoints; once the ball
     # reaches them the integrand is infinite on a range of radii
