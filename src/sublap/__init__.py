@@ -2,7 +2,7 @@
 
 Numerical toolkit for the sub-natural growth problem with Radon measure data:
 an exact 1D Dirichlet solver (flux inversion), extended potentials of infinite
-measures by monotone truncation, truncated Wolff potentials, generalized
+measures in the same single solve, truncated Wolff potentials, generalized
 energies with their sharp-constant identities, the sublinear fixed-point
 construction of the minimal solution, and two-sided trace-constant brackets.
 """

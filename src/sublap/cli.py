@@ -82,8 +82,6 @@ def effective_config(args: argparse.Namespace) -> dict:
         density.setdefault("family", "power")
         density["alpha"] = args.alpha
         measure["density"] = density
-    if args.tol is not None:
-        solver["tolerance"] = args.tol
     out_dir = args.out or output.get("directory") or os.environ.get(OUT_ENV) or "."
     output["directory"] = out_dir
     return {"problem": problem, "weight": weight, "measure": measure,
@@ -152,12 +150,12 @@ def build_measure(cfg: dict) -> RadonMeasure:
 
 
 def build_options(cfg: dict) -> SolverOptions:
+    """Solver options; the keys ``tolerance`` and ``truncation_max`` (and
+    ``--tol``) configured the truncation ladder of earlier versions: ignored."""
     tbl = cfg["solver"]
     return SolverOptions(
         n_nodes=int(tbl.get("grid_nodes", DEFAULT_OPTIONS.n_nodes)),
         grading_ratio=float(tbl.get("grading_ratio", DEFAULT_OPTIONS.grading_ratio)),
-        trunc_tol=float(tbl.get("tolerance", DEFAULT_OPTIONS.trunc_tol)),
-        max_trunc_level=int(tbl.get("truncation_max", DEFAULT_OPTIONS.max_trunc_level)),
         divergence_cap=float(tbl.get("divergence_cap", DEFAULT_OPTIONS.divergence_cap)),
     )
 
@@ -394,6 +392,8 @@ def cmd_verify(cfg: dict, suite: str) -> int:
             n_fail += 1
         line = f"{status} {res.ident} {res.detail}"
         print(line)
+        # wall time goes to stdout only: verify.txt stays deterministic
+        print(f"time {res.ident} {res.seconds:.2f} s")
         lines.append(line)
     summary = f"{'PASS' if n_fail == 0 else 'FAIL'} suite={suite} " \
               f"criteria={len(results)} failures={n_fail}"
@@ -418,7 +418,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory (overrides config and "
                                       f"the {OUT_ENV} environment variable)")
     parser.add_argument("--jobs", type=int, default=1, help="sweep worker count")
-    parser.add_argument("--tol", type=float, default=None, help="solver tolerance override")
+    parser.add_argument("--tol", type=float, default=None,
+                        help="solver.tolerance override (accepted and ignored)")
     parser.add_argument("--p", type=float, default=None)
     parser.add_argument("--q", type=float, default=None)
     parser.add_argument("--gamma", type=float, default=None)

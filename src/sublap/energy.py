@@ -1,10 +1,11 @@
 """Generalized energies of measures and their sharp-constant identities.
 
-E_gamma(mu) = integral of (W mu)^gamma against mu.  For a measure of finite
-mass it comes from one exact Dirichlet solve; for infinite mass it is the
-monotone limit over the truncation ladder (each level is one exact solve),
-run by the solver's single driver ``_monotone_limit``, which also runs
-potentials and the measure integrals here.
+E_gamma(mu) = integral of (W mu)^gamma against mu, from one solve of the
+extended potential u = W mu whatever the mass of mu.  Where mu ~ dist^(-a)
+has infinite mass, u^gamma dmu ~ dist^(gamma kappa - a), kappa the declared
+edge exponent of u: the energy is finite exactly when that power exceeds -1,
+and the quadrature closes its tail at that power (``measure_integral`` does
+the same for a given integrand).
 On each solved measure the measure-side integral, the gradient energy
 gamma * integral |u'|^p u^(gamma-1) w dx and the transformed-gradient energy
 integral |v'|^p w dx with v = u^((p-1+gamma)/p) are tied together by the
@@ -24,14 +25,13 @@ from .errors import ValidationError
 from .measures import RadonMeasure
 from .params import energy_constant
 from .quadrature import points_from_x
-from .solver import (
+from .solver import (  # noqa: F401  (perfbench/tracing.py wraps energy.solve_dirichlet)
     DEFAULT_OPTIONS,
     PotentialResult,
     SolverOptions,
-    _ladder_schedule,
-    _Limit,
-    _truncation_limit,
     measure_quadrature,
+    potential,
+    _reclose_tails,
     solve_dirichlet,
 )
 from .weights import Weight
@@ -42,24 +42,51 @@ INF = math.inf
 @dataclass
 class EnergyReport:
     e_gamma: float              # may be +inf
-    grad_energy: float          # integral |u'|^p u^(gamma-1) w dx (last solved level)
+    grad_energy: float          # integral |u'|^p u^(gamma-1) w dx
     v_energy: float             # integral |v'|^p w dx, v = u^((p-1+gamma)/p)
     sandwich_pass: bool         # e_gamma <= v_energy <= c_E * e_gamma
     identity_gap: float         # relative deviation across the identity
     diverged: bool
-    levels_used: int
+    levels_used: int            # 0: no truncation ladder is walked
     ladder_converged: bool
     solution: PotentialResult | None = None
 
 
+@dataclass
+class _Limit:
+    """``energy_ladder``'s energy (+inf once diverged) and the solve it
+    integrates (None when the potential is infinite); no level is walked."""
+
+    value: float
+    payload: PotentialResult | None
+    converged: bool
+    diverged: bool
+    levels: int = 0
+
+
+def _tail_exponents(res: PotentialResult, gamma: float) -> list:
+    """sigma with u^gamma dmu ~ dist^(-sigma) where mu has infinite mass
+    (None on a side of finite mass)."""
+    mu, u = res.measure, res.u.power_factor(gamma)
+    return [mu.sing(side) - u.edge_exponent(side) if mu.sing(side) >= 1.0 else None
+            for side in (-1, 1)]
+
+
+def _energy_weights(res: PotentialResult, gamma: float) -> np.ndarray:
+    """The solve's weights closed at the power of u^gamma dmu, which is also
+    that of |u'|^p u^(gamma-1) w dx, the other side of the identity."""
+    quad = res.quad
+    return _reclose_tails(quad.w_quad, quad.pts, quad.tail, _tail_exponents(res, gamma))
+
+
 def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> float:
-    """E_gamma of a solved finite level, from the solve's own quadrature."""
+    """E_gamma of a solved measure, from the solve's own quadrature."""
     quad = res.quad
     total = 0.0
     if quad is not None:
         with np.errstate(invalid="ignore"):
             vals = np.where(quad.u > 0.0, quad.u ** gamma, 0.0 if gamma > 0.0 else 1.0)
-        total += float(np.dot(quad.w_quad, vals * quad.dens_vals))
+        total += float(np.dot(_energy_weights(res, gamma), vals * quad.dens_vals))
     locs = mu_k.atom_locations
     if locs.size:
         u_at = res.u.values_at(points_from_x(locs))
@@ -71,24 +98,19 @@ def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
                   options: SolverOptions = DEFAULT_OPTIONS,
                   schedule=None, cap: float | None = None,
                   tol: float = 1e-9) -> _Limit:
-    """E_gamma(mu) as a ``_Limit``: ``value`` (+inf once diverged), the
-    ``payload`` solution of the last solved level, the per-level energies in
-    ``values``, and ``levels``, ``converged`` and ``diverged``.
-
-    A measure of finite mass is one solve (``levels`` 0); one of infinite
-    mass walks the truncation ladder, which diverges when it exceeds the cap
-    or its increments settle into geometric growth.  Energy ladders near a
-    solvability threshold decelerate through ratio one over many levels
-    before their asymptotic rate appears, so only growth (ratio 1.02 or
-    more) counts as divergence.
-    """
-    def level(mu_k):
-        res = solve_dirichlet(p, w, mu_k, options)
-        return _level_energy(res, mu_k, gamma), res
-
-    return _truncation_limit(mu, level, _ladder_schedule(options, schedule), tol,
-                             options.divergence_cap if cap is None else cap,
-                             growth=1.02, drop_slack=1e-9)
+    """E_gamma(mu) as a ``_Limit``, from one solve of the extended potential:
+    +inf (diverged) when the potential is, when the tail power of u^gamma dmu
+    is -1 or less, or past ``cap`` (default ``options.divergence_cap``).
+    ``schedule`` and ``tol`` are accepted and ignored."""
+    cap = options.divergence_cap if cap is None else cap
+    res = potential(p, w, mu, options, cap=INF)
+    if res.diverged:
+        return _Limit(value=INF, payload=None, converged=False, diverged=True)
+    infinite = any(s is not None and s >= 1.0 for s in _tail_exponents(res, gamma))
+    value = INF if infinite else _level_energy(res, mu, gamma)
+    diverged = value > cap
+    return _Limit(value=INF if diverged else value, payload=res,
+                  converged=not diverged, diverged=diverged)
 
 
 def _gradient_energy(res: PotentialResult, gamma: float) -> float:
@@ -117,7 +139,7 @@ def _gradient_energy(res: PotentialResult, gamma: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.abs(quad.flux) ** pp * quad.w_vals ** (-e)
         factor = np.where(quad.u > 0.0, quad.u ** (gamma - 1.0), 0.0)
-    return float(np.dot(quad.w_quad, integrand * factor))
+    return float(np.dot(_energy_weights(res, gamma), integrand * factor))
 
 
 def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
@@ -137,11 +159,8 @@ def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
         )
     grad = _gradient_energy(last_res, gamma)
     v_energy = c_E * gamma * grad
-    # measure side of the identity on the same (deepest) level
-    mu_k = last_res.measure
-    e_level = _level_energy(last_res, mu_k, gamma)
-    scale = max(e_level, gamma * grad, 1e-300)
-    gap = abs(e_level - gamma * grad) / scale
+    scale = max(e_val, gamma * grad, 1e-300)
+    gap = abs(e_val - gamma * grad) / scale
     sandwich = (e_val <= v_energy * (1.0 + tol)) and (v_energy <= c_E * e_val * (1.0 + tol))
     return EnergyReport(
         e_gamma=e_val, grad_energy=grad, v_energy=v_energy,
@@ -166,8 +185,6 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
                     schedule=None, rel_tol: float = 1e-6) -> dict:
     """ess-sup of the potential over the support of mu, with the check that it
     agrees with the global sup (the weak-maximum-principle identity)."""
-    from .solver import potential
-
     res = potential(p, w, mu, options, schedule=schedule)
     if res.diverged:
         return {"value": INF, "sup_support": INF, "sup_global": INF,
@@ -196,26 +213,27 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
 
 def measure_integral(fn, mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,
                      schedule=None, cap: float | None = None,
-                     tol: float = 1e-9) -> tuple[float, bool, bool]:
-    """Integral of fn (vectorized over Points) against mu.
+                     tol: float = 1e-9,
+                     exponents: tuple[float, float] = (0.0, 0.0)) -> tuple[float, bool, bool]:
+    """Integral of a nonnegative fn (vectorized over Points) against mu by one
+    graded quadrature sum; returns (value, converged, diverged).
 
-    One quadrature sum for a measure of finite mass; for infinite mass the
-    same monotone ladder as the energies, without solves.  fn must be
-    nonnegative, so the ladder is monotone.  Returns (value, converged,
-    diverged).
+    ``exponents`` declare fn ~ dist^kappa at each endpoint (0: bounded away
+    from zero).  Where mu ~ dist^(-a) has infinite mass the value is +inf
+    unless kappa - a > -1; past ``cap`` (default ``options.divergence_cap``)
+    too.  ``schedule`` and ``tol`` are accepted and ignored.
     """
-    def level(mu_k):
-        pts, wq, dens = measure_quadrature(mu_k, options)
-        total = float(np.dot(wq, np.asarray(fn(pts)) * dens))
-        locs = mu_k.atom_locations
-        if locs.size:
-            total += float(np.dot(mu_k.atom_masses, np.asarray(fn(points_from_x(locs)))))
-        return total, None
-
-    lim = _truncation_limit(mu, level, _ladder_schedule(options, schedule), tol,
-                            options.divergence_cap if cap is None else cap,
-                            growth=1.02, drop_slack=1e-9)
-    return lim.value, lim.converged, lim.diverged
+    cap = options.divergence_cap if cap is None else cap
+    if any(mu.sing(side) >= 1.0 and mu.sing(side) - kappa >= 1.0
+           for side, kappa in zip((-1, 1), exponents)):
+        return INF, False, True
+    pts, wq, dens = measure_quadrature(mu, options, exponents=exponents)
+    total = float(np.dot(wq, np.asarray(fn(pts)) * dens))
+    locs = mu.atom_locations
+    if locs.size:
+        total += float(np.dot(mu.atom_masses, np.asarray(fn(points_from_x(locs)))))
+    diverged = total > cap
+    return (INF if diverged else total), not diverged, diverged
 
 
 def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
@@ -223,8 +241,6 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
               schedule=None, tol: float = 1e-6) -> dict:
     """Cross-energy bound: integral (W mu)^(gamma+q) d nu against the
     sharp-constant product of E_gamma(mu) and the conjugate energy of nu."""
-    from .solver import potential
-
     if not (-gamma < q < p - 1.0):
         raise ValidationError("energy.mee_bound: need -gamma < q < p - 1")
     c_E = energy_constant(p, gamma)
@@ -237,9 +253,9 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
     if res_mu.diverged or lim_mu.diverged or lim_nu.diverged:
         return {"lhs": INF, "rhs": INF, "pass": True, "margin": 0.0,
                 "diverged": True}
-    u_mu = res_mu.u
-    lhs, _, lhs_div = measure_integral(
-        lambda pts: u_mu.values_at(pts) ** (gamma + q), nu, options, schedule)
+    f = res_mu.u.power_factor(gamma + q)
+    lhs, _, lhs_div = measure_integral(f.values, nu, options, schedule,
+                                       exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     e_mu, e_nu = lim_mu.value, lim_nu.value
     rhs = (c_E * e_mu) ** ((gamma + q) / (p - 1.0 + gamma)) \
         * e_nu ** ((p - 1.0 - q) / (p - 1.0 + gamma))

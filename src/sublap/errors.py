@@ -14,13 +14,13 @@ class QuadratureError(SublapError, RuntimeError):
 
 
 class ConvergenceError(SublapError, RuntimeError):
-    """An iterative procedure failed to converge (root finding, truncation
-    ladder, fixed-point iteration)."""
+    """An iterative procedure failed to converge (root finding, fixed-point
+    iteration)."""
 
 
 class InternalInvariantError(SublapError, AssertionError):
     """A mathematical invariant that should hold by construction was violated.
 
-    Raised e.g. when truncation potentials fail to be monotone in the level,
-    which indicates a bug rather than bad data.
+    Raised e.g. when a step of the sublinear iteration from the lower
+    envelope lowers the iterate, which indicates a bug rather than bad data.
     """

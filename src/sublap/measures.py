@@ -4,8 +4,8 @@ Densities carry *declared* endpoint singularity exponents (density ~
 C * dist^(-a) near an endpoint) instead of probing them numerically: the
 quadrature grading and all finiteness decisions need them a priori.  Measures
 with non-integrable endpoint densities are first-class citizens; their total
-mass is reported as +inf and solvers reach them through the truncation ladder
-``truncate(mu, k)`` which restricts to [-1 + 2^-k, 1 - 2^-k].
+mass is reported as +inf and ``solver.potential`` solves them directly;
+``truncate(mu, k)`` restricts a measure to [-1 + 2^-k, 1 - 2^-k].
 
 All cumulative bookkeeping is anchored at the center: S(x) = mu((0, x]) for
 x >= 0 and -mu((x, 0]) for x < 0 (right-continuous in x).  The anchored form

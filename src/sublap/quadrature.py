@@ -28,6 +28,16 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (t + 1.0) / 2.0, w / 2.0
 
 
+@lru_cache(maxsize=8)
+def gauss_cumulative(n: int) -> np.ndarray:
+    """Matrix C with (C @ f)[i] the integral over [0, t_i] of the polynomial
+    through the values f at the Gauss-Legendre nodes t of ``gauss_rule(n)``."""
+    leg = np.polynomial.legendre
+    x = 2.0 * gauss_rule(n)[0] - 1.0
+    anti = np.column_stack([leg.legval(x, leg.legint(np.eye(n)[j], lbnd=-1.0)) for j in range(n)])
+    return 0.5 * anti @ np.linalg.inv(leg.legvander(x, n - 1))
+
+
 @dataclass(frozen=True)
 class Points:
     """Vectorized point set with endpoint-distance bookkeeping."""
@@ -124,6 +134,7 @@ class PanelSet:
     panel_id: np.ndarray   # int, per point
     panel_cell: np.ndarray  # int, per panel
     n_cells: int
+    tail: np.ndarray       # int, the left and the right tail pseudo-point
 
 
 def endpoint_panel_edges(y_hi: float, y_cut: float, ratio: float = 0.25) -> np.ndarray:
@@ -174,6 +185,8 @@ def build_panels(
     ladder bottom y0 carrying weight y0/(1 - s), which equals the analytic
     tail integral of C * y^(-s) below y0 when the integrand follows the
     declared power ``tail_s_*`` there (and is negligible otherwise).
+    ``PanelSet.tail`` holds the two pseudo-points, so an integrand with
+    another declared power can re-close them.
     """
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
@@ -208,6 +221,7 @@ def build_panels(
     panel_ids = [np.repeat(np.arange(n_plain, dtype=np.int64), n_gauss)]
     panel_cell = list(plain)
     pid = n_plain
+    tail = []
 
     def add_panel(cell, a_x, b_x, a_y=None, b_y=None, side=0):
         nonlocal pid
@@ -233,6 +247,7 @@ def build_panels(
     def add_tail_point(cell, side, y0, s):
         nonlocal pid
         s = min(max(s, 0.0), 0.995)
+        tail.append(sum(a.size for a in px))
         pp = points_from_edge(side, np.asarray([y0]))
         px.append(pp.x)
         ps.append(pp.side)
@@ -279,6 +294,7 @@ def build_panels(
         panel_id=np.concatenate(panel_ids),
         panel_cell=np.asarray(panel_cell, dtype=np.int64),
         n_cells=n_cells,
+        tail=np.asarray(tail, dtype=np.int64),
     )
 
 

@@ -8,16 +8,14 @@ so u' = sign(flux) * (|flux| / w)^(1/(p-1)) and the flux constant is pinned by
 the second boundary condition through the strictly increasing map
 c -> integral of u'.  Everything is anchored at the center: the solver root
 finds on ctilde = flux just right of 0 and the cumulative S(x) = mu((0, x]),
-which keeps interior fluxes fully accurate even when a deeply truncated
-measure carries astronomically large one-sided mass.
+which keeps interior fluxes fully accurate even when a measure carries
+astronomically large one-sided mass.
 
-The extended potential of a measure of infinite mass is the monotone limit
-of these solves along the truncation ladder F_k = [-1 + 2^-k, 1 - 2^-k]; a
-measure of finite mass is solved once, exactly.  ``_truncation_limit`` makes
-that choice for every limit in the package (potentials here, energies and
-measure integrals in ``energy``), and one driver, ``_monotone_limit``, walks
-every ladder and holds the only convergence, stagnation and monotonicity
-tests.
+The same single solve covers infinite mass near an endpoint: S is finite at
+every interior point, and the flux-inversion integrand follows a declared
+power there (``_edge_singularity``), at which the endpoint ladder is closed.
+The result is the extended potential, the monotone limit of the solves of the
+truncations of mu to [-1 + 2^-k, 1 - 2^-k].
 """
 
 from __future__ import annotations
@@ -28,13 +26,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConvergenceError, InternalInvariantError, ValidationError
+from .errors import ConvergenceError, ValidationError
 from .measures import RadonMeasure
 from .quadrature import (
     PanelSet,
     Points,
     bracketed_root,
     build_panels,
+    gauss_cumulative,
     gauss_rule,
     graded_grid,
     points_from_x,
@@ -56,8 +55,6 @@ class SolverOptions:
     bracket_tol: float = 1e-12
     max_root_iter: int = 200
     divergence_cap: float = 1e12
-    trunc_tol: float = 1e-9
-    max_trunc_level: int = 40
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -179,6 +176,7 @@ class SolutionQuad:
 
     pts: Points
     w_quad: np.ndarray
+    tail: np.ndarray  # the two tail pseudo-points (see ``build_panels``)
     w_vals: np.ndarray
     flux: np.ndarray
     uprime: np.ndarray
@@ -189,13 +187,14 @@ class SolutionQuad:
 @dataclass
 class PotentialResult:
     u: GridFunction
-    flux_constant: float      # classical c in w|u'|^(p-2)u' = c - mu([-1, x])
+    # classical c in w|u'|^(p-2)u' = c - mu([-1, x]); +inf when mu has
+    # infinite mass near -1, where only the anchored flux is meaningful
+    flux_constant: float
     flux_anchor: float        # flux just right of the center anchor
     boundary_residual: float
-    truncation_levels_used: int
+    truncation_levels_used: int  # 0: no truncation ladder is walked
     diverged: bool
     ladder_converged: bool = True
-    truncation_last_level: int = 0
     root_iterations: int = 0
     u_prime: np.ndarray | None = None
     flux_nodes: np.ndarray | None = None
@@ -285,6 +284,25 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     return grid, panels
 
 
+def _edge_singularity(p: float, w: Weight, mu: RadonMeasure, side: int) -> float:
+    """Exponent s with |u'| ~ dist^(-s) at the endpoint, so u ~ dist^(1 - s):
+    the weight's conjugate singularity where the flux tends to a constant
+    (finite mass); with a density ~ dist^(-a), a >= 1, and a weight ~ dist^b,
+    s = (b + a - 1)/(p - 1).  The potential is finite exactly when s < 1."""
+    a = mu.sing(side)
+    if a < 1.0:
+        return w.conjugate_singularity(p, side)
+    return (w.edge_exponent(side) + a - 1.0) / (p - 1.0)
+
+
+def _tail_cut(target: float, s: float, a: float) -> float:
+    """Depth below which an endpoint ladder of an integrand ~ y^(-s) is
+    closed analytically: where the tail y^(1-s)/(1-s) is below ``target`` for
+    finite mass (a < 1); for infinite mass the closure is exact for the power
+    and errs by the integrand's relative departure from it, ~ y^(a-1)."""
+    return max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
+
+
 class _Workspace:
     """Panelized quadrature state for one Dirichlet solve."""
 
@@ -297,21 +315,19 @@ class _Workspace:
         self.opts = opts
         self.exponent = 1.0 / (p - 1.0)
 
-        # mass scale entering the bracket; sets how deep endpoint ladders go
-        m_left = mu.side_mass(-1)
-        m_right = mu.side_mass(1)
-        if math.isinf(m_left) or math.isinf(m_right):
-            raise ValidationError("solver.solve_dirichlet: measure must have finite total mass")
-        self.bracket = (-m_left, m_right)
-        flux_scale = max(m_left, m_right, 1e-300)
-        self.flux_scale = flux_scale
+        # one-sided masses; a side of infinite mass (declared exponent >= 1)
+        # takes its bracket end from S itself below
+        self.side_mass = {side: mu.side_mass(side) if mu.sing(side) < 1.0 else INF
+                          for side in (-1, 1)}
+        flux_scale = max([m for m in self.side_mass.values() if m < INF] + [1e-300])
 
         y_cuts = {}
+        tail_s = {side: _edge_singularity(p, w, mu, side) for side in (-1, 1)}
         x_evaluated = (w.family == "custom") or not mu.density.y_resolved
+        target = 1e-16 / (1.0 + flux_scale ** self.exponent)
         for side in (-1, 1):
-            s = min(w.conjugate_singularity(p, side), 0.995)
-            target = 1e-16 / (1.0 + flux_scale ** self.exponent)
-            y_cuts[side] = max((target * (1.0 - s)) ** (1.0 / (1.0 - s)), 1e-280)
+            a = mu.sing(side)
+            y_cuts[side] = _tail_cut(target, tail_s[side] if a >= 1.0 else min(tail_s[side], 0.995), a)
             if x_evaluated:
                 # x-based evaluators cannot resolve deeper distances; the
                 # pseudo tail panel closes the remainder analytically
@@ -319,12 +335,14 @@ class _Workspace:
 
         self.grid, self.panels = _panel_structure(
             mu, opts, tuple(extra_nodes), tuple(ladder_nodes),
-            y_cuts[-1], y_cuts[1],
-            tail_s=(w.conjugate_singularity(p, -1), w.conjugate_singularity(p, 1)))
+            y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
         pts = self.panels.pts
         self.w_vals = w.values(pts)
         self.w_fac = self.w_vals ** (-self.exponent)
         self.S = mu.cum_center_many(pts, n_gauss=opts.cum_gauss)
+        # G(min S) <= 0 <= G(max S) holds on the discrete G, tail points included
+        self.bracket = (-self.side_mass[-1] if self.side_mass[-1] < INF else float(np.min(self.S)),
+                        self.side_mass[1] if self.side_mass[1] < INF else float(np.max(self.S)))
 
     # -- flux machinery ------------------------------------------------------
 
@@ -404,7 +422,14 @@ def solve_dirichlet(p: float, w: Weight, mu: RadonMeasure,
                     options: SolverOptions = DEFAULT_OPTIONS,
                     extra_nodes: tuple[float, ...] = ()) -> PotentialResult:
     """Potential of a finite measure: the exact 1D realization of the
-    zero-boundary solution operator."""
+    zero-boundary solution operator (``potential`` takes infinite mass too)."""
+    _check_problem(p, w)
+    if mu.sing(-1) >= 1.0 or mu.sing(1) >= 1.0:
+        raise ValidationError("solver.solve_dirichlet: measure must have finite total mass")
+    return _solve(p, w, mu, options, extra_nodes)
+
+
+def _check_problem(p: float, w: Weight) -> None:
     if not (1.0 < p < INF):
         raise ValidationError(f"solver.solve_dirichlet: need 1 < p < inf, got {p}")
     w.validate_window(p)
@@ -412,6 +437,11 @@ def solve_dirichlet(p: float, w: Weight, mu: RadonMeasure,
         raise ValidationError(
             "solver.solve_dirichlet: w^(-1/(p-1)) is not integrable; flux inversion undefined"
         )
+
+
+def _solve(p: float, w: Weight, mu: RadonMeasure, options: SolverOptions,
+           extra_nodes: tuple[float, ...]) -> PotentialResult:
+    """One flux-inversion solve of a measure whose potential is finite."""
     if mu.is_zero:
         grid = _master_grid(mu, options, extra_nodes)
         n = grid.x.size
@@ -457,7 +487,9 @@ def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
     # nodal flux with the left-continuous convention: the flux at a node
     # excludes the atom sitting exactly there (it jumps down across it)
     nodes = ws.grid
-    closed = mu.density_cum_center_many(nodes, n_gauss=opts.cum_gauss)
+    with np.errstate(divide="ignore"):
+        # the cumulative of infinite mass is infinite at the endpoint nodes
+        closed = mu.density_cum_center_many(nodes, n_gauss=opts.cum_gauss)
     locs = mu.atom_locations
     if locs.size:
         masses = mu.atom_masses
@@ -496,21 +528,24 @@ def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
         u_nodes[-1] = 0.0
     u_nodes = np.maximum(u_nodes, 0.0)
 
-    # boundary exponents: finite measures have flux -> const != 0, so
-    # u ~ dist^(1 - s) with s the conjugate weight singularity
-    kappa_l = 1.0 - w.conjugate_singularity(p, -1)
-    kappa_r = 1.0 - w.conjugate_singularity(p, 1)
+    # boundary exponents of the limit: u ~ dist^(1 - s)
+    kappa_l = 1.0 - _edge_singularity(p, w, mu, -1)
+    kappa_r = 1.0 - _edge_singularity(p, w, mu, 1)
     u = GridFunction(grid=nodes, values=u_nodes,
                      left_exponent=kappa_l, right_exponent=kappa_r)
 
     u_at_pts = _hermite_at_points(nodes, u_nodes, uprime_right, uprime_nodes,
                                   kappa_l, kappa_r, ws.panels)
+    for side in (-1, 1):
+        if ws.side_mass[side] == INF:
+            idx, vals = _edge_cell_u(ws.panels, phi, side, opts.n_gauss)
+            u_at_pts[idx] = vals
     quad = SolutionQuad(
-        pts=ws.panels.pts, w_quad=ws.panels.w, w_vals=ws.w_vals,
+        pts=ws.panels.pts, w_quad=ws.panels.w, tail=ws.panels.tail, w_vals=ws.w_vals,
         flux=flux, uprime=phi, u=u_at_pts,
         dens_vals=mu.density.values(ws.panels.pts),
     )
-    c_classical = ctilde + mu.side_mass(-1)
+    c_classical = ctilde + ws.side_mass[-1]
     return PotentialResult(
         u=u, flux_constant=c_classical, flux_anchor=ctilde,
         boundary_residual=residual, truncation_levels_used=0, diverged=False,
@@ -586,113 +621,22 @@ def _hermite_at_points(nodes: Points, u_nodes: np.ndarray,
     return np.maximum(out, 0.0)
 
 
-@dataclass
-class _Limit:
-    """Outcome of ``_monotone_limit``: the last level's value (+inf once the
-    ladder diverged) and payload, every level's value, and how it stopped."""
-
-    value: object = 0.0
-    payload: object = None
-    values: list = field(default_factory=list)
-    levels: int = 0
-    last_level: int = 0
-    converged: bool = False
-    diverged: bool = False
-
-
-def _ladder_schedule(options: SolverOptions, schedule=None,
-                     start_level: int | None = None) -> tuple[int, ...]:
-    """Truncation levels to walk: ``schedule`` (default 1..max_trunc_level),
-    from ``start_level`` on when given, but never fewer than its last three
-    levels: two increments are the fewest the convergence test can pass on."""
-    schedule = tuple(range(1, options.max_trunc_level + 1)) if schedule is None \
-        else tuple(schedule)
-    if start_level is not None:
-        tail = tuple(k for k in schedule if k >= start_level)
-        schedule = tail if len(tail) >= 3 else schedule[-3:]
-    return schedule
-
-
-def _tail_ratio(increments) -> tuple[np.ndarray, float]:
-    """Ratios of successive positive increments among the last six, and their
-    geometric mean (nan when there is no ratio)."""
-    tail = np.asarray(increments[-6:], dtype=float)
-    pos = tail[tail > 0.0]
-    ratios = pos[1:] / pos[:-1]
-    gm = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else math.nan
-    return ratios, gm
-
-
-def _monotone_limit(evaluate, schedule, tol: float, cap: float,
-                    growth: float, drop_slack: float) -> _Limit:
-    """Monotone limit of ``evaluate(k) -> (value, payload)`` along ``schedule``.
-
-    The value is a number or an array compared pointwise.  The ladder stops
-    as converged after two successive increments of at most ``tol`` times the
-    current sup, and as diverged once the sup exceeds ``cap`` or the
-    increments stagnate at ratio ``growth`` or more.  A decrease beyond
-    drop_slack * (1 + the larger level magnitude) breaks the monotonicity the
-    limit rests on and raises.
-    """
-    lim = _Limit()
-    increments: list[float] = []
-    for k in schedule:
-        value, lim.payload = evaluate(k)
-        lim.levels += 1
-        lim.last_level = k
-        if lim.values:
-            prev = lim.values[-1]
-            drop = float(np.max(prev - value))
-            slack = drop_slack * (1.0 + max(float(np.max(np.abs(prev))),
-                                            float(np.max(np.abs(value)))))
-            if drop > slack:
-                raise InternalInvariantError(
-                    f"solver.monotone_limit: level {k} lowered the values by "
-                    f"{drop:.3e}; a truncation ladder must be monotone"
-                )
-            increments.append(float(np.max(value - prev)))
-        lim.values.append(value)
-        lim.value = value
-        sup = float(np.max(value))
-        if sup > cap:
-            lim.diverged = True
-            break
-        floor = tol * max(abs(sup), 1e-300)
-        if len(increments) >= 2 and increments[-1] <= floor and increments[-2] <= floor:
-            lim.converged = True
-            break
-        if len(increments) >= 10 and increments[-1] > floor:
-            # six positive increments whose ratios settled at ``growth`` or
-            # more are not decaying: a slowly divergent limit (convergent
-            # ladders keep their ratios drifting down, which the settle
-            # test excludes)
-            ratios, gm = _tail_ratio(increments)
-            if ratios.size == 5 and gm >= growth and np.max(ratios) / np.min(ratios) <= 1.06:
-                lim.diverged = True
-                break
-    if lim.diverged:
-        lim.value = INF
-    return lim
-
-
-def _truncation_limit(mu: RadonMeasure, evaluate, schedule, tol: float, cap: float,
-                      growth: float, drop_slack: float) -> _Limit:
-    """Limit of ``evaluate(measure) -> (value, payload)`` over the truncations
-    of mu: the one place that decides whether a measure needs a ladder.
-
-    Declared endpoint exponents below one on both sides mean finite mass (the
-    rule of ``Density.side_mass``), and such a measure is its own limit: one
-    exact evaluation of mu, converged at level 0 unless its sup exceeds
-    ``cap``.  Only infinite mass walks mu.truncate(k) along ``schedule``
-    through ``_monotone_limit``.
-    """
-    if mu.sing(-1) < 1.0 and mu.sing(1) < 1.0:
-        value, payload = evaluate(mu)
-        diverged = float(np.max(value)) > cap
-        return _Limit(value=INF if diverged else value, payload=payload, values=[value],
-                      converged=not diverged, diverged=diverged)
-    return _monotone_limit(lambda k: evaluate(mu.truncate(k)), schedule, tol, cap,
-                           growth, drop_slack)
+def _edge_cell_u(panels: PanelSet, phi: np.ndarray, side: int,
+                 n_gauss: int) -> tuple[np.ndarray, np.ndarray]:
+    """u at the points of an endpoint cell integrated from the endpoint, panel
+    by panel: where the mass is infinite the cell can hold a share of
+    u^gamma dmu that the boundary power profile misses by u's relative
+    departure from its power, ~ dist^(a-1)."""
+    cell = 0 if side < 0 else panels.n_cells - 1
+    tail = panels.tail[0 if side < 0 else 1]
+    v = -side * phi  # u' toward the interior
+    idx = np.flatnonzero(panels.cell_id == cell)
+    idx = idx[idx != tail].reshape(-1, n_gauss)
+    h = panels.w[idx[:, 0]] / gauss_rule(n_gauss)[1][0]
+    start = v[tail] * panels.w[tail] \
+        + np.concatenate([[0.0], np.cumsum(np.sum(panels.w[idx] * v[idx], axis=1))[:-1]])
+    vals = start[:, None] + h[:, None] * (v[idx] @ gauss_cumulative(n_gauss).T)
+    return np.append(idx.ravel(), tail), np.append(vals.ravel(), v[tail] * panels.w[tail])
 
 
 def potential(p: float, w: Weight, mu: RadonMeasure,
@@ -702,52 +646,72 @@ def potential(p: float, w: Weight, mu: RadonMeasure,
               tol: float | None = None,
               extra_nodes: tuple[float, ...] = (),
               start_level: int | None = None) -> PotentialResult:
-    """Extended potential of a possibly infinite measure.
+    """Extended potential of a possibly infinite measure, in one solve.
 
-    A measure of finite mass gets ``solve_dirichlet``'s result as it is,
-    unless it passes the cap.  One of infinite mass runs the ladder mu_k = truncate(mu, k) through
-    ``_monotone_limit`` on the values at master nodes shared by every level
-    (atoms + graded grid, no window edges).  Divergence covers increments
-    that settle at ratio 0.98 or more, not only the cap: slowly divergent
-    limits never reach a fixed cap.
-    """
-    master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
-                         tuple(mu.atom_locations.tolist()) + tuple(extra_nodes))
-
-    def level(mu_k):
-        res = solve_dirichlet(p, w, mu_k, options, extra_nodes=extra_nodes)
-        return res.u.values_at(master), res
-
-    lim = _truncation_limit(mu, level, _ladder_schedule(options, schedule, start_level),
-                            options.trunc_tol if tol is None else tol,
-                            options.divergence_cap if cap is None else cap,
-                            growth=0.98, drop_slack=1e-10)
-    res = lim.payload
-    if lim.diverged:
-        res = replace(res, u=GridFunction(grid=res.u.grid, values=np.full(res.u.x.size, INF)),
-                      quad=None)
-    return replace(res, truncation_levels_used=lim.levels, diverged=lim.diverged,
-                   ladder_converged=lim.converged, truncation_last_level=lim.last_level)
+    Finite exactly when ``_edge_singularity`` is below one on both sides;
+    otherwise, or past ``cap`` (default ``options.divergence_cap``), the
+    result is ``diverged`` with infinite values.  ``schedule``, ``tol`` and
+    ``start_level`` configured the truncation ladder of earlier versions and
+    are ignored."""
+    _check_problem(p, w)
+    cap = options.divergence_cap if cap is None else cap
+    res = None
+    if max(_edge_singularity(p, w, mu, side) for side in (-1, 1)) < 1.0:
+        finite = mu.sing(-1) < 1.0 and mu.sing(1) < 1.0
+        res = (solve_dirichlet if finite else _solve)(p, w, mu, options, extra_nodes)
+        if res.u.sup() <= cap:
+            return res
+    if res is None:
+        res = PotentialResult(
+            u=zero_grid_function(_master_grid(mu, options, extra_nodes)), flux_constant=INF,
+            flux_anchor=INF, boundary_residual=0.0, truncation_levels_used=0, diverged=True,
+            p=p, weight=w, measure=mu)
+    grid = res.u.grid
+    return replace(res, u=GridFunction(grid=grid, values=np.full(grid.x.size, INF)),
+                   quad=None, diverged=True, ladder_converged=False)
 
 
 def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,
-                       extra_nodes: tuple[float, ...] = ()) -> tuple[Points, np.ndarray, np.ndarray]:
+                       extra_nodes: tuple[float, ...] = (),
+                       exponents: tuple[float, float] = (0.0, 0.0),
+                       ) -> tuple[Points, np.ndarray, np.ndarray]:
     """Panel points, weights and density values for integrating against mu.
 
     Used for integrals of bounded-at-the-boundary integrands against the
-    measure's density part (atoms are summed separately by callers).
+    measure's density part (atoms are summed separately by callers).  Where
+    mu ~ dist^(-a) has infinite mass the integrand is declared ~ dist^kappa
+    (``exponents``) and the ladder is closed at the power kappa - a > -1.
     """
-    y_cuts = {}
-    for side in (-1, 1):
-        s = min(max(mu.sing(side), 0.0), 0.995)
-        y_cuts[side] = max((1e-16 * (1.0 - s)) ** (1.0 / (1.0 - s)), 1e-280)
+    y_cuts, tail_s, closed = {}, {}, []
+    for side, kappa in zip((-1, 1), exponents):
+        a = mu.sing(side)
+        if a < 1.0:
+            tail_s[side] = max(0.0, a)
+            y_cuts[side] = _tail_cut(1e-16, min(tail_s[side], 0.995), a)
+            closed.append(None)
+        else:
+            tail_s[side] = a - kappa
+            y_cuts[side] = _tail_cut(1e-16, tail_s[side], a)
+            closed.append(tail_s[side])
         if not mu.density.y_resolved:
             y_cuts[side] = max(y_cuts[side], 1e-12)
     _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
-                                 y_cuts[-1], y_cuts[1],
-                                 tail_s=(max(0.0, mu.sing(-1)), max(0.0, mu.sing(1))))
+                                 y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
     dens = mu.density.values(panels.pts)
-    return panels.pts, panels.w, dens
+    return panels.pts, _reclose_tails(panels.w, panels.pts, panels.tail, closed), dens
+
+
+def _reclose_tails(w_quad: np.ndarray, pts: Points, tail: np.ndarray, sigmas) -> np.ndarray:
+    """Weights with the tail pseudo-point of each side with a declared
+    integrand power y^(-sigma) (not None, sigma < 1) closed exactly,
+    y0 / (1 - sigma), where the panel set clips sigma to [0, 0.995]."""
+    if all(sigma is None for sigma in sigmas):
+        return w_quad
+    w = w_quad.copy()
+    for i, sigma in zip(tail, sigmas):
+        if sigma is not None:
+            w[i] = pts.y[i] / (1.0 - sigma)
+    return w
 
 
 def check_comparison(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,

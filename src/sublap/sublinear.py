@@ -21,13 +21,12 @@ from .errors import InternalInvariantError, ValidationError
 from .energy import energy_ladder, measure_integral, sup_norm_energy, _gradient_energy
 from .measures import PowerDensity, RadonMeasure, WindowedDensity, power_measure
 from .params import energy_constant, envelope_constant, hardy_threshold
-from .quadrature import graded_grid
+from .quadrature import gauss_rule, graded_grid, points_from_edge
 from .solver import (
     DEFAULT_OPTIONS,
     GridFunction,
     PotentialResult,
     SolverOptions,
-    _tail_ratio,
     potential,
 )
 from .weights import Weight
@@ -107,8 +106,10 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
 
 def _norm_against(sigma: RadonMeasure, u: GridFunction, expo: float,
                   options: SolverOptions, cap: float) -> float:
-    val, _, div = measure_integral(lambda pts: u.values_at(pts) ** expo,
-                                   sigma, options, cap=cap ** expo if np.isfinite(cap) else None)
+    f = u.power_factor(expo)
+    val, _, div = measure_integral(f.values, sigma, options,
+                                   cap=cap ** expo if np.isfinite(cap) else None,
+                                   exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     if div or not np.isfinite(val):
         return INF
     return val ** (1.0 / expo)
@@ -149,20 +150,17 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     converged = False
     diverged = not np.isfinite(norms[0])
     last_res: PotentialResult | None = env.base
-    level_hint: int | None = None
     steps = 0
     residual = INF
 
     while not diverged and steps < max_steps:
         steps += 1
         sigma_i = sigma.pushforward(u_cur.power_factor(q))
-        res = potential(p, w, sigma_i, options, schedule=schedule,
-                        start_level=level_hint)
+        res = potential(p, w, sigma_i, options)
         if res.diverged:
             diverged = True
             last_res = res
             break
-        level_hint = max(1, res.truncation_last_level - 1)
         u_next = res.u
         next_vals = u_next.values_at(master)
         drop = float(np.max(cur_vals - next_vals))
@@ -193,8 +191,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
 
     if converged:
         sigma_f = sigma.pushforward(u_cur.power_factor(q))
-        res_f = potential(p, w, sigma_f, options, schedule=schedule,
-                          start_level=level_hint)
+        res_f = potential(p, w, sigma_f, options)
         if res_f.diverged:
             residual = INF
         else:
@@ -284,9 +281,9 @@ def finite_energy_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
         return {"pass": False, "converged": False}
     res = trace.last_solution
     grad_p = _gradient_energy(res, 1.0)
-    u = trace.solution
-    rhs_int, _, _ = measure_integral(lambda pts: u.values_at(pts) ** (1.0 + q),
-                                     sigma, options)
+    f = trace.solution.power_factor(1.0 + q)
+    rhs_int, _, _ = measure_integral(f.values, sigma, options,
+                                     exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     c_V = envelope_constant(p, q)
     lower_ok = c_V ** (1.0 + q) * e_val <= grad_p * (1.0 + tol)
     upper_ok = grad_p <= e_val * (1.0 + tol)
@@ -377,11 +374,12 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
                 dead_band: float = 0.05, cap: float | None = None) -> list[dict]:
     """Finite-energy solvability classification along a coefficient-singularity grid.
 
-    For each alpha the energy at the sandwich exponent is run through the
-    truncation ladder; convergent means solvable, divergent not solvable.
-    Ladders that exhaust the schedule are classified by the geometric trend of
-    their increments; only inside the +-dead_band around the closed-form
-    threshold is an inconclusive answer acceptable.
+    For each alpha the energy at the sandwich exponent comes from one solve.
+    The classification does not read its declared endpoint power: it is the
+    trend of the energy in the dyadic shells next to the endpoints
+    (``_shell_energies``), solvable when they shrink, not when they grow.
+    Shells of ratio about one, only seen within the +-dead_band around the
+    closed-form threshold, defer to the energy's finiteness.
     """
     if not (-1.0 < beta < p - 1.0):
         raise ValidationError("sublinear.hardy_sweep: beta outside (-1, p - 1)")
@@ -398,12 +396,12 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
             )
         sigma = power_measure(alpha)
         lim = energy_ladder(p, w, sigma, ghat, options, schedule, cap=cap)
-        if lim.diverged:
-            classification = "not_solvable"
-        elif lim.converged:
-            classification = "solvable"
-        else:
-            classification = _trend_classification(lim.values)
+        classification = "not_solvable" if lim.payload is None \
+            else _trend_classification(_shell_energies(lim.payload, ghat))
+        if classification == "inconclusive":
+            # shells within 3 % of ratio one: alpha sits at the threshold,
+            # where the energy is finite or logarithmically infinite
+            classification = "not_solvable" if lim.diverged else "solvable"
         in_band = abs(alpha - alpha_star) <= dead_band * (1.0 + 1e-9) + 1e-12
         expected = "solvable" if alpha < alpha_star else "not_solvable"
         agree = (classification == expected) or in_band
@@ -420,12 +418,34 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
     return rows
 
 
-def _trend_classification(e_levels: list[float]) -> str:
-    """Classify an exhausted ladder by the geometric trend of its increments."""
-    if len(e_levels) < 6:
+def _shell_energies(res: PotentialResult, gamma: float,
+                    levels: range = range(30, 36)) -> np.ndarray:
+    """Energy of the solved density in the shells 2^-(k+1) <= dist <= 2^-k,
+    k in ``levels``, i.e. the increments of the energy with its tail cut at
+    2^-k: one Gauss panel each over the interpolated u, above the grid's
+    innermost node, so no declared edge exponent enters.  They shrink by
+    about 2^(sigma - 1) per shell when u^gamma dmu ~ dist^(-sigma)."""
+    t, tw = gauss_rule(12)
+    lo = 2.0 ** -(np.asarray(levels, dtype=float) + 1.0)
+    ys = lo[:, None] * (1.0 + t[None, :])
+    shells = np.zeros(lo.size)
+    for side in (-1, 1):
+        pts = points_from_edge(side, ys.ravel())
+        vals = res.u.values_at(pts) ** gamma * res.measure.density.values(pts)
+        shells += lo * (vals.reshape(ys.shape) @ tw)
+    return shells
+
+
+def _trend_classification(increments: np.ndarray) -> str:
+    """Classify increments by the geometric mean ratio of the last six
+    positive ones: decaying is solvable, growing is not."""
+    if len(increments) < 5:
         return "inconclusive"
-    ratios, r = _tail_ratio(np.diff(np.asarray(e_levels)))
-    if ratios.size < 2 or r <= 0.97:
+    pos = increments[-6:][increments[-6:] > 0.0]
+    if pos.size < 3:
+        return "solvable"
+    r = float(np.exp(np.mean(np.log(pos[1:] / pos[:-1]))))
+    if r <= 0.97:
         return "solvable"
     if r >= 1.03:
         return "not_solvable"

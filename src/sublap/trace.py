@@ -77,7 +77,9 @@ class HatFunction:
 
 def _quotient_hat(p: float, w: Weight, sigma: RadonMeasure, q: float,
                   hat: HatFunction, options: SolverOptions) -> float:
-    num, _, div = measure_integral(lambda pts: hat(pts.x) ** (1.0 + q), sigma, options)
+    # a hat vanishes at least linearly at an endpoint of its support
+    num, _, div = measure_integral(lambda pts: hat(pts.x) ** (1.0 + q), sigma, options,
+                                   exponents=(1.0 + q, 1.0 + q))
     if div or num <= 0.0:
         return 0.0
     den = hat.grad_norm_p(p, w)
@@ -100,9 +102,9 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
     den_p = float(np.dot(quad.w_quad, grad_int))
     if den_p <= 0.0:
         return 0.0
-    u = res.u
-    num, _, div = measure_integral(
-        lambda pts: u.values_at(pts) ** (rho * (1.0 + q)), sigma, options)
+    f = res.u.power_factor(rho * (1.0 + q))
+    num, _, div = measure_integral(f.values, sigma, options,
+                                   exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     if div:
         return 0.0
     return num ** (1.0 / (1.0 + q)) / den_p ** (1.0 / p)

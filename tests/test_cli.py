@@ -31,7 +31,8 @@ def test_solve_writes_green_function(tmp_path):
     assert "flux_constant = 0.5" in report
 
 
-def test_solve_walks_the_ladder_only_for_infinite_mass(tmp_path):
+def test_solve_reports_no_truncation_levels(tmp_path):
+    # finite and infinite mass alike are one solve
     out = tmp_path / "finite"
     assert main(["--config", write_config(tmp_path, DIRAC_CFG), "--out", str(out), "solve"]) == 0
     assert "truncation_levels_used = 0" in (out / "solve_report.txt").read_text().splitlines()
@@ -41,7 +42,18 @@ def test_solve_walks_the_ladder_only_for_infinite_mass(tmp_path):
                  "solve"]) == 0
     report = dict(line.split(" = ") for line in
                   (out / "solve_report.txt").read_text().splitlines())
-    assert int(report["truncation_levels_used"]) > 0
+    assert int(report["truncation_levels_used"]) == 0
+    assert report["diverged"] == "false" and report["flux_constant"] == "inf"
+
+
+def test_config_with_truncation_ladder_keys_still_solves(tmp_path):
+    # tolerance and truncation_max configured the truncation ladder; configs
+    # that carry them keep loading
+    cfg = dict(DIRAC_CFG, measure={"density": {"family": "power", "alpha": 1.2}},
+               solver={"tolerance": 1e-9, "truncation_max": 40})
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out), "solve"]) == 0
+    assert "diverged = false" in (out / "solve_report.txt").read_text()
 
 
 def test_solve_deterministic_output(tmp_path):
@@ -178,6 +190,19 @@ def test_verify_smoke_suite(tmp_path):
     text = (out / "verify.txt").read_text()
     assert "PASS criterion_1_green_dirac" in text
     assert text.strip().splitlines()[-1].startswith("PASS suite=smoke")
+
+
+def test_verify_prints_wall_times_but_keeps_them_out_of_the_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "verify", "--suite", "smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    times = [ln for ln in lines if ln.startswith("time ")]
+    assert [ln.split()[1] for ln in times] == ["criterion_1_green_dirac",
+                                               "criterion_10_mee_sharpness"]
+    assert all(ln.endswith(" s") and float(ln.split()[2]) >= 0.0 for ln in times)
+    # verify.txt holds exactly the other lines: one per criterion and the summary
+    rest = [ln for ln in lines if not ln.startswith("time ")]
+    assert (out / "verify.txt").read_text() == "\n".join(rest) + "\n"
 
 
 def test_verify_unknown_suite(tmp_path):

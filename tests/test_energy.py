@@ -203,10 +203,43 @@ def test_weighted_norm_inequality_explicit_test_functions():
 # -- ladders ---------------------------------------------------------------------------
 
 def test_energy_ladder_monotone_levels():
-    # infinite mass with finite energy: the ladder walks its whole schedule
-    lim = energy_ladder(2.0, W1, power_measure(1.2), 1.0)
-    assert not lim.diverged and lim.levels == len(lim.values) == 40
-    assert all(b >= a - 1e-12 for a, b in zip(lim.values, lim.values[1:]))
+    # infinite mass with finite energy: one solve, approached from below by
+    # the nondecreasing energies of the truncations; for p = 2 and w = 1,
+    # u = (y^0.8/0.8 - y)/0.2 with y = 1 - |x|, so E_1 = 10 (1/0.48 - 1/0.8)
+    mu = power_measure(1.2)
+    lim = energy_ladder(2.0, W1, mu, 1.0)
+    assert not lim.diverged and lim.converged and lim.levels == 0
+    assert lim.value == pytest.approx(25.0 / 3.0, rel=1e-6)
+    levels = [_level_energy(solve_dirichlet(2.0, W1, mu.truncate(k)), mu.truncate(k), 1.0)
+              for k in (2, 4, 8, 16, 32)]
+    assert all(b >= a - 1e-12 for a, b in zip(levels, levels[1:]))
+    assert levels[-1] <= lim.value and levels[-1] == pytest.approx(lim.value, rel=1e-5)
+
+
+def test_infinite_mass_energy_against_closed_form():
+    # u = (y^0.3/0.3 - y)/0.7 for (1 - |x|)^-1.7 dx: E_3 = 2 int_0^1 u^3 y^-1.7 dy
+    # (897.745571065356 by 30-digit quadrature); the 40-level truncation
+    # ladder stopped at 879.7 and its deeper levels settle near 895.26
+    lim = energy_ladder(2.0, W1, power_measure(1.7), 3.0)
+    assert lim.value == pytest.approx(897.745571065356, rel=1e-5)
+    # u^3 dmu ~ dist^(3 * 0.3 - 1.7) = dist^-0.8: integrable; at gamma = 2 it
+    # is dist^-1.1 and the energy is infinite
+    assert energy_ladder(2.0, W1, power_measure(1.7), 2.0).diverged
+
+
+@pytest.mark.parametrize("p, alpha, beta", [
+    (1.6165100604565275, 1.2781029919812883, -0.2684139339666016),
+    (1.9716376041262889, 1.013094157639383, -0.37665829891514135),
+])
+def test_infinite_mass_energy_at_gamma_one_half(p, alpha, beta):
+    # the two infinite-mass reproducers of perfbench/defects.py: one missed
+    # the identity after 40 unconverged levels, one raised as a level dropped
+    gamma = 0.5
+    rep = energy(p, power_weight(beta), power_measure(alpha), gamma)
+    astar = 1.0 + gamma * (p - 1.0 - beta) / (p - 1.0 + gamma)
+    assert alpha < astar - 0.05  # finite energy, outside the dead band
+    assert not rep.diverged and math.isfinite(rep.e_gamma) and rep.e_gamma > 0.0
+    assert rep.identity_gap <= 1e-5 and rep.sandwich_pass
 
 
 def test_energy_of_finite_measure_is_one_solve():

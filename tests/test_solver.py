@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from sublap.measures import PowerDensity, RadonMeasure, dirac, lebesgue, power_m
 from sublap.quadrature import bracketed_root
 from sublap.solver import (
     SolverOptions,
-    _ladder_schedule,
-    _monotone_limit,
     check_comparison,
     potential,
     solve_dirichlet,
@@ -18,6 +17,83 @@ from sublap.solver import (
 from sublap.weights import Weight, constant_weight, power_weight
 
 W1 = constant_weight()
+LEVELS = tuple(range(1, 41))
+
+
+# -- the paper's definition: monotone limits of truncation ladders ------------------
+
+@dataclass
+class _Limit:
+    """Outcome of ``_monotone_limit``: the last level's value (+inf once the
+    ladder diverged) and payload, every level's value, and how it stopped."""
+
+    value: object = 0.0
+    payload: object = None
+    values: list = field(default_factory=list)
+    levels: int = 0
+    last_level: int = 0
+    converged: bool = False
+    diverged: bool = False
+
+
+def _tail_ratio(increments):
+    """Ratios of successive positive increments among the last six, and their
+    geometric mean (nan when there is no ratio)."""
+    tail = np.asarray(increments[-6:], dtype=float)
+    pos = tail[tail > 0.0]
+    ratios = pos[1:] / pos[:-1]
+    gm = float(np.exp(np.mean(np.log(ratios)))) if ratios.size else math.nan
+    return ratios, gm
+
+
+def _monotone_limit(evaluate, schedule, tol: float, cap: float,
+                    growth: float, drop_slack: float) -> _Limit:
+    """Monotone limit of ``evaluate(k) -> (value, payload)`` along ``schedule``.
+
+    The value is a number or an array compared pointwise.  The ladder stops
+    as converged after two successive increments of at most ``tol`` times the
+    current sup, and as diverged once the sup exceeds ``cap`` or the
+    increments stagnate at ratio ``growth`` or more.  A decrease beyond
+    drop_slack * (1 + the larger level magnitude) breaks the monotonicity the
+    limit rests on and raises.
+    """
+    lim = _Limit()
+    increments: list[float] = []
+    for k in schedule:
+        value, lim.payload = evaluate(k)
+        lim.levels += 1
+        lim.last_level = k
+        if lim.values:
+            prev = lim.values[-1]
+            drop = float(np.max(prev - value))
+            slack = drop_slack * (1.0 + max(float(np.max(np.abs(prev))),
+                                            float(np.max(np.abs(value)))))
+            if drop > slack:
+                raise InternalInvariantError(
+                    f"monotone_limit: level {k} lowered the values by "
+                    f"{drop:.3e}; a truncation ladder must be monotone"
+                )
+            increments.append(float(np.max(value - prev)))
+        lim.values.append(value)
+        lim.value = value
+        sup = float(np.max(value))
+        if sup > cap:
+            lim.diverged = True
+            break
+        floor = tol * max(abs(sup), 1e-300)
+        if len(increments) >= 2 and increments[-1] <= floor and increments[-2] <= floor:
+            lim.converged = True
+            break
+        if len(increments) >= 10 and increments[-1] > floor:
+            # six positive increments whose ratios settled at ``growth`` or
+            # more are not decaying: a slowly divergent limit
+            ratios, gm = _tail_ratio(increments)
+            if ratios.size == 5 and gm >= growth and np.max(ratios) / np.min(ratios) <= 1.06:
+                lim.diverged = True
+                break
+    if lim.diverged:
+        lim.value = math.inf
+    return lim
 
 
 def green_potential_at_zero(density_of_t) -> float:
@@ -135,7 +211,7 @@ def test_potential_of_finite_measure_matches_direct_solve():
         grid = res.u.grid
         lim = _monotone_limit(
             lambda k: (solve_dirichlet(2.0, W1, mu.truncate(k)).u.values_at(grid), None),
-            _ladder_schedule(solver.DEFAULT_OPTIONS), tol=1e-9, cap=1e12,
+            LEVELS, tol=1e-9, cap=1e12,
             growth=0.98, drop_slack=1e-10)
         assert lim.converged and lim.levels > 2
         assert np.max(np.abs(lim.value - res.u.values)) < 1e-9
@@ -159,13 +235,68 @@ def test_potential_monotone_in_truncation_level():
         prev = res
 
 
+# -- infinite mass in one solve -----------------------------------------------------
+
+def _power_family(p, beta, frac):
+    """criterion_2's exact family: u = (1 - |x|)^A for an atom at 0 plus a
+    power density of infinite mass."""
+    A = frac * (1.0 - beta / (p - 1.0))
+    m = (A - 1.0) * (p - 1.0) + beta
+    mu = RadonMeasure(atoms=((0.0, 2.0 * A ** (p - 1.0)),),
+                      density=PowerDensity(alpha=1.0 - m, coef=-A ** (p - 1.0) * m))
+    return (power_weight(beta) if beta != 0.0 else W1), mu, A
+
+
+@pytest.mark.parametrize("p, beta, frac", [(1.555, 0.394, 0.544), (3.0, 1.8, 0.5)])
+def test_power_family_near_the_edge_of_the_weight_window(p, beta, frac):
+    # beta/(p-1) ~0.71, 8e-6 off along the 100-level ladder, and
+    # beta/(p-1) = 0.9, where u' ~ dist^-0.95: cutting the tail at the
+    # 1e-280 floor would overflow the density (1 - |x|)^-1.1
+    w, mu, A = _power_family(p, beta, frac)
+    res = potential(p, w, mu)
+    assert not res.diverged and res.u.finite
+    assert np.max(np.abs(res.u.values - (1.0 - np.abs(res.u.x)) ** A)) < 1e-6
+    assert res.u.left_exponent == pytest.approx(A, abs=1e-12)
+    assert res.u.right_exponent == pytest.approx(A, abs=1e-12)
+
+
+def test_potential_declares_the_edge_exponents_of_the_limit():
+    # u ~ dist^(1 - s), s = (alpha - 1)/(p - 1) = 0.2, not the exponent 1 of a
+    # truncated level; the classical flux constant is infinite
+    res = potential(2.0, W1, power_measure(1.2))
+    assert res.u.left_exponent == pytest.approx(0.8, abs=1e-12)
+    assert res.u.right_exponent == pytest.approx(0.8, abs=1e-12)
+    assert res.flux_constant == math.inf and res.truncation_levels_used == 0
+
+
+@pytest.mark.parametrize("p, w, mu", [
+    (3.0,) + _power_family(3.0, 0.0, 0.65)[:2],
+    (1.5,) + _power_family(1.5, -0.5, 0.85)[:2],
+    (2.0, W1, power_measure(1.2)),
+    (2.0, power_weight(0.3), power_measure(1.2)),
+    (2.5, W1, dirac(0.3, 0.7).add(power_measure(1.3, 0.8))),
+], ids=["criterion_2_p3", "criterion_2_p1.5", "constant_weight", "power_weight",
+        "atom_plus_density"])
+def test_direct_potential_is_the_monotone_limit_of_truncations(p, w, mu):
+    # the extended potential is defined as the monotone limit of the solves
+    # of mu.truncate(k); _monotone_limit raises on a level that drops
+    res = potential(p, w, mu)
+    grid = res.u.grid
+    lim = _monotone_limit(
+        lambda k: (solve_dirichlet(p, w, mu.truncate(k)).u.values_at(grid), None),
+        tuple(range(1, 101)), tol=1e-9, cap=1e12, growth=0.98, drop_slack=1e-10)
+    assert lim.converged
+    sup = res.u.sup()
+    # the ladder climbs to the direct solve from below and stops within ten
+    # times its own tolerance of it
+    assert np.max(lim.value - res.u.values) <= 1e-10 * sup
+    assert np.max(np.abs(lim.value - res.u.values)) <= 1e-8 * sup
+
+
 # -- the monotone-limit driver on synthetic ladders ---------------------------------
 
 def _ladder(values):
     return lambda k: (values[k - 1], k)
-
-
-LEVELS = tuple(range(1, 41))
 
 
 @pytest.mark.parametrize("growth", [0.98, 1.02])
@@ -216,14 +347,6 @@ def test_monotone_limit_drop_beyond_slack_raises():
     # a drop within the slack is rounding, not a broken ladder
     _monotone_limit(_ladder([1.0, 2.0, 2.0 - 1e-10, 3.0]), (1, 2, 3, 4),
                     tol=1e-9, cap=1e12, growth=1.02, drop_slack=1e-9)
-
-
-def test_ladder_schedule_start_hint_keeps_three_levels():
-    # two levels give one increment, on which a ladder can never converge
-    opts = solver.DEFAULT_OPTIONS
-    assert _ladder_schedule(opts, start_level=39) == (38, 39, 40)
-    assert _ladder_schedule(opts, start_level=99) == (38, 39, 40)
-    assert _ladder_schedule(opts, start_level=30) == tuple(range(30, 41))
 
 
 # -- panel cache ------------------------------------------------------------------

@@ -52,6 +52,16 @@ def test_envelope_divergence_flag():
     assert env.diverged
 
 
+def test_envelope_pushforward_declares_the_limit_singularity():
+    # W sigma ~ dist^0.4 for sigma = (1 - |x|)^-1.6 dx (p = 2), so the envelope
+    # ~ dist^0.8 and u^(1/2) sigma ~ dist^-1.2; a truncated level's exponent
+    # gave 0.6
+    env = lower_envelope(2.0, W1, power_measure(1.6), 0.5)
+    sigma_1 = power_measure(1.6).pushforward(env.u.power_factor(0.5))
+    assert sigma_1.sing(1) == pytest.approx(1.2, abs=1e-12)
+    assert sigma_1.sing(-1) == pytest.approx(1.2, abs=1e-12)
+
+
 # -- the iteration ---------------------------------------------------------------
 
 def test_iterate_dirac_fixed_point():
