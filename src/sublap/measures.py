@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
-from .quadrature import Points, integrate_graded, points_from_edge, points_from_x
+from .errors import ValidationError
+from .quadrature import Points, gauss_rule, integrate_graded, points_from_edge, points_from_x
 
 INF = math.inf
 
@@ -515,15 +515,14 @@ class RadonMeasure:
     def density_side_mass(self, side: int) -> float:
         return self.density.side_mass(side)
 
+    def atom_side_mass(self, side: int) -> float:
+        """Atom mass on (0, 1) or (-1, 0] (an atom at 0 counts left)."""
+        locs, masses = self.atom_locations, self.atom_masses
+        return float(masses[locs > 0.0].sum() if side > 0 else masses[locs <= 0.0].sum())
+
     def side_mass(self, side: int) -> float:
         """mu((0, 1)) or mu((-1, 0]), atoms included (atom at 0 counts left)."""
-        locs = self.atom_locations
-        masses = self.atom_masses
-        if side > 0:
-            atom = float(masses[locs > 0.0].sum())
-        else:
-            atom = float(masses[locs <= 0.0].sum())
-        return self.density_side_mass(side) + atom
+        return self.density_side_mass(side) + self.atom_side_mass(side)
 
     def total_mass(self) -> float:
         return self.side_mass(1) + self.side_mass(-1)
@@ -545,31 +544,34 @@ class RadonMeasure:
         return self.density.cum0_many(pts)
 
     def density_cum_center_many(self, pts: Points, n_gauss: int = 10) -> np.ndarray:
-        """Density part of S at many points; composite cumulative quadrature
-        over the sorted point set when no closed form exists."""
+        """Density part of S at many points.  With no closed form, a
+        composite Gauss rule between consecutive sorted points, which are
+        joined by the density's interior breaks and a dyadic ladder in y
+        toward each endpoint (down to the innermost point on that side), so
+        every piece is smooth and at most half as far from the edge as it is
+        long; those extra points are dropped from the output."""
         closed = self.density.cum0_many(pts)
         if closed is not None:
             return closed
-        from .quadrature import gauss_rule  # local import to avoid cycle noise
-
+        n_out = len(pts)
+        aux_x = [b for b in self.density.interior_breaks() if -1.0 < b < 1.0]
+        aux = [points_from_x(np.asarray(aux_x + [0.0]))]
+        for side in (-1.0, 1.0):
+            on_side = pts.y[pts.side == side]
+            if on_side.size:
+                depth = int(np.ceil(-np.log2(max(float(np.min(on_side)), 5e-324))))
+                aux.append(points_from_edge(side, 2.0 ** -np.arange(1, max(depth, 1))))
+        pts = Points(*(np.concatenate([getattr(q, k) for q in [pts] + aux])
+                       for k in ("x", "side", "y")))
         order = np.lexsort((-pts.side * pts.y, pts.x))
         xs = pts.x[order]
         ys = pts.y[order]
         sides = pts.side[order]
-        n = xs.size
-        if n == 1:
-            xs0 = float(xs[0])
-            lo, hi = (xs0, 0.0) if xs0 < 0.0 else (0.0, xs0)
-            t, tw = gauss_rule(n_gauss)
-            seg = lo + t * (hi - lo)
-            v = self.density.values(points_from_x(seg))
-            val = (hi - lo) * float(tw @ v)
-            return np.asarray([val if xs0 >= 0.0 else -val])
         t, tw = gauss_rule(n_gauss)
         same = sides[:-1] == sides[1:]
         y_l, y_r = ys[:-1], ys[1:]
         x_l, x_r = xs[:-1], xs[1:]
-        inc = np.zeros(n - 1)
+        inc = np.zeros(xs.size - 1)
         if np.any(same):
             dy = (y_r - y_l)[same]
             nodes = y_l[same][None, :] + t[:, None] * dy[None, :]
@@ -585,56 +587,20 @@ class RadonMeasure:
             gp = points_from_x(nodes.ravel())
             vals = self.density.values(gp).reshape(nodes.shape)
             inc[diff] = np.abs(dx) * (tw @ vals)
-        prefix = np.concatenate([[0.0], np.cumsum(inc)])
+        # x = 0 is among the points: sum outward from it
         i0 = int(np.argmin(np.abs(xs)))
-        x0 = float(xs[i0])
-        anchor = prefix[i0]
-        if x0 != 0.0:
-            lo, hi = (x0, 0.0) if x0 < 0.0 else (0.0, x0)
-            seg = lo + t * (hi - lo)
-            v = self.density.values(points_from_x(seg))
-            off = (hi - lo) * float(tw @ v)
-            anchor += off if x0 < 0.0 else -off
-        S_sorted = prefix - anchor
-        out = np.empty(n)
+        S_sorted = np.concatenate([-np.cumsum(inc[:i0][::-1])[::-1], [0.0],
+                                   np.cumsum(inc[i0:])])
+        out = np.empty(xs.size)
         out[order] = S_sorted
-        return out
+        return out[:n_out]
 
     def cum_center_many(self, pts: Points, n_gauss: int = 10) -> np.ndarray:
         return self.density_cum_center_many(pts, n_gauss) + self.atom_cum_center(pts.x)
 
-    def _density_cum_quad(self, x: float) -> float:
-        sl, sr = self.sing(-1), self.sing(1)
-        if x >= 0.0:
-            if sr >= 1.0 and x >= 1.0:
-                return INF
-            v = integrate_graded(self.density.values, 0.0, min(x, 1.0),
-                                 sing_b=sr if x >= 1.0 else 0.0,
-                                 breakpoints=self.density.interior_breaks())
-            chk = integrate_graded(self.density.values, 0.0, min(x, 1.0),
-                                   sing_b=sr if x >= 1.0 else 0.0, n_gauss=24,
-                                   breakpoints=self.density.interior_breaks())
-        else:
-            if sl >= 1.0 and x <= -1.0:
-                return -INF
-            v = -integrate_graded(self.density.values, max(x, -1.0), 0.0,
-                                  sing_a=sl if x <= -1.0 else 0.0,
-                                  breakpoints=self.density.interior_breaks())
-            chk = -integrate_graded(self.density.values, max(x, -1.0), 0.0,
-                                    sing_a=sl if x <= -1.0 else 0.0, n_gauss=24,
-                                    breakpoints=self.density.interior_breaks())
-        if abs(v - chk) > 1e-9 * max(1.0, abs(chk)):
-            raise QuadratureError(
-                f"measures.cdf: density quadrature disagreement {abs(v - chk):.3e}"
-            )
-        return chk
-
     def cum_center(self, x: float) -> float:
-        """S(x) = signed mass from the center anchor (scalar; may be +-inf)."""
-        pts = points_from_x(np.asarray([x]))
-        closed = self.density_cum_center_closed(pts)
-        dens = float(closed[0]) if closed is not None else self._density_cum_quad(x)
-        return dens + float(self.atom_cum_center(np.asarray([x]))[0])
+        """S(x) = signed mass from the center anchor (scalar)."""
+        return float(self.cum_center_many(points_from_x(np.asarray([x])))[0])
 
     # -- public operations --------------------------------------------------
 

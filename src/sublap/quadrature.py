@@ -165,7 +165,6 @@ def build_panels(
     y_cut_left: float = 1e-32,
     y_cut_right: float = 1e-32,
     edge_ratio: float = 0.25,
-    interior_breaks: np.ndarray | None = None,
     edge_breaks_left: np.ndarray | None = None,
     edge_breaks_right: np.ndarray | None = None,
     ladder_nodes: tuple[float, ...] = (),
@@ -174,8 +173,7 @@ def build_panels(
 ) -> PanelSet:
     """Panels for the cell partition induced by ``grid``.
 
-    Interior cells get one Gauss panel each (split at ``interior_breaks``
-    if any fall inside).  The two cells touching the endpoints get geometric
+    Interior cells get one Gauss panel each.  The two cells touching the endpoints get geometric
     ladder panels in the y coordinate, split at ``edge_breaks_*`` (distances,
     e.g. truncation edges lying below the grid floor).  Cells with an edge in
     ``ladder_nodes`` are graded geometrically toward that edge, resolving the
@@ -191,14 +189,9 @@ def build_panels(
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
     t, tw = gauss_rule(n_gauss)
-    interior_breaks = np.asarray([] if interior_breaks is None else interior_breaks, dtype=float)
 
     # classify cells: the vast majority are plain single-panel cells
     special: dict[int, str] = {0: "left", n_cells - 1: "right"}
-    for br in interior_breaks:
-        idx = int(np.searchsorted(gx, br, side="right")) - 1
-        if 0 < idx < n_cells - 1 and gx[idx] < br < gx[idx + 1]:
-            special.setdefault(idx, "split")
     for ln in ladder_nodes:
         idx = int(np.searchsorted(gx, ln))
         if 0 <= idx < len(gx) and gx[idx] == ln:
@@ -276,11 +269,6 @@ def build_panels(
             for j in range(len(edges) - 1):
                 add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=1)
             add_tail_point(c, 1, edges[0], tail_s_right)
-        elif kind == "split":
-            sub = interior_breaks[(interior_breaks > a) & (interior_breaks < b)]
-            cuts = np.concatenate([[a], np.sort(sub), [b]])
-            for j in range(len(cuts) - 1):
-                add_panel(c, cuts[j], cuts[j + 1])
         else:  # ladder toward one edge
             toward = +1 if kind == "ladder_hi" else -1
             for lo_e, hi_e in _ladder_edges(a, b, toward):
@@ -414,18 +402,53 @@ def _bi_graded_edges(a: float, b: float, levels: int = 10, ratio: float = 0.3) -
 
 
 # ---------------------------------------------------------------------------
-# root finding: monotone bracketed bisection with secant acceleration
+# root finding: safeguarded Newton, or bisection with secant acceleration
 # ---------------------------------------------------------------------------
 
 def bracketed_root(g, lo: float, hi: float, g_lo: float | None = None,
                    g_hi: float | None = None, xtol: float = 1e-12,
-                   max_iter: int = 200) -> tuple[float, float, int]:
+                   max_iter: int = 200, slope: bool = False,
+                   x0: float | None = None) -> tuple[float, float, int]:
     """Root of a continuous nondecreasing g with g(lo) <= 0 <= g(hi).
 
     Alternates secant steps with bisection so the bracket at least halves
     every other iteration; terminates when the bracket width drops below
     ``xtol`` or g hits zero exactly.  Returns (root, g(root), iterations).
+
+    With ``slope``, g returns (g, g'): Newton steps from ``x0`` (default
+    the midpoint), bisecting where a step leaves the bracket or g' is not
+    finite and positive; the bracket ends are not evaluated.  Stops after
+    two successive steps of at most ``xtol`` (the second takes the root to
+    the rounding of g), a step within one ulp, or a bracket of width
+    ``xtol``.  Returns (root, g at the last evaluation, evaluations).
     """
+    if slope:
+        x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+        short = False
+        for evals in range(1, max_iter + 1):
+            g_x, dg = g(x)
+            if g_x == 0.0:
+                return x, 0.0, evals
+            if g_x < 0.0:
+                lo = x
+            else:
+                hi = x
+            step = -g_x / dg if 0.0 < dg < np.inf else np.nan
+            if abs(step) <= np.spacing(abs(x)):
+                return x, g_x, evals
+            if abs(step) <= xtol:
+                if short:
+                    return x + step, g_x, evals
+                short = True
+                x += step
+                continue
+            short = False
+            if not lo < x + step < hi:  # also a nan step
+                step = 0.5 * (lo + hi) - x
+            if hi - lo <= xtol:
+                return x + step, g_x, evals
+            x += step
+        return x, g_x, max_iter
     if g_lo is None:
         g_lo = g(lo)
     if g_hi is None:

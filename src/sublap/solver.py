@@ -11,6 +11,12 @@ finds on ctilde = flux just right of 0 and the cumulative S(x) = mu((0, x]),
 which keeps interior fluxes fully accurate even when a measure carries
 astronomically large one-sided mass.
 
+A solve evaluates the density once, at its panel points.  S comes from the
+closed cumulative where the density has one and otherwise from those values
+by the panel rule; the root bracket is (min S, max S), and the root is found
+by safeguarded Newton steps on G and its derivative, both from one pass over
+the same arrays.  The classical c is read from S at x = -1.
+
 The same single solve covers infinite mass near an endpoint: S is finite at
 every interior point, and the flux-inversion integrand follows a declared
 power there (``_edge_singularity``), at which the endpoint ladder is closed.
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .measures import RadonMeasure
 from .quadrature import (
     PanelSet,
@@ -36,6 +42,7 @@ from .quadrature import (
     gauss_cumulative,
     gauss_rule,
     graded_grid,
+    points_from_edge,
     points_from_x,
 )
 from .weights import Weight
@@ -187,15 +194,20 @@ class SolutionQuad:
 @dataclass
 class PotentialResult:
     u: GridFunction
-    # classical c in w|u'|^(p-2)u' = c - mu([-1, x]); +inf when mu has
-    # infinite mass near -1, where only the anchored flux is meaningful
+    # classical c in w|u'|^(p-2)u' = c - mu([-1, x]): the flux at x = -1,
+    # ctilde minus S there (S at the left ladder bottom less the declared
+    # power's tail below it); +inf when mu has infinite mass near -1, where
+    # only the anchored flux is meaningful
     flux_constant: float
     flux_anchor: float        # flux just right of the center anchor
     boundary_residual: float
     truncation_levels_used: int  # 0: no truncation ladder is walked
     diverged: bool
     ladder_converged: bool = True
+    # evaluations of G and G' in the root finds, both of them when the solve
+    # was refined at a flux sign change (``resolved``)
     root_iterations: int = 0
+    resolved: bool = False
     u_prime: np.ndarray | None = None
     flux_nodes: np.ndarray | None = None
     quad: SolutionQuad | None = None
@@ -303,28 +315,49 @@ def _tail_cut(target: float, s: float, a: float) -> float:
     return max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
 
 
+def _flux_scale(mu: RadonMeasure) -> float:
+    """Rough size of the finite one-sided masses, which only picks the
+    decade of the tail cut: the atoms, plus a midpoint rule in log y over
+    dyadic shells, closed below 2^-40 by the declared power (within a few
+    per cent for a density that follows it)."""
+    y = 2.0 ** -(np.arange(40) + 0.5)
+    sizes = [1e-300]
+    for side in (-1, 1):
+        a = mu.sing(side)
+        if a >= 1.0:
+            continue
+        mass = mu.atom_side_mass(side)
+        if not mu.density.is_zero:
+            f = mu.density.values(points_from_edge(side, y)) * y
+            mass += float(np.sum(f)) * math.log(2.0) + f[-1] * 2.0 ** (0.5 * (a - 1.0)) / (1.0 - a)
+        sizes.append(mass)
+    return max(sizes)
+
+
 class _Workspace:
-    """Panelized quadrature state for one Dirichlet solve."""
+    """Panelized quadrature state for one Dirichlet solve.
+
+    The density is evaluated once, at the panel points (``dens``).  Without
+    a closed cumulative, S comes from the same values: within each panel the
+    cumulative Gauss rule, across panels prefix sums outward from the node
+    at x = 0 (``_panel_cumulative``).  ``S_nodes`` is the density part of S
+    at the grid nodes, +-inf at an endpoint of infinite mass."""
 
     def __init__(self, p: float, w: Weight, mu: RadonMeasure, opts: SolverOptions,
                  extra_nodes: tuple[float, ...] = (),
-                 ladder_nodes: tuple[float, ...] = ()):
+                 ladder_nodes: tuple[float, ...] = (),
+                 flux_scale: float | None = None):
         self.p = p
         self.w = w
         self.mu = mu
         self.opts = opts
         self.exponent = 1.0 / (p - 1.0)
-
-        # one-sided masses; a side of infinite mass (declared exponent >= 1)
-        # takes its bracket end from S itself below
-        self.side_mass = {side: mu.side_mass(side) if mu.sing(side) < 1.0 else INF
-                          for side in (-1, 1)}
-        flux_scale = max([m for m in self.side_mass.values() if m < INF] + [1e-300])
+        self.flux_scale = _flux_scale(mu) if flux_scale is None else flux_scale
 
         y_cuts = {}
         tail_s = {side: _edge_singularity(p, w, mu, side) for side in (-1, 1)}
         x_evaluated = (w.family == "custom") or not mu.density.y_resolved
-        target = 1e-16 / (1.0 + flux_scale ** self.exponent)
+        target = 1e-16 / (1.0 + self.flux_scale ** self.exponent)
         for side in (-1, 1):
             a = mu.sing(side)
             y_cuts[side] = _tail_cut(target, tail_s[side] if a >= 1.0 else min(tail_s[side], 0.995), a)
@@ -339,29 +372,69 @@ class _Workspace:
         pts = self.panels.pts
         self.w_vals = w.values(pts)
         self.w_fac = self.w_vals ** (-self.exponent)
-        self.S = mu.cum_center_many(pts, n_gauss=opts.cum_gauss)
+        self.dens = mu.density.values(pts)
+        S = mu.density.cum0_many(pts)
+        if S is None:
+            S, self.S_nodes = self._panel_cumulative()
+        else:
+            with np.errstate(divide="ignore"):
+                # the cumulative of infinite mass is infinite at the endpoint nodes
+                self.S_nodes = mu.density.cum0_many(self.grid)
+        self.S = S + mu.atom_cum_center(pts.x)
         # G(min S) <= 0 <= G(max S) holds on the discrete G, tail points included
-        self.bracket = (-self.side_mass[-1] if self.side_mass[-1] < INF else float(np.min(self.S)),
-                        self.side_mass[1] if self.side_mass[1] < INF else float(np.max(self.S)))
+        self.bracket = (float(np.min(self.S)), float(np.max(self.S)))
+
+    def _panel_cumulative(self) -> tuple[np.ndarray, np.ndarray]:
+        """Density part of S at the panel points and at the grid nodes, from
+        the panel rule.  Panels are ordered by cell, and by y inside the
+        right endpoint cell, whose panels run toward x = 1 in y (x ties
+        within float spacing of the endpoints).  The tail pseudo-points sit
+        at the ladder bottoms; below them the nodes at x = +-1 add the
+        declared power's closure, dens(y0) y0 / (1 - a)."""
+        panels, n = self.panels, self.opts.n_gauss
+        tail = panels.tail
+        idx = np.delete(np.arange(len(self.dens)), tail).reshape(-1, n)
+        f = self.dens[idx]
+        mass = np.sum(panels.w[idx] * f, axis=1)
+        part = (panels.w[idx[:, 0]] / gauss_rule(n)[1][0])[:, None] * (f @ gauss_cumulative(n).T)
+        pid = panels.panel_id[idx[:, 0]]
+        cell = panels.panel_cell[pid]
+        toward_right = cell == panels.n_cells - 1
+        part[toward_right] = mass[toward_right, None] - part[toward_right]
+        order = np.lexsort((np.where(toward_right, -pid, pid), cell))
+        mass, cell = mass[order], cell[order]
+        n_left = int(np.searchsorted(cell, int(np.searchsorted(self.grid.x, 0.0))))
+        left_end = np.concatenate([-np.cumsum(mass[:n_left][::-1])[::-1],
+                                   [0.0], np.cumsum(mass[n_left:-1])])
+        S = np.empty(len(self.dens))
+        S[idx[order]] = left_end[:, None] + part[order]
+        S[tail] = left_end[0], left_end[-1] + mass[-1]
+        S_nodes = np.empty(panels.n_cells + 1)
+        S_nodes[1:-1] = left_end[np.searchsorted(cell, np.arange(1, panels.n_cells))]
+        for j, side, i in ((0, -1, tail[0]), (-1, 1, tail[1])):
+            a = self.mu.sing(side)
+            S_nodes[j] = S[i] + side * (self.dens[i] * panels.pts.y[i] / (1.0 - a)
+                                        if a < 1.0 else INF)
+        return S, S_nodes
 
     # -- flux machinery ------------------------------------------------------
 
-    def G(self, ctilde: float) -> float:
+    def G(self, ctilde: float) -> tuple[float, float]:
+        """G and G' = (1/(p-1)) sum w_q |flux|^(1/(p-1) - 1) w^(-1/(p-1)) in
+        one pass over the points.  Points where the flux vanishes are left
+        out of G' (their term is infinite for p > 2): a smaller G' only
+        lengthens a Newton step, which the bracket then guards."""
         flux = ctilde - self.S
-        phi = np.sign(flux) * np.abs(flux) ** self.exponent * self.w_fac
-        return float(np.dot(self.panels.w, phi))
+        size = np.abs(flux)
+        mag = size ** self.exponent * self.w_fac
+        rate = np.divide(mag, size, out=np.zeros_like(mag), where=size > 0.0)
+        return (float(np.dot(self.panels.w, np.copysign(mag, flux))),
+                self.exponent * float(np.dot(self.panels.w, rate)))
 
-    def solve_constant(self) -> tuple[float, float, int]:
+    def solve_constant(self, x0: float = 0.0) -> tuple[float, float, int]:
         lo, hi = self.bracket
-        xtol = self.opts.bracket_tol
-        try:
-            c, g, iters = bracketed_root(self.G, lo, hi, xtol=xtol,
-                                         max_iter=self.opts.max_root_iter)
-        except ValueError as exc:
-            # the bracket is valid whenever S is a genuine cumulative; a
-            # failure here points at an inconsistent cdf
-            raise ConvergenceError(f"solver.solve_dirichlet: {exc}") from exc
-        return c, g, iters
+        return bracketed_root(self.G, lo, hi, xtol=self.opts.bracket_tol,
+                              max_iter=self.opts.max_root_iter, slope=True, x0=x0)
 
     def kink_location(self, ctilde: float) -> float | None:
         """Interior location where the flux crosses zero, or None when the
@@ -453,22 +526,19 @@ def _solve(p: float, w: Weight, mu: RadonMeasure, options: SolverOptions,
         )
 
     ws = _Workspace(p, w, mu, options, extra_nodes=extra_nodes)
-    c_a, _, it_a = ws.solve_constant()
-    x_star = ws.kink_location(c_a)
-    iters = it_a
+    c, _, evals = ws.solve_constant()
+    x_star = ws.kink_location(c)
     if x_star is not None:
+        # refine at the flux sign change, warm-started from the first root
         ws = _Workspace(p, w, mu, options,
                         extra_nodes=extra_nodes + (x_star,),
-                        ladder_nodes=(x_star,))
-        c, _, it_b = ws.solve_constant()
-        iters += it_b
-    else:
-        c = c_a
-
-    return _assemble(ws, c, iters)
+                        ladder_nodes=(x_star,), flux_scale=ws.flux_scale)
+        c, _, evals_b = ws.solve_constant(x0=c)
+        evals += evals_b
+    return replace(_assemble(ws, c, evals), resolved=x_star is not None)
 
 
-def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
+def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     """Nodal u, u' and flux of a solved workspace, plus its quadrature view.
 
     Pure-atom measures with a constant weight have a flux that is constant
@@ -487,9 +557,6 @@ def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
     # nodal flux with the left-continuous convention: the flux at a node
     # excludes the atom sitting exactly there (it jumps down across it)
     nodes = ws.grid
-    with np.errstate(divide="ignore"):
-        # the cumulative of infinite mass is infinite at the endpoint nodes
-        closed = mu.density_cum_center_many(nodes, n_gauss=opts.cum_gauss)
     locs = mu.atom_locations
     if locs.size:
         masses = mu.atom_masses
@@ -500,8 +567,8 @@ def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
     else:
         atom_cum_left = np.zeros(nodes.x.size)
         atom_cum_right = atom_cum_left
-    flux_nodes = ctilde - (closed + atom_cum_left)
-    flux_nodes_right = ctilde - (closed + atom_cum_right)
+    flux_nodes = ctilde - (ws.S_nodes + atom_cum_left)
+    flux_nodes_right = ctilde - (ws.S_nodes + atom_cum_right)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_nodes = w.values(nodes)
         uprime_nodes = np.sign(flux_nodes) * np.abs(flux_nodes) ** e * w_nodes ** (-e)
@@ -537,19 +604,18 @@ def _assemble(ws: _Workspace, ctilde: float, iters: int) -> PotentialResult:
     u_at_pts = _hermite_at_points(nodes, u_nodes, uprime_right, uprime_nodes,
                                   kappa_l, kappa_r, ws.panels)
     for side in (-1, 1):
-        if ws.side_mass[side] == INF:
+        if mu.sing(side) >= 1.0:
             idx, vals = _edge_cell_u(ws.panels, phi, side, opts.n_gauss)
             u_at_pts[idx] = vals
     quad = SolutionQuad(
         pts=ws.panels.pts, w_quad=ws.panels.w, tail=ws.panels.tail, w_vals=ws.w_vals,
         flux=flux, uprime=phi, u=u_at_pts,
-        dens_vals=mu.density.values(ws.panels.pts),
+        dens_vals=ws.dens,
     )
-    c_classical = ctilde + ws.side_mass[-1]
     return PotentialResult(
-        u=u, flux_constant=c_classical, flux_anchor=ctilde,
+        u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
         boundary_residual=residual, truncation_levels_used=0, diverged=False,
-        root_iterations=iters, u_prime=uprime_nodes, flux_nodes=flux_nodes,
+        root_iterations=evals, u_prime=uprime_nodes, flux_nodes=flux_nodes,
         quad=quad, p=p, weight=w, measure=mu,
     )
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sublap.errors import QuadratureError, ValidationError
+from sublap.errors import ValidationError
 from sublap.measures import (
     CallableFactor,
     CumulativeMass,
@@ -61,13 +61,29 @@ def test_cdf_rejects_out_of_domain():
         cdf(dirac(0.0), 1.0)
 
 
-def test_cdf_signals_quadrature_failure():
-    # an undeclared interior near-singularity defeats the double-rule check
-    nasty = RadonMeasure(density=CustomDensity(
-        func=lambda x: np.abs(x - 0.3123) ** -0.97,
-        sing_left=0.0, sing_right=0.0))
-    with pytest.raises(QuadratureError):
-        nasty.cdf(0.9)
+@pytest.mark.parametrize("radii", [(0.5,), (0.5, 0.9, 0.99), (0.9, 1.0 - 1e-6)])
+def test_ball_masses_without_closed_cumulative_are_exact(radii):
+    # few radii: the density's interior break at 0 and a dyadic ladder toward
+    # the edge join the points; the exact mass is 16 (1 - sqrt(1 - r^2))
+    mu = manufactured_measure(3.0, 0.5)
+    rs = np.asarray(radii)
+    exact = 16.0 * (1.0 - np.sqrt((1.0 - rs) * (1.0 + rs)))
+    assert np.allclose(mu.ball_masses(0.0, rs), exact, rtol=1e-12, atol=0.0)
+
+
+def test_ball_masses_split_at_interior_breaks():
+    # density 1 left of 0.3 and 2 right of it, declared break at 0.3
+    mu = RadonMeasure(density=CustomDensity(func=lambda x: np.where(x < 0.3, 1.0, 2.0),
+                                            breaks=(0.3,)))
+    assert mu.ball_masses(0.0, np.asarray([0.9]))[0] == pytest.approx(2.4, rel=1e-14)
+
+
+@pytest.mark.parametrize("gap", [1e-7, 1e-10, 1e-12])
+def test_scalar_ball_mass_near_the_edge(gap):
+    mu = manufactured_measure(3.0, 0.5)
+    r = 1.0 - gap
+    exact = 16.0 * (1.0 - math.sqrt((1.0 - r) * (1.0 + r)))
+    assert mu.ball_mass(0.0, r) == pytest.approx(exact, rel=1e-12)
 
 
 def test_cumulative_mass_wrapper():

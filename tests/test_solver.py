@@ -6,9 +6,18 @@ import pytest
 
 from sublap import solver
 from sublap.errors import InternalInvariantError, ValidationError
-from sublap.measures import PowerDensity, RadonMeasure, dirac, lebesgue, power_measure
-from sublap.quadrature import bracketed_root
+from sublap.measures import (
+    CustomDensity,
+    ManufacturedDensity,
+    PowerDensity,
+    RadonMeasure,
+    dirac,
+    lebesgue,
+    power_measure,
+)
+from sublap.quadrature import bracketed_root, points_from_x
 from sublap.solver import (
+    DEFAULT_OPTIONS,
     SolverOptions,
     check_comparison,
     potential,
@@ -180,6 +189,91 @@ def test_bracketed_root_bisection_budget():
     assert abs(root - 0.1 ** (1 / 3)) < 1e-10
     res = solve_dirichlet(3.0, W1, dirac(0.2, 1.7))
     assert res.root_iterations <= 200
+
+
+def _newton_cases():
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    w = power_weight(0.3)
+    u = potential(2.4, w, sigma).u
+    return [
+        (3.0,) + _power_family(3.0, 0.0, 0.65)[:2],
+        (1.5,) + _power_family(1.5, -0.5, 0.85)[:2],
+        (2.0, W1, power_measure(1.2)),
+        (2.4, w, sigma.pushforward(u.power_factor(0.5))),
+        # the flux vanishes between the atoms, where G' is infinite for p > 2
+        (3.0, W1, dirac(-0.5).add(dirac(0.5))),
+        (3.0, W1, dirac(-0.5, 0.3).add(dirac(0.2, 1.0)).add(dirac(0.7, 0.4))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=["criterion_2_p3", "criterion_2_p1.5",
+                                                "power_1.2", "iterate_pushforward",
+                                                "p3_flux_zero", "p3_atoms"])
+def test_newton_root_matches_bisection_root(case):
+    p, w, mu = _newton_cases()[case]
+    ws = solver._Workspace(p, w, mu, DEFAULT_OPTIONS)
+    c_old, _, _ = bracketed_root(lambda c: ws.G(c)[0], *ws.bracket,
+                                 xtol=DEFAULT_OPTIONS.bracket_tol)
+    c_new, _, evals = ws.solve_constant()
+    assert abs(c_new - c_old) <= DEFAULT_OPTIONS.bracket_tol
+    assert evals <= 12
+
+
+def test_symmetric_solve_needs_few_root_evaluations():
+    res = solve_dirichlet(2.0, W1, power_measure(0.5))
+    assert 1 <= res.root_iterations <= 8
+
+
+def test_root_iterations_count_every_evaluation_of_both_root_finds(monkeypatch):
+    evals = []
+
+    def counting(g, *args, **kwargs):
+        def counted(c):
+            evals.append(c)
+            return g(c)
+        return bracketed_root(counted, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "bracketed_root", counting)
+    # the flux changes sign between nodes, so the solve is refined there
+    res = solve_dirichlet(2.0, W1, lebesgue(1.0).add(dirac(0.6, 0.3)))
+    assert res.resolved and res.root_iterations == len(evals)
+    evals.clear()
+    res = solve_dirichlet(2.0, W1, dirac(0.3))
+    assert not res.resolved and res.root_iterations == len(evals)
+
+
+@pytest.mark.parametrize("wrapped", [True, False], ids=["custom", "manufactured"])
+def test_panel_rule_cumulative_matches_the_closed_form(wrapped):
+    # the manufactured density has no closed cumulative: S comes from the
+    # panel rule; its exact cumulative is 8 x^2 / (1 + sqrt(1 - x^2)).  The
+    # x-evaluated wrapper stops the endpoint ladder at 1e-12, the density
+    # itself runs it down to 1e-17 in many panels
+    dens = ManufacturedDensity(3.0, 0.5)
+    mu = RadonMeasure(density=CustomDensity(
+        func=lambda x: dens.values(points_from_x(x)),
+        sing_left=0.5, sing_right=0.5, breaks=(0.0,)) if wrapped else dens)
+    ws = solver._Workspace(3.0, W1, mu, DEFAULT_OPTIONS)
+
+    def exact(pts):
+        return np.sign(pts.x) * 8.0 * pts.x ** 2 / (1.0 + np.sqrt(pts.y * (2.0 - pts.y)))
+
+    pts = ws.panels.pts
+    assert np.all(np.abs(ws.S - exact(pts)) <= 1e-9 * np.abs(exact(pts)))
+    inner = slice(1, -1)
+    assert np.allclose(ws.S_nodes[inner], exact(ws.grid)[inner], rtol=1e-9, atol=0.0)
+    assert ws.S_nodes[0] == pytest.approx(-8.0, rel=1e-9)
+    assert ws.S_nodes[-1] == pytest.approx(8.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, w, mu", [
+    (2.0, W1, power_measure(0.5)),
+    (1.7, power_weight(0.4), dirac(-0.3, 0.7).add(power_measure(0.6, 0.8))),
+    (3.0, W1, lebesgue(0.5).add(dirac(0.0, 1.5))),
+    (2.5, W1, dirac(0.4, 2.0)),
+])
+def test_flux_constant_is_the_anchor_plus_the_left_mass(p, w, mu):
+    res = solve_dirichlet(p, w, mu)
+    assert res.flux_constant == pytest.approx(res.flux_anchor + mu.side_mass(-1), rel=1e-13)
 
 
 def test_solution_values_nonnegative():
