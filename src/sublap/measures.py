@@ -548,8 +548,9 @@ class RadonMeasure:
         composite Gauss rule between consecutive sorted points, which are
         joined by the density's interior breaks and a dyadic ladder in y
         toward each endpoint (down to the innermost point on that side), so
-        every piece is smooth and at most half as far from the edge as it is
-        long; those extra points are dropped from the output."""
+        each piece lies between declared breaks and is no longer than its
+        distance from the edge; those extra points are dropped from the
+        output."""
         closed = self.density.cum0_many(pts)
         if closed is not None:
             return closed

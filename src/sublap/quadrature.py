@@ -173,11 +173,12 @@ def build_panels(
 ) -> PanelSet:
     """Panels for the cell partition induced by ``grid``.
 
-    Interior cells get one Gauss panel each.  The two cells touching the endpoints get geometric
-    ladder panels in the y coordinate, split at ``edge_breaks_*`` (distances,
-    e.g. truncation edges lying below the grid floor).  Cells with an edge in
-    ``ladder_nodes`` are graded geometrically toward that edge, resolving the
-    Hoelder kink of the integrand at a flux sign change.
+    Interior cells get one Gauss panel each.  The two cells touching the
+    endpoints get geometric ladder panels in the y coordinate, split at
+    ``edge_breaks_*`` (distances, e.g. truncation edges lying below the grid
+    floor).  Cells with an edge in ``ladder_nodes`` are graded geometrically
+    toward that edge, resolving the Hoelder kink of the integrand at a flux
+    sign change.
 
     Each endpoint ladder is closed by one pseudo-panel: a single point at the
     ladder bottom y0 carrying weight y0/(1 - s), which equals the analytic
