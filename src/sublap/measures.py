@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import Points, gauss_rule, integrate_graded, points_from_edge, points_from_x
+from .quadrature import Points, concat_points, graded_cumulative, points_from_edge, points_from_x
 
 INF = math.inf
 
@@ -50,11 +50,7 @@ class Density:
         """Mass of the density on (0, 1) or (-1, 0); may be +inf."""
         if self.sing(side) >= 1.0:
             return INF
-        if side > 0:
-            return integrate_graded(self.values, 0.0, 1.0, sing_b=self.sing(1),
-                                    breakpoints=self.interior_breaks())
-        return integrate_graded(self.values, -1.0, 0.0, sing_a=self.sing(-1),
-                                breakpoints=self.interior_breaks())
+        return side * float(_graded_cum0(self, points_from_edge(side, np.zeros(1)))[0])
 
     def scaled(self, a: float) -> "Density":
         if a == 0.0:
@@ -66,6 +62,11 @@ class Density:
         return ()
 
     def interior_breaks(self) -> tuple[float, ...]:
+        return ()
+
+    def kinks(self) -> tuple[float, ...]:
+        """Interior x where the density is not smooth that need not be grid
+        nodes (a pushforward factor's nodes); the graded cumulative joins them."""
         return ()
 
     @property
@@ -300,6 +301,9 @@ class _ScaledDensity(Density):
     def interior_breaks(self) -> tuple[float, ...]:
         return self.base.interior_breaks()
 
+    def kinks(self) -> tuple[float, ...]:
+        return self.base.kinks()
+
     @property
     def y_resolved(self) -> bool:
         return self.base.y_resolved
@@ -356,11 +360,9 @@ class WindowedDensity(Density):
             return self.base.side_mass(side)
         pts = points_from_edge(side, np.asarray([edge]))
         c = self.base.cum0_many(pts)
-        if c is not None:
-            return abs(float(c[0]))
-        lo, hi = (0.0, 1.0 - edge) if side > 0 else (-1.0 + edge, 0.0)
-        return integrate_graded(self.base.values, lo, hi,
-                                breakpoints=self.base.interior_breaks())
+        if c is None:
+            c = _graded_cum0(self.base, pts)
+        return abs(float(c[0]))
 
     def scaled(self, a: float) -> Density:
         return WindowedDensity(self.base.scaled(a), self.y_left, self.y_right)
@@ -378,6 +380,9 @@ class WindowedDensity(Density):
         if self.y_right >= 1e-12:
             ib.append(1.0 - self.y_right)
         return tuple(ib)
+
+    def kinks(self) -> tuple[float, ...]:
+        return self.base.kinks()
 
     @property
     def is_zero(self) -> bool:
@@ -428,6 +433,9 @@ class SumDensity(Density):
             out += p.interior_breaks()
         return out
 
+    def kinks(self) -> tuple[float, ...]:
+        return sum((p.kinks() for p in self.parts), ())
+
     @property
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.parts)
@@ -442,8 +450,8 @@ class ProductDensity(Density):
     """base density multiplied by a nonnegative factor (e.g. u^q for iteration).
 
     The factor object provides ``values(pts)`` and ``edge_exponent(side)``
-    (factor ~ C * dist^kappa near the endpoint); the product's declared
-    singularity is base.sing - kappa.
+    (factor ~ C * dist^kappa near the endpoint), and optionally ``kinks()``;
+    the product's declared singularity is base.sing - kappa.
     """
 
     base: Density
@@ -461,6 +469,9 @@ class ProductDensity(Density):
     def interior_breaks(self) -> tuple[float, ...]:
         return self.base.interior_breaks()
 
+    def kinks(self) -> tuple[float, ...]:
+        return self.base.kinks() + tuple(getattr(self.factor, "kinks", tuple)())
+
     @property
     def is_zero(self) -> bool:
         return self.base.is_zero
@@ -468,6 +479,19 @@ class ProductDensity(Density):
     @property
     def y_resolved(self) -> bool:
         return self.base.y_resolved
+
+
+def _graded_cum0(density: Density, pts: Points, atoms=(), n_gauss: int = 10) -> np.ndarray:
+    """Signed integral of a density from 0 to each point by the graded
+    cumulative, joined at its declared breaks, kinks and regime edges and at
+    ``atoms``."""
+    joins = concat_points(
+        points_from_x(np.asarray(density.interior_breaks() + density.kinks() + tuple(atoms),
+                                 dtype=float)),
+        *(points_from_edge(side, np.asarray(density.breakpoints_y(side), dtype=float))
+          for side in (-1, 1)))
+    return graded_cumulative(density.values, pts, joins, (density.sing(-1), density.sing(1)),
+                             density.y_resolved, n_gauss=n_gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +536,6 @@ class RadonMeasure:
     def sing(self, side: int) -> float:
         return self.density.sing(side)
 
-    def density_side_mass(self, side: int) -> float:
-        return self.density.side_mass(side)
-
     def atom_side_mass(self, side: int) -> float:
         """Atom mass on (0, 1) or (-1, 0] (an atom at 0 counts left)."""
         locs, masses = self.atom_locations, self.atom_masses
@@ -522,7 +543,7 @@ class RadonMeasure:
 
     def side_mass(self, side: int) -> float:
         """mu((0, 1)) or mu((-1, 0]), atoms included (atom at 0 counts left)."""
-        return self.density_side_mass(side) + self.atom_side_mass(side)
+        return self.density.side_mass(side) + self.atom_side_mass(side)
 
     def total_mass(self) -> float:
         return self.side_mass(1) + self.side_mass(-1)
@@ -540,64 +561,13 @@ class RadonMeasure:
         upto0 = cum[np.searchsorted(locs, 0.0, side="right")]
         return upto - upto0
 
-    def density_cum_center_closed(self, pts: Points) -> np.ndarray | None:
-        return self.density.cum0_many(pts)
-
-    def density_cum_center_many(self, pts: Points, n_gauss: int = 10) -> np.ndarray:
-        """Density part of S at many points.  With no closed form, a
-        composite Gauss rule between consecutive sorted points, which are
-        joined by the density's interior breaks and a dyadic ladder in y
-        toward each endpoint (down to the innermost point on that side), so
-        each piece lies between declared breaks and is no longer than its
-        distance from the edge; those extra points are dropped from the
-        output."""
-        closed = self.density.cum0_many(pts)
-        if closed is not None:
-            return closed
-        n_out = len(pts)
-        aux_x = [b for b in self.density.interior_breaks() if -1.0 < b < 1.0]
-        aux = [points_from_x(np.asarray(aux_x + [0.0]))]
-        for side in (-1.0, 1.0):
-            on_side = pts.y[pts.side == side]
-            if on_side.size:
-                depth = int(np.ceil(-np.log2(max(float(np.min(on_side)), 5e-324))))
-                aux.append(points_from_edge(side, 2.0 ** -np.arange(1, max(depth, 1))))
-        pts = Points(*(np.concatenate([getattr(q, k) for q in [pts] + aux])
-                       for k in ("x", "side", "y")))
-        order = np.lexsort((-pts.side * pts.y, pts.x))
-        xs = pts.x[order]
-        ys = pts.y[order]
-        sides = pts.side[order]
-        t, tw = gauss_rule(n_gauss)
-        same = sides[:-1] == sides[1:]
-        y_l, y_r = ys[:-1], ys[1:]
-        x_l, x_r = xs[:-1], xs[1:]
-        inc = np.zeros(xs.size - 1)
-        if np.any(same):
-            dy = (y_r - y_l)[same]
-            nodes = y_l[same][None, :] + t[:, None] * dy[None, :]
-            side_arr = np.broadcast_to(sides[:-1][same], nodes.shape)
-            gp = Points(x=(side_arr * (1.0 - nodes)).ravel(),
-                        side=side_arr.ravel(), y=nodes.ravel())
-            vals = self.density.values(gp).reshape(nodes.shape)
-            inc[same] = np.abs(dy) * (tw @ vals)
-        diff = ~same
-        if np.any(diff):
-            dx = (x_r - x_l)[diff]
-            nodes = x_l[diff][None, :] + t[:, None] * dx[None, :]
-            gp = points_from_x(nodes.ravel())
-            vals = self.density.values(gp).reshape(nodes.shape)
-            inc[diff] = np.abs(dx) * (tw @ vals)
-        # x = 0 is among the points: sum outward from it
-        i0 = int(np.argmin(np.abs(xs)))
-        S_sorted = np.concatenate([-np.cumsum(inc[:i0][::-1])[::-1], [0.0],
-                                   np.cumsum(inc[i0:])])
-        out = np.empty(xs.size)
-        out[order] = S_sorted
-        return out[:n_out]
-
     def cum_center_many(self, pts: Points, n_gauss: int = 10) -> np.ndarray:
-        return self.density_cum_center_many(pts, n_gauss) + self.atom_cum_center(pts.x)
+        """S at many points; the density part is its closed cumulative, or
+        the graded one joined at the atoms (``quadrature.graded_cumulative``)."""
+        dens = self.density.cum0_many(pts)
+        if dens is None:
+            dens = _graded_cum0(self.density, pts, self.atom_locations, n_gauss)
+        return dens + self.atom_cum_center(pts.x)
 
     def cum_center(self, x: float) -> float:
         """S(x) = signed mass from the center anchor (scalar)."""
@@ -624,22 +594,7 @@ class RadonMeasure:
         """
         if not (r > 0.0):
             raise ValidationError("measures.ball_mass: need r > 0")
-        a = max(x - r, -1.0)
-        b = min(x + r, 1.0)
-        if b <= a:
-            return 0.0
-        if b >= 1.0:
-            sb = self.side_mass(1)
-            atom_b = 0.0
-        else:
-            sb = self.cum_center(b)
-            locs = self.atom_locations
-            atom_b = float(self.atom_masses[locs == b].sum()) if locs.size else 0.0
-        if a <= -1.0:
-            sa = -self.side_mass(-1)
-        else:
-            sa = self.cum_center(a)
-        return sb - sa - atom_b
+        return float(self.ball_masses(x, np.asarray([r]))[0])
 
     def ball_masses(self, x: float, rs: np.ndarray, n_gauss: int = 10) -> np.ndarray:
         """mu(B(x, r) cap (-1, 1)) for an array of radii; +inf where the ball

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+from . import quadrature
 from .errors import ValidationError
 from .measures import RadonMeasure
 from .quadrature import (
@@ -58,7 +59,6 @@ class SolverOptions:
     grading_ratio: float = 0.85
     y_floor: float = 1e-13
     n_gauss: int = 12
-    cum_gauss: int = 10
     bracket_tol: float = 1e-12
     max_root_iter: int = 200
     divergence_cap: float = 1e12
@@ -165,6 +165,9 @@ class GridPowerFactor:
 
     def edge_exponent(self, side: int) -> float:
         return self.q * self.gridfn._edge_kappa(side)
+
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(self.gridfn.x[1:-1])
 
 
 def zero_grid_function(grid: Points) -> GridFunction:
@@ -455,33 +458,21 @@ class _Workspace:
         if abs(a) > 0.999 or abs(b) > 0.999:
             return None  # inside an endpoint ladder: contribution negligible
 
-        closed_probe = self.mu.density_cum_center_closed(points_from_x(np.asarray([a])))
-        t, tw = gauss_rule(self.opts.cum_gauss)
-        s_a = float(S_sorted[idx - 1])
+        # S is smooth in the gap with S' the density: the cubic Hermite from
+        # the ends of the gap
+        s_a, s_b = float(S_sorted[idx - 1]), float(S_sorted[idx])
+        h = b - a
+        d_a, d_b = h * float(self.dens[order[idx - 1]]), h * float(self.dens[order[idx]])
 
         def excess(x: float) -> float:
-            # S(x) - ctilde, using the gap-local increment for generic densities
-            if closed_probe is not None:
-                pts = points_from_x(np.asarray([x]))
-                dens = float(self.mu.density_cum_center_closed(pts)[0])
-                return dens + float(self.mu.atom_cum_center(np.asarray([x]))[0]) - ctilde
-            seg = a + t * (x - a)
-            v = self.mu.density.values(points_from_x(seg))
-            return s_a + (x - a) * float(tw @ v) - ctilde
+            t = (x - a) / h
+            return ((2 * t - 3) * t * t + 1) * s_a + ((t - 2) * t + 1) * t * d_a \
+                + (3 - 2 * t) * t * t * s_b + (t - 1) * t * t * d_b - ctilde
 
-        fa, fb = excess(a), excess(b)
-        if not (fa <= 0.0 <= fb):
+        if not s_a <= ctilde <= s_b:
             return None
-        lo, hi = a, b
-        for _ in range(80):
-            if hi - lo < 1e-15:
-                break
-            m = 0.5 * (lo + hi)
-            if excess(m) < 0.0:
-                lo = m
-            else:
-                hi = m
-        x_star = 0.5 * (lo + hi)
+        # the cubic's root (``root_iterations`` counts the evaluations of G only)
+        x_star = quadrature.bracketed_root(excess, a, b, s_a - ctilde, s_b - ctilde, xtol=1e-15)[0]
         if np.min(np.abs(self.grid.x - x_star)) < 1e-13:
             return None
         return x_star

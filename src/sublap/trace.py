@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .energy import energy_ladder, measure_integral
 from .measures import RadonMeasure
 from .params import envelope_constant
-from .quadrature import integrate_graded
+from .quadrature import graded_cumulative, points_from_x
 from .solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, solve_dirichlet
 from .weights import Weight
 
@@ -111,18 +111,17 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
 
 
 def _quotient_callable(p: float, w: Weight, sigma: RadonMeasure, q: float,
-                       f, fprime, options: SolverOptions) -> float:
+                       f, fprime, options: SolverOptions, joins=()) -> float:
     num, _, div = measure_integral(
         lambda pts: np.abs(np.asarray(f(pts.x))) ** (1.0 + q), sigma, options)
     if div:
         return 0.0
-    den_p = integrate_graded(
+    # the integrand vanishes like dist^b with the weight
+    S = graded_cumulative(
         lambda pts: np.abs(np.asarray(fprime(pts.x))) ** p * w.values(pts),
-        -1.0, 1.0,
-        sing_a=max(0.0, w.edge_exponent(-1)) if w.family != "constant" else 0.0,
-        sing_b=max(0.0, w.edge_exponent(1)) if w.family != "constant" else 0.0,
-        breakpoints=(0.0,),
-    )
+        points_from_x(np.asarray([-1.0, 1.0])), points_from_x(np.asarray(joins, dtype=float)),
+        sing=(-w.edge_exponent(-1), -w.edge_exponent(1)), y_resolved=False)
+    den_p = float(S[1] - S[0])
     if den_p <= 0.0 or num <= 0.0:
         return 0.0
     return num ** (1.0 / (1.0 + q)) / den_p ** (1.0 / p)
@@ -173,8 +172,10 @@ def rayleigh_lower(p: float, w: Weight, sigma: RadonMeasure, q: float,
     for i, member in enumerate(family):
         if isinstance(member, GridFunction):
             deriv = member._interpolator().derivative()
+            # f'' jumps at every node of a grid function
             val = _quotient_callable(p, w, sigma, q, member,
-                                     lambda x, _d=deriv: _d(np.asarray(x)), options)
+                                     lambda x, _d=deriv: _d(np.asarray(x)), options,
+                                     joins=member.x)
         else:
             f, fprime = member
             val = _quotient_callable(p, w, sigma, q, f, fprime, options)

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
-from .quadrature import Points, integrate_graded, points_from_x
+from .errors import ValidationError
+from .quadrature import Points, graded_cumulative, points_from_x
 
 
 @dataclass(frozen=True)
@@ -129,28 +129,14 @@ class Weight:
         return float(out) if out.ndim == 0 else out
 
     def _custom_ball(self, a: float, b: float, rel_tol: float) -> float:
-        """Integral of a custom weight over (a, b), checked 16 against 24 points."""
-        # the integrand behaves like dist^b at the endpoints, i.e. exponent -b
-        # in the ladder's dist^(-s) convention; vanishing fractional powers
-        # (b > 0) need the grading as much as genuine singularities
-        val = integrate_graded(
-            lambda pts: self.values(pts), a, b,
-            sing_a=-self.edge_exponent_left,
-            sing_b=-self.edge_exponent_right,
-            breakpoints=(0.0,),
-        )
-        check = integrate_graded(
-            lambda pts: self.values(pts), a, b,
-            sing_a=-self.edge_exponent_left,
-            sing_b=-self.edge_exponent_right,
-            n_gauss=24,
-            breakpoints=(0.0,),
-        )
-        if abs(val - check) > rel_tol * max(abs(check), 1e-300):
-            raise QuadratureError(
-                f"weights.ball_weight: quadrature disagreement {abs(val - check):.3e}"
-            )
-        return check
+        """Integral of a custom weight over (a, b) by the graded cumulative,
+        anchored inside the ball so that a small ball is no difference of
+        large masses; w ~ dist^b at an endpoint is the declared power -b in
+        the cumulative's dist^(-a) convention."""
+        S = graded_cumulative(self.values, points_from_x(np.asarray([a, b])),
+                              sing=(-self.edge_exponent_left, -self.edge_exponent_right),
+                              y_resolved=False, anchor=0.5 * (a + b), rel_tol=rel_tol)
+        return float(S[1] - S[0])
 
 
 def constant_weight(value: float = 1.0) -> Weight:

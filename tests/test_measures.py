@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sublap.errors import ValidationError
+from sublap.errors import QuadratureError, ValidationError
 from sublap.measures import (
     CallableFactor,
     CumulativeMass,
@@ -21,6 +21,9 @@ from sublap.measures import (
     truncate,
     weighted_pushforward,
 )
+from sublap.quadrature import gauss_rule, points_from_edge, points_from_x
+from sublap.sublinear import iterate
+from sublap.weights import power_weight
 
 # -- cdf -------------------------------------------------------------------
 
@@ -54,6 +57,45 @@ def test_cdf_matches_quadrature_for_custom_density():
         sing_left=0.5, sing_right=0.5))
     for x in (-0.7, -0.2, 0.4, 0.95):
         assert quad.cdf(x) == pytest.approx(closed.cdf(x), rel=1e-9)
+
+
+def test_cdf_signals_quadrature_failure():
+    # an undeclared interior near-singularity: the 10- and 16-point rules of
+    # the graded cumulative disagree there
+    nasty = RadonMeasure(density=CustomDensity(
+        func=lambda x: np.abs(x - 0.3123) ** -0.97,
+        sing_left=0.0, sing_right=0.0))
+    with pytest.raises(QuadratureError):
+        nasty.cdf(0.9)
+
+
+def _gauss40(f, edges):
+    t, tw = gauss_rule(40)
+    return sum((hi - lo) * float(tw @ f(lo + t * (hi - lo))) for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def test_pushforward_side_mass_and_cdf_match_a_node_split_reference():
+    # the ROADMAP instance: dirac(0.2) + 0.8 (1-|x|)^-0.6, p = 2.4,
+    # w = (1-|x|)^0.3, pushed forward by u^0.5 for the converged iterate u.
+    # Reference: 40 Gauss points between u's nodes, in y toward each
+    # endpoint, a dyadic ladder below the innermost node closed at the
+    # declared power, where u^0.5 is the pure power
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    u = iterate(2.4, power_weight(0.3), sigma, 0.5).iterates[-1]
+    nu = sigma.pushforward(u.power_factor(0.5))
+
+    def side_ref(side):
+        ys = np.unique(np.append(u.grid.y[(u.grid.side == side) & (u.grid.y > 0.0)], 1.0))
+        edges = np.unique(np.concatenate([ys[0] * 2.0 ** -np.arange(60.0), ys]))
+        dens = lambda y: nu.density.values(points_from_edge(side, y))
+        tail = dens(edges[:1])[0] * edges[0] / (1.0 - nu.sing(side))
+        return _gauss40(dens, edges) + tail + nu.atom_side_mass(side)
+
+    for side in (-1, 1):
+        assert nu.side_mass(side) == pytest.approx(side_ref(side), rel=1e-12)
+    inner = np.concatenate([[0.0], u.x[(u.x > 0.0) & (u.x < 0.95)], [0.95]])
+    cum = _gauss40(lambda x: nu.density.values(points_from_x(x)), inner) + nu.atom_side_mass(1)
+    assert nu.cdf(0.95) == pytest.approx(side_ref(-1) + cum, rel=1e-12)
 
 
 def test_cdf_rejects_out_of_domain():

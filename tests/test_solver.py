@@ -246,8 +246,9 @@ def test_root_iterations_count_every_evaluation_of_both_root_finds(monkeypatch):
 def test_panel_rule_cumulative_matches_the_closed_form(wrapped):
     # the manufactured density has no closed cumulative: S comes from the
     # panel rule; its exact cumulative is 8 x^2 / (1 + sqrt(1 - x^2)).  The
-    # x-evaluated wrapper stops the endpoint ladder at 1e-12, the density
-    # itself runs it down to 1e-17 in many panels
+    # x-evaluated wrapper's endpoint ladder runs from the innermost node
+    # (~1e-13) down to a quarter of it (the 1e-12 cut is above the node),
+    # the density itself runs it down to 1e-17 in many panels
     dens = ManufacturedDensity(3.0, 0.5)
     mu = RadonMeasure(density=CustomDensity(
         func=lambda x: dens.values(points_from_x(x)),
@@ -522,6 +523,23 @@ def test_custom_weight_matches_power_twin():
     a = solve_dirichlet(2.0, power_weight(beta), mu)
     b = solve_dirichlet(2.0, custom, mu)
     assert np.max(np.abs(a.u.values - b.u.values)) < 1e-9
+
+
+def test_kink_location_matches_the_closed_cumulative():
+    # the flux zero from the Hermite cubic of S and the density at the ends
+    # of the gap, against the zero of c - S(x) from the closed cumulative
+    mu = power_measure(0.5, 0.7).add(dirac(0.6, 0.3))
+    ws = solver._Workspace(3.0, power_weight(0.4), mu, DEFAULT_OPTIONS)
+    c = ws.solve_constant()[0]
+    x_star = ws.kink_location(c)
+    assert x_star is not None
+
+    def excess(x):
+        return float(mu.density.cum0_many(points_from_x(np.asarray([x])))[0]) \
+            + float(mu.atom_cum_center(np.asarray([x]))[0]) - c
+
+    exact = bracketed_root(excess, x_star - 1e-3, x_star + 1e-3, xtol=1e-15)[0]
+    assert abs(x_star - exact) <= 1e-9
 
 
 def test_solve_rejects_non_invertible_weight():

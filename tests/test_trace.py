@@ -5,7 +5,10 @@ import pytest
 
 from sublap.errors import ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, power_measure
+from sublap.energy import measure_integral
 from sublap.params import envelope_constant
+from sublap.quadrature import gauss_rule
+from sublap.solver import solve_dirichlet
 from sublap.trace import HatFunction, rayleigh_lower, trace_bracket
 from sublap.weights import constant_weight
 
@@ -85,6 +88,20 @@ def test_rayleigh_user_member():
     tb = trace_bracket(2.0, W1, lebesgue(), 0.0)
     rep = rayleigh_lower(2.0, W1, lebesgue(), 0.0, family=(member,))
     assert rep["value"] <= tb.upper * (1.0 + 1e-6)
+
+
+def test_rayleigh_grid_function_member_matches_a_node_split_reference():
+    # the PCHIP derivative of a grid function has kinks at every node, the
+    # atom included: |u'|^2 integrated with 40 Gauss points between nodes
+    mu = lebesgue().add(dirac(0.3, 0.5))
+    u = solve_dirichlet(2.0, W1, mu).u
+    rep = rayleigh_lower(2.0, W1, mu, 0.5, family=(u,), levels=())
+    d = u._interpolator().derivative()
+    t, tw = gauss_rule(40)
+    den = sum((b - a) * float(tw @ d(a + t * (b - a)) ** 2) for a, b in zip(u.x[:-1], u.x[1:]))
+    num = measure_integral(lambda pts: u(pts.x) ** 1.5, mu)[0]
+    assert dict(rep["candidates"])["user_0"] == pytest.approx(num ** (1 / 1.5) / den ** 0.5,
+                                                               rel=1e-12)
 
 
 def test_hat_function_norms():

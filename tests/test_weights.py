@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sublap.errors import ValidationError
+from sublap.errors import QuadratureError, ValidationError
 from sublap.weights import Weight, constant_weight, power_weight
 
 
@@ -94,3 +94,10 @@ def test_ball_weight_rejects_nonpositive_radii_in_an_array():
     for rs in ([0.1, 0.0, 0.3], [-0.2], [0.5, np.nan]):
         with pytest.raises(ValidationError):
             w.ball_weight(0.0, np.asarray(rs))
+
+
+def test_custom_ball_weight_signals_an_undeclared_kink():
+    # |x - 0.3123| has a kink that no join of the graded cumulative meets
+    w = Weight(family="custom", func=lambda x: 1.0 + np.abs(np.asarray(x) - 0.3123))
+    with pytest.raises(QuadratureError):
+        w.ball_weight(0.0, 0.5)
