@@ -422,16 +422,10 @@ class SumDensity(Density):
         return SumDensity(tuple(p.scaled(a) for p in self.parts))
 
     def breakpoints_y(self, side: int) -> tuple[float, ...]:
-        out: tuple[float, ...] = ()
-        for p in self.parts:
-            out += p.breakpoints_y(side)
-        return out
+        return sum((p.breakpoints_y(side) for p in self.parts), ())
 
     def interior_breaks(self) -> tuple[float, ...]:
-        out: tuple[float, ...] = ()
-        for p in self.parts:
-            out += p.interior_breaks()
-        return out
+        return sum((p.interior_breaks() for p in self.parts), ())
 
     def kinks(self) -> tuple[float, ...]:
         return sum((p.kinks() for p in self.parts), ())
@@ -481,17 +475,16 @@ class ProductDensity(Density):
         return self.base.y_resolved
 
 
-def _graded_cum0(density: Density, pts: Points, atoms=(), n_gauss: int = 10) -> np.ndarray:
+def _graded_cum0(density: Density, pts: Points, atoms=()) -> np.ndarray:
     """Signed integral of a density from 0 to each point by the graded
-    cumulative, joined at its declared breaks, kinks and regime edges and at
-    ``atoms``."""
+    cumulative, graded toward its declared breaks and joined at its kinks,
+    its regime edges and ``atoms``."""
     joins = concat_points(
-        points_from_x(np.asarray(density.interior_breaks() + density.kinks() + tuple(atoms),
-                                 dtype=float)),
+        points_from_x(np.asarray(density.kinks() + tuple(atoms), dtype=float)),
         *(points_from_edge(side, np.asarray(density.breakpoints_y(side), dtype=float))
           for side in (-1, 1)))
     return graded_cumulative(density.values, pts, joins, (density.sing(-1), density.sing(1)),
-                             density.y_resolved, n_gauss=n_gauss)
+                             density.y_resolved, corners=density.interior_breaks())
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +554,12 @@ class RadonMeasure:
         upto0 = cum[np.searchsorted(locs, 0.0, side="right")]
         return upto - upto0
 
-    def cum_center_many(self, pts: Points, n_gauss: int = 10) -> np.ndarray:
+    def cum_center_many(self, pts: Points) -> np.ndarray:
         """S at many points; the density part is its closed cumulative, or
         the graded one joined at the atoms (``quadrature.graded_cumulative``)."""
         dens = self.density.cum0_many(pts)
         if dens is None:
-            dens = _graded_cum0(self.density, pts, self.atom_locations, n_gauss)
+            dens = _graded_cum0(self.density, pts, self.atom_locations)
         return dens + self.atom_cum_center(pts.x)
 
     def cum_center(self, x: float) -> float:
@@ -596,24 +589,18 @@ class RadonMeasure:
             raise ValidationError("measures.ball_mass: need r > 0")
         return float(self.ball_masses(x, np.asarray([r]))[0])
 
-    def ball_masses(self, x: float, rs: np.ndarray, n_gauss: int = 10) -> np.ndarray:
+    def ball_masses(self, x: float, rs: np.ndarray) -> np.ndarray:
         """mu(B(x, r) cap (-1, 1)) for an array of radii; +inf where the ball
         reaches an endpoint carrying non-integrable density."""
         rs = np.asarray(rs, dtype=float)
         a = np.maximum(x - rs, -1.0)
         b = np.minimum(x + rs, 1.0)
-        hit_r = b >= 1.0
-        hit_l = a <= -1.0
-        interior = np.concatenate([a[~hit_l], b[~hit_r]])
-        S_int = self.cum_center_many(points_from_x(interior), n_gauss) if interior.size \
-            else np.asarray([])
-        n_l = int(np.sum(~hit_l))
-        Sa = np.empty(rs.size)
-        Sb = np.empty(rs.size)
-        Sa[~hit_l] = S_int[:n_l]
-        Sb[~hit_r] = S_int[n_l:]
-        Sa[hit_l] = -self.side_mass(-1)
-        Sb[hit_r] = self.side_mass(1)
+        in_a, in_b = a > -1.0, b < 1.0
+        S = self.cum_center_many(points_from_x(np.concatenate([a[in_a], b[in_b]])))
+        # a side mass is needed only where a ball reaches that endpoint
+        Sa = np.full(rs.size, 0.0 if in_a.all() else -self.side_mass(-1))
+        Sb = np.full(rs.size, 0.0 if in_b.all() else self.side_mass(1))
+        Sa[in_a], Sb[in_b] = S[:int(in_a.sum())], S[int(in_a.sum()):]
         # the ball is open: an atom exactly at its right end b is taken out
         # of Sb (the left end is already out of Sa's right-continuous S);
         # no atom sits at b = 1

@@ -150,15 +150,10 @@ def endpoint_panel_edges(y_hi: float, y_cut: float, ratio: float = 0.25) -> np.n
     return np.asarray(edges)
 
 
-def _split_edges_at(edges: np.ndarray, breaks: np.ndarray) -> np.ndarray:
-    """Insert break values into a sorted (ascending) edge array."""
-    if breaks.size == 0:
-        return edges
-    lo, hi = edges[0], edges[-1]
-    b = breaks[(breaks > lo) & (breaks < hi)]
-    if b.size == 0:
-        return edges
-    return np.unique(np.concatenate([edges, b]))
+def _split_edges_at(edges: np.ndarray, breaks) -> np.ndarray:
+    """Insert break values into a sorted (ascending), distinct edge array."""
+    b = np.asarray(breaks, dtype=float)
+    return np.unique(np.concatenate([edges, b[(b > edges[0]) & (b < edges[-1])]]))
 
 
 def build_panels(
@@ -260,7 +255,7 @@ def build_panels(
             y_hi = gy[1] if gs[1] < 0 else 1.0 + gx[1]
             edges = endpoint_panel_edges(y_hi, min(y_cut_left, y_hi / 4.0), edge_ratio)[::-1]
             if edge_breaks_left is not None:
-                edges = _split_edges_at(edges, np.asarray(edge_breaks_left, dtype=float))
+                edges = _split_edges_at(edges, edge_breaks_left)
             for j in range(len(edges) - 1):
                 add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=-1)
             add_tail_point(c, -1, edges[0], tail_s_left)
@@ -268,7 +263,7 @@ def build_panels(
             y_hi = gy[-2] if gs[-2] > 0 else 1.0 - gx[-2]
             edges = endpoint_panel_edges(y_hi, min(y_cut_right, y_hi / 4.0), edge_ratio)[::-1]
             if edge_breaks_right is not None:
-                edges = _split_edges_at(edges, np.asarray(edge_breaks_right, dtype=float))
+                edges = _split_edges_at(edges, edge_breaks_right)
             for j in range(len(edges) - 1):
                 add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=1)
             add_tail_point(c, 1, edges[0], tail_s_right)
@@ -316,14 +311,16 @@ def concat_points(*parts: Points) -> Points:
 def graded_cumulative(f, pts: Points, joins: Points | None = None,
                       sing: tuple[float, float] = (0.0, 0.0), y_resolved: bool = True,
                       anchor: float = 0.0, n_gauss: int = 10,
-                      rel_tol: float = 1e-10) -> np.ndarray:
+                      rel_tol: float = 1e-10, corners: tuple[float, ...] = ()) -> np.ndarray:
     """Signed integral of a vectorized f(Points) from ``anchor`` to each point.
 
     A composite Gauss rule between consecutive sorted points, which are
-    joined by ``joins`` (declared breaks, atoms), x = 0, the nodes of
-    ``graded_grid()`` and a dyadic ladder in y toward each endpoint, cut to
-    the span of the points and the anchor.  Pieces past |x| = 1/2 are
-    integrated in the distance y to their endpoint, the others in x.
+    joined by ``joins`` (atoms, kinks), x = 0, the nodes of ``graded_grid()``,
+    a dyadic ladder in y toward each endpoint and a dyadic ladder in |x - c|
+    down to 2^-40 on both sides of each of the ``corners`` c (declared
+    breaks, where f may behave like a power of |x - c|), cut to the span of
+    the points and the anchor.  Pieces past |x| = 1/2 are integrated in the
+    distance y to their endpoint, the others in x.
     A point at x = +-1 is taken at the ladder bottom y0 and closed below at
     the declared power f ~ dist^(-a), a = ``sing`` on that side: f(y0) y0 /
     (1 - a), or +-inf for a >= 1.  y0 is 1e-9 where f reads x (x stops
@@ -338,7 +335,10 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
     x, y = pts.x.copy(), pts.y.copy()
     x[edge], y[edge] = pts.side[edge] * (1.0 - y0), y0
     ends = Points(x=x, side=pts.side, y=y)
-    parts = [ends, points_from_x(np.asarray([anchor, 0.0])), graded_grid()]
+    steps = 2.0 ** -np.arange(1, 41)
+    near = np.add.outer(np.asarray(corners, dtype=float), np.concatenate([-steps, [0.0], steps]))
+    parts = [ends, points_from_x(np.asarray([anchor, 0.0])), graded_grid(),
+             points_from_x(near[np.abs(near) < 1.0])]
     for side in (-1.0, 1.0):
         if np.any(pts.side == side):
             depth = int(np.ceil(-np.log2(np.min(y[pts.side == side]))))

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from . import quadrature
 from .errors import ValidationError
 from .measures import RadonMeasure
 from .quadrature import (
@@ -471,8 +470,16 @@ class _Workspace:
 
         if not s_a <= ctilde <= s_b:
             return None
-        # the cubic's root (``root_iterations`` counts the evaluations of G only)
-        x_star = quadrature.bracketed_root(excess, a, b, s_a - ctilde, s_b - ctilde, xtol=1e-15)[0]
+        # the cubic's root by bisection: it is cheap to evaluate, and
+        # ``root_iterations`` counts the evaluations of G only
+        lo, hi = a, b
+        while hi - lo > 1e-15:
+            m = 0.5 * (lo + hi)
+            if excess(m) < 0.0:
+                lo = m
+            else:
+                hi = m
+        x_star = 0.5 * (lo + hi)
         if np.min(np.abs(self.grid.x - x_star)) < 1e-13:
             return None
         return x_star

@@ -111,16 +111,19 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
 
 
 def _quotient_callable(p: float, w: Weight, sigma: RadonMeasure, q: float,
-                       f, fprime, options: SolverOptions, joins=()) -> float:
+                       f, fprime, options: SolverOptions, joins=(),
+                       kappa: tuple[float, float] = (1.0, 1.0)) -> float:
+    """Rayleigh quotient of a user pair with f ~ dist^kappa at the endpoints
+    (1 for a bounded f'), so that |f'|^p w ~ dist^(p (kappa - 1) + b)."""
     num, _, div = measure_integral(
         lambda pts: np.abs(np.asarray(f(pts.x))) ** (1.0 + q), sigma, options)
     if div:
         return 0.0
-    # the integrand vanishes like dist^b with the weight
     S = graded_cumulative(
         lambda pts: np.abs(np.asarray(fprime(pts.x))) ** p * w.values(pts),
         points_from_x(np.asarray([-1.0, 1.0])), points_from_x(np.asarray(joins, dtype=float)),
-        sing=(-w.edge_exponent(-1), -w.edge_exponent(1)), y_resolved=False)
+        sing=tuple(p * (1.0 - k) - w.edge_exponent(side) for k, side in zip(kappa, (-1, 1))),
+        y_resolved=False)
     den_p = float(S[1] - S[0])
     if den_p <= 0.0 or num <= 0.0:
         return 0.0
@@ -175,7 +178,8 @@ def rayleigh_lower(p: float, w: Weight, sigma: RadonMeasure, q: float,
             # f'' jumps at every node of a grid function
             val = _quotient_callable(p, w, sigma, q, member,
                                      lambda x, _d=deriv: _d(np.asarray(x)), options,
-                                     joins=member.x)
+                                     joins=member.x,
+                                     kappa=(member._edge_kappa(-1), member._edge_kappa(1)))
         else:
             f, fprime = member
             val = _quotient_callable(p, w, sigma, q, f, fprime, options)

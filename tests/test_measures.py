@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from sublap.errors import QuadratureError, ValidationError
 from sublap.measures import (
@@ -67,6 +68,21 @@ def test_cdf_signals_quadrature_failure():
         sing_left=0.0, sing_right=0.0))
     with pytest.raises(QuadratureError):
         nasty.cdf(0.9)
+
+
+def test_declared_break_corners_are_graded():
+    # manufactured p = 2.5 behaves like |x|^0.5 at its declared break 0; its
+    # mass on (-r, r) is c B(r^2; 3/4, 1/2) with c = 2^1.5 * 1.5
+    m = manufactured_measure(2.5, 0.5)
+    c = 2.0 ** 1.5 * 1.5 * special.beta(0.75, 0.5)
+    ball = lambda r: c * special.betainc(0.75, 0.5, r * r)
+    assert m.total_mass() == pytest.approx(ball(1.0), rel=1e-12)
+    assert m.cdf(0.5) == pytest.approx(0.5 * (ball(1.0) + ball(0.5)), rel=1e-12)
+    np.testing.assert_allclose(m.ball_masses(0.0, [0.1, 0.9]), [ball(0.1), ball(0.9)], rtol=1e-12)
+    # a user density with a declared |x - c|^0.5 corner
+    corner = RadonMeasure(density=CustomDensity(func=lambda x: np.abs(x - 0.3123) ** 0.5,
+                                                breaks=(0.3123,)))
+    assert corner.cdf(0.9) == pytest.approx((1.3123 ** 1.5 + 0.5877 ** 1.5) / 1.5, rel=1e-12)
 
 
 def _gauss40(f, edges):

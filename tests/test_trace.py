@@ -7,10 +7,10 @@ from sublap.errors import ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, power_measure
 from sublap.energy import measure_integral
 from sublap.params import envelope_constant
-from sublap.quadrature import gauss_rule
+from sublap.quadrature import gauss_rule, points_from_edge, points_from_x
 from sublap.solver import solve_dirichlet
 from sublap.trace import HatFunction, rayleigh_lower, trace_bracket
-from sublap.weights import constant_weight
+from sublap.weights import constant_weight, power_weight
 
 W1 = constant_weight()
 D0 = dirac(0.0)
@@ -90,18 +90,32 @@ def test_rayleigh_user_member():
     assert rep["value"] <= tb.upper * (1.0 + 1e-6)
 
 
-def test_rayleigh_grid_function_member_matches_a_node_split_reference():
+@pytest.mark.parametrize("p, w, rel", [(2.0, W1, 1e-12), (2.4, power_weight(0.3), 1e-10)],
+                         ids=["p2-constant", "p2.4-beta0.3"])
+def test_rayleigh_grid_function_member_matches_a_node_split_reference(p, w, rel):
     # the PCHIP derivative of a grid function has kinks at every node, the
-    # atom included: |u'|^2 integrated with 40 Gauss points between nodes
+    # atom included: |u'|^p w integrated with 40 Gauss points between nodes,
+    # in y past |x| = 1/2.  For w = (1-|x|)^0.3 at p = 2.4, u ~ dist^kappa
+    # with kappa = 1 - 0.3/1.4, so |u'|^p w grows like dist^(-0.3/1.4)
+    # toward the endpoints, and the tail below the quadrature's ladder must
+    # follow that power
     mu = lebesgue().add(dirac(0.3, 0.5))
-    u = solve_dirichlet(2.0, W1, mu).u
-    rep = rayleigh_lower(2.0, W1, mu, 0.5, family=(u,), levels=())
+    u = solve_dirichlet(p, w, mu).u
+    rep = rayleigh_lower(p, w, mu, 0.5, family=(u,), levels=())
     d = u._interpolator().derivative()
     t, tw = gauss_rule(40)
-    den = sum((b - a) * float(tw @ d(a + t * (b - a)) ** 2) for a, b in zip(u.x[:-1], u.x[1:]))
+    den = 0.0
+    for a, b in zip(u.x[:-1], u.x[1:]):
+        if a >= 0.5 or b <= -0.5:
+            side, (ya, yb) = np.sign(a), sorted((1.0 - abs(a), 1.0 - abs(b)))
+            pts = points_from_edge(side, ya + t * (yb - ya))
+            h = yb - ya
+        else:
+            pts, h = points_from_x(a + t * (b - a)), b - a
+        den += h * float(tw @ (np.abs(d(pts.x)) ** p * w.values(pts)))
     num = measure_integral(lambda pts: u(pts.x) ** 1.5, mu)[0]
-    assert dict(rep["candidates"])["user_0"] == pytest.approx(num ** (1 / 1.5) / den ** 0.5,
-                                                               rel=1e-12)
+    assert dict(rep["candidates"])["user_0"] == pytest.approx(num ** (1 / 1.5) / den ** (1 / p),
+                                                               rel=rel)
 
 
 def test_hat_function_norms():
