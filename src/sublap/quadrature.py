@@ -15,6 +15,7 @@ log(1/target)/(1-s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -139,21 +140,30 @@ class PanelSet:
     tail: np.ndarray       # int, the left and the right tail pseudo-point
 
 
+def _geometric(start: float, ratio: float, count: int) -> np.ndarray:
+    """start * ratio^k for k = 1..count, each the product of the previous
+    term and ``ratio`` (as repeated ``*=`` makes them)."""
+    return np.multiply.accumulate(np.concatenate([[start], np.full(count, ratio)]))[1:]
+
+
 def endpoint_panel_edges(y_hi: float, y_cut: float, ratio: float = 0.25) -> np.ndarray:
     """Descending ladder of distances y_hi, y_hi*ratio, ..., down to y_cut."""
-    edges = [y_hi]
-    y = y_hi
-    while y * ratio > y_cut:
-        y *= ratio
-        edges.append(y)
-    edges.append(y_cut)
-    return np.asarray(edges)
+    # enough rungs to pass y_cut (a subnormal floor for y_cut = 0)
+    count = int(math.log(max(y_cut, 5e-324) / y_hi) / math.log(ratio)) + 3
+    ys = _geometric(y_hi, ratio, max(count, 1))
+    return np.concatenate([[y_hi], ys[ys > y_cut], [y_cut]])
 
 
 def _split_edges_at(edges: np.ndarray, breaks) -> np.ndarray:
     """Insert break values into a sorted (ascending), distinct edge array."""
     b = np.asarray(breaks, dtype=float)
     return np.unique(np.concatenate([edges, b[(b > edges[0]) & (b < edges[-1])]]))
+
+
+def _endpoint_ladder(y_hi: float, y_cut: float, ratio: float, breaks) -> np.ndarray:
+    """Ascending panel edges in y of an endpoint cell reaching y_hi."""
+    edges = endpoint_panel_edges(y_hi, min(y_cut, y_hi / 4.0), ratio)[::-1]
+    return edges if breaks is None else _split_edges_at(edges, breaks)
 
 
 def build_panels(
@@ -183,121 +193,83 @@ def build_panels(
     declared power ``tail_s_*`` there (and is negligible otherwise).
     ``PanelSet.tail`` holds the two pseudo-points, so an integrand with
     another declared power can re-close them.
+
+    Panels are ordered plain cells first, then the left ladder and its
+    pseudo-panel, the right ladder and its pseudo-panel, then the cells
+    graded toward ``ladder_nodes``; all of them are laid out in one pass
+    over the arrays of panel ends.
     """
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
     t, tw = gauss_rule(n_gauss)
 
-    # classify cells: the vast majority are plain single-panel cells
-    special: dict[int, str] = {0: "left", n_cells - 1: "right"}
+    # the cell below a ladder node is graded toward its upper end, the cell
+    # above toward its lower end; endpoint cells keep their own ladders
+    toward: dict[int, int] = {}
     for ln in ladder_nodes:
         idx = int(np.searchsorted(gx, ln))
-        if 0 <= idx < len(gx) and gx[idx] == ln:
-            if 0 < idx - 1 < n_cells - 1 and special.get(idx - 1) is None:
-                special[idx - 1] = "ladder_hi"
-            if 0 < idx < n_cells - 1 and special.get(idx) is None:
-                special[idx] = "ladder_lo"
+        if idx < len(gx) and gx[idx] == ln:
+            for c, end in ((idx - 1, 1), (idx, -1)):
+                if 0 < c < n_cells - 1:
+                    toward.setdefault(c, end)
+    plain = np.ones(n_cells, dtype=bool)
+    plain[[0, n_cells - 1, *toward]] = False
+    plain = np.flatnonzero(plain)
 
-    plain = np.asarray([c for c in range(n_cells) if c not in special], dtype=np.int64)
-    a_p, b_p = gx[plain], gx[plain + 1]
-    h_p = b_p - a_p
-    xs_plain = (a_p[:, None] + t[None, :] * h_p[:, None]).ravel()
-    pp = points_from_x(xs_plain)
-    px = [pp.x]
-    ps = [pp.side]
-    py = [pp.y]
-    pw = [(h_p[:, None] * tw[None, :]).ravel()]
-    cell_ids = [np.repeat(plain, n_gauss)]
-    n_plain = plain.size
-    panel_ids = [np.repeat(np.arange(n_plain, dtype=np.int64), n_gauss)]
-    panel_cell = list(plain)
-    pid = n_plain
-    tail = []
+    # ascending ladder edges in y from each endpoint
+    ends = [_endpoint_ladder(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_ratio,
+                             edge_breaks_left),
+            _endpoint_ladder(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right, edge_ratio,
+                             edge_breaks_right)]
+    # every Gauss panel as [lo, hi], in x (side 0) or in y from its side
+    ladders = [(ends[0], -1.0, 0), (ends[1], 1.0, n_cells - 1)]
+    ladders += [(_ladder_edges(gx[c], gx[c + 1], end), 0.0, c) for c, end in toward.items()]
+    lo = np.concatenate([gx[plain], *(e[:-1] for e, _, _ in ladders)])
+    hi = np.concatenate([gx[plain + 1], *(e[1:] for e, _, _ in ladders)])
+    side = np.concatenate([np.zeros(plain.size), *(np.full(e.size - 1, sd) for e, sd, _ in ladders)])
+    cell = np.concatenate([plain, *(np.full(e.size - 1, c) for e, _, c in ladders)])
+    h = hi - lo
+    keep = h > 0.0
+    # the pseudo-panels follow the left and the right ladder
+    n_left = plain.size + ends[0].size - 1
+    at = np.asarray([np.count_nonzero(keep[:n_left]),
+                     np.count_nonzero(keep[:n_left + ends[1].size - 1])])
+    lo, h, side, cell = lo[keep], h[keep], side[keep], cell[keep]
 
-    def add_panel(cell, a_x, b_x, a_y=None, b_y=None, side=0):
-        nonlocal pid
-        if side == 0:
-            h = b_x - a_x
-            if h <= 0.0:
-                return
-            pp = points_from_x(a_x + t * h)
-        else:
-            h = b_y - a_y
-            if h <= 0.0:
-                return
-            pp = points_from_edge(side, a_y + t * h)
-        px.append(pp.x)
-        ps.append(pp.side)
-        py.append(pp.y)
-        pw.append(tw * h)
-        cell_ids.append(np.full(n_gauss, cell, dtype=np.int64))
-        panel_ids.append(np.full(n_gauss, pid, dtype=np.int64))
-        panel_cell.append(cell)
-        pid += 1
+    coord = lo[:, None] + t * h[:, None]
+    sides = side[:, None]
+    on_edge = sides != 0.0
+    x = np.where(on_edge, sides * (1.0 - coord), coord)
+    y = np.where(on_edge, coord, 1.0 - np.abs(coord))
+    sides = np.where(on_edge, sides, np.where(coord >= 0.0, 1.0, -1.0))
+    w = h[:, None] * tw
 
-    def add_tail_point(cell, side, y0, s):
-        nonlocal pid
-        s = min(max(s, 0.0), 0.995)
-        tail.append(sum(a.size for a in px))
-        pp = points_from_edge(side, np.asarray([y0]))
-        px.append(pp.x)
-        ps.append(pp.side)
-        py.append(pp.y)
-        pw.append(np.asarray([y0 / (1.0 - s)]))
-        cell_ids.append(np.asarray([cell], dtype=np.int64))
-        panel_ids.append(np.asarray([pid], dtype=np.int64))
-        panel_cell.append(cell)
-        pid += 1
-
-    for c, kind in special.items():
-        a, b = gx[c], gx[c + 1]
-        if kind == "left":
-            y_hi = gy[1] if gs[1] < 0 else 1.0 + gx[1]
-            edges = endpoint_panel_edges(y_hi, min(y_cut_left, y_hi / 4.0), edge_ratio)[::-1]
-            if edge_breaks_left is not None:
-                edges = _split_edges_at(edges, edge_breaks_left)
-            for j in range(len(edges) - 1):
-                add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=-1)
-            add_tail_point(c, -1, edges[0], tail_s_left)
-        elif kind == "right":
-            y_hi = gy[-2] if gs[-2] > 0 else 1.0 - gx[-2]
-            edges = endpoint_panel_edges(y_hi, min(y_cut_right, y_hi / 4.0), edge_ratio)[::-1]
-            if edge_breaks_right is not None:
-                edges = _split_edges_at(edges, edge_breaks_right)
-            for j in range(len(edges) - 1):
-                add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=1)
-            add_tail_point(c, 1, edges[0], tail_s_right)
-        else:  # ladder toward one edge
-            toward = +1 if kind == "ladder_hi" else -1
-            for lo_e, hi_e in _ladder_edges(a, b, toward):
-                add_panel(c, lo_e, hi_e)
-
-    pts = Points(x=np.concatenate(px), side=np.concatenate(ps), y=np.concatenate(py))
+    y_tail = np.asarray([ends[0][0], ends[1][0]])
+    s_tail = np.asarray([-1.0, 1.0])
+    w_tail = y_tail / (1.0 - np.clip([tail_s_left, tail_s_right], 0.0, 0.995))
+    pos = at * n_gauss
+    panel_cell = np.insert(cell, at, [0, n_cells - 1])
+    counts = np.insert(np.full(cell.size, n_gauss), at, 1)
     return PanelSet(
-        pts=pts,
-        w=np.concatenate(pw),
-        cell_id=np.concatenate(cell_ids),
-        panel_id=np.concatenate(panel_ids),
-        panel_cell=np.asarray(panel_cell, dtype=np.int64),
+        pts=Points(x=np.insert(x.ravel(), pos, s_tail * (1.0 - y_tail)),
+                   side=np.insert(sides.ravel(), pos, s_tail),
+                   y=np.insert(y.ravel(), pos, y_tail)),
+        w=np.insert(w.ravel(), pos, w_tail),
+        cell_id=np.repeat(panel_cell, counts),
+        panel_id=np.repeat(np.arange(panel_cell.size), counts),
+        panel_cell=panel_cell,
         n_cells=n_cells,
-        tail=np.asarray(tail, dtype=np.int64),
+        tail=pos + [0, 1],
     )
 
 
 def _ladder_edges(a: float, b: float, toward: int, ratio: float = 0.25,
-                  levels: int = 30) -> list[tuple[float, float]]:
+                  levels: int = 30) -> np.ndarray:
     """Sub-panel edges of [a, b] accumulating geometrically at one edge."""
     width = b - a
-    offs = [0.0, width]
-    h = width
-    for _ in range(levels):
-        h *= ratio
-        if h < 1e-16 * width:
-            break
-        offs.append(width - h if toward > 0 else h)
-    offs = np.unique(np.asarray(offs))
-    edges = a + offs
-    return [(edges[j], edges[j + 1]) for j in range(len(edges) - 1)]
+    h = _geometric(width, ratio, levels)
+    h = h[h >= 1e-16 * width]
+    return a + np.unique(np.concatenate([[0.0, width], width - h if toward > 0 else h]))
 
 
 # ---------------------------------------------------------------------------

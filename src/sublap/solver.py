@@ -27,10 +27,11 @@ truncations of mu to [-1 + 2^-k, 1 - 2^-k].
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
 from .measures import RadonMeasure
@@ -70,10 +71,52 @@ DEFAULT_OPTIONS = SolverOptions()
 # grid functions
 # ---------------------------------------------------------------------------
 
+def _pchip_coefficients(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coefficients c[0..3] of the PCHIP cubic c0 s^3 + c1 s^2 + c2 s + c3
+    on each interval, s = x - x_i: the nodal slopes of Fritsch-Carlson's
+    weighted harmonic mean with Moler's shape-preserving one-sided ends, in
+    the formulas and order of operations of scipy's ``PchipInterpolator``,
+    so the values agree to the bit."""
+    h = x[1:] - x[:-1]
+    m = (v[1:] - v[:-1]) / h
+    if v.size == 2:
+        d = np.full(2, m[0])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(v)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], v[:-1]))
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end, zeroed against the sign of the
+    first secant and capped at three times it where the secants turn."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 @dataclass
 class GridFunction:
     """Sampled function on a graded grid with a monotone piecewise-cubic
     interpolation contract (PCHIP between nodes).
+
+    The PCHIP is sublap's own (``_pchip_coefficients``): scipy's formulas in
+    scipy's order of operations, so its values and ``derivative`` are
+    bit-identical to ``scipy.interpolate.PchipInterpolator(x, values,
+    extrapolate=False)`` (values outside the nodes read 0).  The
+    coefficients are computed on the first evaluation and kept.
 
     ``left_exponent`` / ``right_exponent`` declare the boundary power profile
     u ~ C * dist^kappa, used to extend evaluation below the innermost node and
@@ -84,7 +127,7 @@ class GridFunction:
     values: np.ndarray
     left_exponent: float | None = None
     right_exponent: float | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    _coef: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid.x.size != self.values.size:
@@ -103,10 +146,27 @@ class GridFunction:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-    def _interpolator(self):
-        if self._interp is None:
-            self._interp = PchipInterpolator(self.grid.x, self.values, extrapolate=False)
-        return self._interp
+    def _piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """PCHIP coefficients of the interval holding each x (the last one
+        closed at its right end), the local coordinate s = x - x_i, and
+        whether x lies in [x_0, x_n]."""
+        coef = self._coef
+        if coef is None:
+            # a concurrent first evaluation computes the same array
+            coef = self._coef = _pchip_coefficients(self.grid.x, self.values)
+        nodes = self.grid.x
+        i = np.searchsorted(nodes, x, side="right")
+        i -= 1
+        np.maximum(i, 0, out=i)
+        np.minimum(i, nodes.size - 2, out=i)
+        return np.take(coef, i, axis=1), x - nodes[i], (x >= nodes[0]) & (x <= nodes[-1])
+
+    def derivative(self, x) -> np.ndarray:
+        """Derivative of the PCHIP at x, NaN outside [x_0, x_n]."""
+        x = np.asarray(x, dtype=float)
+        c, s, inside = self._piece(x.ravel())
+        d = c[2] + (2.0 * c[1]) * s + (3.0 * c[0]) * (s * s)
+        return np.where(inside, d, np.nan).reshape(x.shape)
 
     def _edge_kappa(self, side: int) -> float:
         declared = self.left_exponent if side < 0 else self.right_exponent
@@ -126,15 +186,15 @@ class GridFunction:
     def values_at(self, pts: Points) -> np.ndarray:
         if not self.finite:
             raise ValidationError("solver.GridFunction: cannot interpolate non-finite values")
-        out = np.empty(len(pts))
+        # the PCHIP everywhere, then the boundary power profile below the
+        # innermost nodes
+        c, s, inside = self._piece(pts.x)
+        s2 = s * s
+        out = np.where(inside, c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s), 0.0)
         y_min_left = self.grid.y[1]
         y_min_right = self.grid.y[-2]
         deep_left = (pts.side < 0) & (pts.y < y_min_left)
         deep_right = (pts.side > 0) & (pts.y < y_min_right)
-        plain = ~(deep_left | deep_right)
-        if np.any(plain):
-            vals = self._interpolator()(pts.x[plain])
-            out[plain] = np.nan_to_num(vals, nan=0.0)
         if np.any(deep_left):
             kappa = self._edge_kappa(-1)
             base = max(self.values[1], 0.0)
@@ -181,7 +241,11 @@ def zero_grid_function(grid: Points) -> GridFunction:
 @dataclass
 class SolutionQuad:
     """Quadrature view of a solve: panel points with weights, weight values,
-    flux, u' and interpolated u, ready for energy integrals."""
+    flux, u' and interpolated u, ready for energy integrals.
+
+    ``u`` is filled on first read by ``fill_u`` (``_u_at_points`` bound to
+    the arrays it reads), so solves whose callers read only the nodal
+    solution do not pay for it."""
 
     pts: Points
     w_quad: np.ndarray
@@ -189,8 +253,17 @@ class SolutionQuad:
     w_vals: np.ndarray
     flux: np.ndarray
     uprime: np.ndarray
-    u: np.ndarray
     dens_vals: np.ndarray  # density of the solved measure at the points
+    fill_u: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _u: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        u = self._u
+        if u is None:
+            # a concurrent first read fills an equal array
+            u = self._u = self.fill_u()
+        return u
 
 
 @dataclass
@@ -599,16 +672,12 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     u = GridFunction(grid=nodes, values=u_nodes,
                      left_exponent=kappa_l, right_exponent=kappa_r)
 
-    u_at_pts = _hermite_at_points(nodes, u_nodes, uprime_right, uprime_nodes,
-                                  kappa_l, kappa_r, ws.panels)
-    for side in (-1, 1):
-        if mu.sing(side) >= 1.0:
-            idx, vals = _edge_cell_u(ws.panels, phi, side, opts.n_gauss)
-            u_at_pts[idx] = vals
     quad = SolutionQuad(
         pts=ws.panels.pts, w_quad=ws.panels.w, tail=ws.panels.tail, w_vals=ws.w_vals,
-        flux=flux, uprime=phi, u=u_at_pts,
-        dens_vals=ws.dens,
+        flux=flux, uprime=phi, dens_vals=ws.dens,
+        fill_u=partial(_u_at_points, nodes, u_nodes, uprime_right, uprime_nodes,
+                       kappa_l, kappa_r, ws.panels, phi,
+                       tuple(side for side in (-1, 1) if mu.sing(side) >= 1.0), opts.n_gauss),
     )
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
@@ -633,6 +702,18 @@ def _piecewise_linear_half(d: np.ndarray, slope: np.ndarray) -> np.ndarray:
     u = np.empty(d.size)
     u[0] = 0.0
     u[1:] = run_u[run] + slope * (d[1:] - d[starts[run]])
+    return u
+
+
+def _u_at_points(nodes: Points, u_nodes: np.ndarray, dR: np.ndarray, dL: np.ndarray,
+                 kappa_l: float, kappa_r: float, panels: PanelSet, phi: np.ndarray,
+                 infinite_sides: tuple[int, ...], n_gauss: int) -> np.ndarray:
+    """u at the quadrature points: the Hermite fill, with the endpoint cells
+    of the sides of infinite mass integrated from the endpoint."""
+    u = _hermite_at_points(nodes, u_nodes, dR, dL, kappa_l, kappa_r, panels)
+    for side in infinite_sides:
+        idx, vals = _edge_cell_u(panels, phi, side, n_gauss)
+        u[idx] = vals
     return u
 
 

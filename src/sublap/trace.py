@@ -174,10 +174,8 @@ def rayleigh_lower(p: float, w: Weight, sigma: RadonMeasure, q: float,
 
     for i, member in enumerate(family):
         if isinstance(member, GridFunction):
-            deriv = member._interpolator().derivative()
             # f'' jumps at every node of a grid function
-            val = _quotient_callable(p, w, sigma, q, member,
-                                     lambda x, _d=deriv: _d(np.asarray(x)), options,
+            val = _quotient_callable(p, w, sigma, q, member, member.derivative, options,
                                      joins=member.x,
                                      kappa=(member._edge_kappa(-1), member._edge_kappa(1)))
         else:

@@ -1,8 +1,11 @@
 import math
-from dataclasses import dataclass, field
+import sys
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from sublap import solver
 from sublap.errors import InternalInvariantError, ValidationError
@@ -11,11 +14,12 @@ from sublap.measures import (
     ManufacturedDensity,
     PowerDensity,
     RadonMeasure,
+    TabulatedDensity,
     dirac,
     lebesgue,
     power_measure,
 )
-from sublap.quadrature import bracketed_root, points_from_x
+from sublap.quadrature import Points, bracketed_root, graded_grid, points_from_x
 from sublap.solver import (
     DEFAULT_OPTIONS,
     SolverOptions,
@@ -23,6 +27,7 @@ from sublap.solver import (
     potential,
     solve_dirichlet,
 )
+from sublap.sublinear import iterate
 from sublap.weights import Weight, constant_weight, power_weight
 
 W1 = constant_weight()
@@ -580,3 +585,133 @@ def test_custom_grid_options():
     res = solve_dirichlet(2.0, W1, dirac(0.0), opts)
     exact = (1.0 - np.abs(res.u.x)) / 2.0
     assert np.max(np.abs(res.u.values - exact)) < 1e-12
+
+
+# -- PCHIP: sublap's own, bit-identical to scipy's ----------------------------------
+
+def _pchip_case(seed: int):
+    rng = np.random.default_rng(seed)
+    grid = graded_grid(int(rng.integers(8, 160)), float(rng.uniform(0.5, 0.95)),
+                       float(10.0 ** -rng.uniform(3.0, 13.0)),
+                       tuple(rng.uniform(-1.0, 1.0, int(rng.integers(0, 4)))))
+    x = grid.x
+    profile = seed % 4
+    if profile == 0:    # random values
+        values = rng.normal(size=x.size)
+    elif profile == 1:  # flat runs
+        values = np.round(rng.normal(size=x.size))
+        values[rng.random(x.size) < 0.5] = 0.0
+    elif profile == 2:  # sign changes
+        values = np.sin(rng.uniform(1.0, 30.0) * x + rng.uniform(0.0, 3.0))
+    else:               # power profile
+        values = (1.0 - np.abs(x)) ** rng.uniform(0.1, 3.0)
+    ulp = [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0),
+           np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0)]
+    query = np.concatenate([x, [-1.0, 1.0], ulp, np.linspace(-1.0, 1.0, 2001),
+                            rng.uniform(-1.0, 1.0, 500)])
+    return grid, values, query
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_pchip_values_and_derivative_match_scipy_bit_for_bit(seed):
+    grid, values, query = _pchip_case(seed)
+    u = solver.GridFunction(grid=grid, values=values)
+    ref = PchipInterpolator(grid.x, values, extrapolate=False)
+    # y = 1 routes every query to the PCHIP branch of values_at (points
+    # below the innermost node otherwise follow the boundary power profile)
+    pts = Points(x=query, side=np.where(query >= 0.0, 1.0, -1.0), y=np.ones(query.size))
+    assert np.array_equal(u.values_at(pts), np.nan_to_num(ref(query), nan=0.0))
+    assert np.array_equal(u.derivative(query), ref.derivative()(query), equal_nan=True)
+    assert u.derivative(query[-1]) == ref.derivative()(query[-1])
+    # the same values on the natural path, for points above the innermost nodes
+    natural = points_from_x(query[1.0 - np.abs(query) >= max(grid.y[1], grid.y[-2])])
+    assert len(natural) > 2000
+    assert np.array_equal(u.values_at(natural), ref(natural.x))
+
+
+# -- SolutionQuad.u is filled on first read ------------------------------------------
+
+def _count_hermite(monkeypatch) -> list:
+    calls = []
+    hermite = solver._hermite_at_points
+
+    def counted(*args):
+        calls.append(1)
+        return hermite(*args)
+
+    monkeypatch.setattr(solver, "_hermite_at_points", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, w, mu", [
+    (2.4, power_weight(0.3), RadonMeasure(density=TabulatedDensity((-1.0, 0.2, 1.0),
+                                                                   (0.5, 2.0, 0.1)))),
+    (2.0, W1, power_measure(1.2)),
+], ids=["finite-resolved", "power1.2"])
+def test_quad_u_filled_on_first_read_equals_the_eager_fill(monkeypatch, p, w, mu):
+    structures = []
+    panel_structure = solver._panel_structure
+
+    def recorded(*args, **kwargs):
+        structures.append(panel_structure(*args, **kwargs))
+        return structures[-1]
+
+    monkeypatch.setattr(solver, "_panel_structure", recorded)
+    res = potential(p, w, mu)
+    calls = _count_hermite(monkeypatch)
+    # the eager fill on the panels of the last workspace; without atoms both
+    # one-sided nodal derivatives are u'
+    panels = structures[-1][1]
+    u = res.u
+    eager = solver._hermite_at_points(u.grid, u.values, res.u_prime, res.u_prime,
+                                      u.left_exponent, u.right_exponent, panels)
+    for side in (-1, 1):
+        if mu.sing(side) >= 1.0:
+            idx, vals = solver._edge_cell_u(panels, res.quad.uprime, side,
+                                            DEFAULT_OPTIONS.n_gauss)
+            eager[idx] = vals
+    assert np.array_equal(res.quad.u, eager)
+    assert res.quad.u is res.quad.u
+    assert len(calls) == 2  # the eager fill and the first read only
+
+
+def test_solves_and_iterations_skip_the_hermite_fill(monkeypatch):
+    calls = _count_hermite(monkeypatch)
+    solve_dirichlet(2.4, power_weight(0.3), lebesgue().add(dirac(0.3, 0.5)))
+    iterate(2.0, W1, dirac(0.0), 0.5, max_steps=60)
+    assert calls == []
+
+
+# -- the lazily filled caches under concurrent first reads -----------------------------
+
+def test_concurrent_first_reads_of_the_lazy_caches_agree():
+    res = solve_dirichlet(2.4, power_weight(0.3), lebesgue().add(dirac(0.3, 0.5)))
+    pts = res.quad.pts
+    ref_vals = solver.GridFunction(grid=res.u.grid, values=res.u.values).values_at(pts)
+    ref_u = res.quad.u.copy()
+    n_threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(6):
+            # fresh shared objects: neither cache is filled yet
+            shared_u = solver.GridFunction(grid=res.u.grid, values=res.u.values)
+            shared_quad = replace(res.quad, _u=None)
+            start = threading.Barrier(n_threads, timeout=60.0)
+            reads = [None] * n_threads
+
+            def read(k):
+                start.wait()
+                reads[k] = (shared_u.values_at(pts), shared_quad.u)
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+            for vals, u in reads:
+                assert np.array_equal(vals, ref_vals)
+                assert np.array_equal(u, ref_u)
+    finally:
+        sys.setswitchinterval(interval)
