@@ -16,7 +16,7 @@ log(1/target)/(1-s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +48,9 @@ class Points:
     x: np.ndarray
     side: np.ndarray  # -1: distance measured from -1, +1: from +1
     y: np.ndarray     # exact distance to that endpoint
+    # (grid, lookup): ``GridFunction.values_at``'s interval lookup of these
+    # points in one grid, kept when the arrays of both are read-only
+    located: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.x.size
@@ -128,7 +131,9 @@ class PanelSet:
     """Composite quadrature structure over a cell partition of [-1, 1].
 
     Arrays are flat over all quadrature points; ``cell_id`` maps each point to
-    the grid cell it integrates, ``panel_id`` to its panel.
+    the grid cell it integrates, ``panel_id`` to its panel.  ``memo`` holds
+    what the solver derives from the structure alone, by name, filled on
+    first use.
     """
 
     pts: Points
@@ -138,6 +143,7 @@ class PanelSet:
     panel_cell: np.ndarray  # int, per panel
     n_cells: int
     tail: np.ndarray       # int, the left and the right tail pseudo-point
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _geometric(start: float, ratio: float, count: int) -> np.ndarray:

@@ -27,6 +27,8 @@ truncations of mu to [-1 + 2^-k, 1 - 2^-k].
 from __future__ import annotations
 
 import math
+import threading
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -40,6 +42,7 @@ from .quadrature import (
     Points,
     bracketed_root,
     build_panels,
+    concat_points,
     gauss_cumulative,
     gauss_rule,
     graded_grid,
@@ -146,25 +149,30 @@ class GridFunction:
     def sup(self) -> float:
         return float(np.max(self.values))
 
-    def _piece(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """PCHIP coefficients of the interval holding each x (the last one
-        closed at its right end), the local coordinate s = x - x_i, and
-        whether x lies in [x_0, x_n]."""
+    def _coefficients(self) -> np.ndarray:
         coef = self._coef
         if coef is None:
             # a concurrent first evaluation computes the same array
             coef = self._coef = _pchip_coefficients(self.grid.x, self.values)
+        return coef
+
+    def _interval(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the interval holding each x (the last one closed at its
+        right end), and whether x lies in [x_0, x_n]."""
         nodes = self.grid.x
         i = np.searchsorted(nodes, x, side="right")
         i -= 1
         np.maximum(i, 0, out=i)
         np.minimum(i, nodes.size - 2, out=i)
-        return np.take(coef, i, axis=1), x - nodes[i], (x >= nodes[0]) & (x <= nodes[-1])
+        return i, (x >= nodes[0]) & (x <= nodes[-1])
 
     def derivative(self, x) -> np.ndarray:
         """Derivative of the PCHIP at x, NaN outside [x_0, x_n]."""
         x = np.asarray(x, dtype=float)
-        c, s, inside = self._piece(x.ravel())
+        x1 = x.ravel()
+        i, inside = self._interval(x1)
+        c = np.take(self._coefficients(), i, axis=1)
+        s = x1 - self.grid.x[i]
         d = c[2] + (2.0 * c[1]) * s + (3.0 * c[0]) * (s * s)
         return np.where(inside, d, np.nan).reshape(x.shape)
 
@@ -183,26 +191,47 @@ class GridFunction:
             return 0.0
         return float(np.log(v1 / v0) / np.log(y1 / y0))
 
+    def _locate(self, pts: Points) -> tuple:
+        """Where each point falls: its PCHIP interval, the mask of points
+        inside [x_0, x_n] (None when all are), and per side the points
+        between the endpoint and the innermost node with their distance
+        relative to that node's.  Kept on ``pts`` for one grid when the
+        arrays of both are read-only."""
+        grid = self.grid
+        slot = pts.located
+        if slot is not None and slot[0] is grid:
+            return slot[1]
+        i, inside = self._interval(pts.x)
+        # y < 0 lies beyond [-1, 1], where u reads 0
+        y_min = (grid.y[1], grid.y[-2])
+        near = np.flatnonzero(pts.y < max(y_min))
+        near = near[pts.y[near] >= 0.0]
+        deep = []
+        for at, y_m in ((near[pts.side[near] < 0.0], y_min[0]),
+                        (near[pts.side[near] > 0.0], y_min[1])):
+            at = at[pts.y[at] < y_m]
+            deep.append((at, pts.y[at] / y_m))
+        found = (i, None if inside.all() else inside, tuple(deep))
+        if _read_only(pts) and _read_only(grid):
+            # 32-bit indices halve what the slot keeps
+            object.__setattr__(pts, "located", (grid, (i.astype(np.int32),) + found[1:]))
+        return found
+
     def values_at(self, pts: Points) -> np.ndarray:
+        """u at the points: the PCHIP, the boundary power profile below the
+        innermost nodes, 0 outside [-1, 1]."""
         if not self.finite:
             raise ValidationError("solver.GridFunction: cannot interpolate non-finite values")
-        # the PCHIP everywhere, then the boundary power profile below the
-        # innermost nodes
-        c, s, inside = self._piece(pts.x)
+        i, inside, deep = self._locate(pts)
+        c = np.take(self._coefficients(), i, axis=1)
+        s = pts.x - self.grid.x[i]
         s2 = s * s
-        out = np.where(inside, c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s), 0.0)
-        y_min_left = self.grid.y[1]
-        y_min_right = self.grid.y[-2]
-        deep_left = (pts.side < 0) & (pts.y < y_min_left)
-        deep_right = (pts.side > 0) & (pts.y < y_min_right)
-        if np.any(deep_left):
-            kappa = self._edge_kappa(-1)
-            base = max(self.values[1], 0.0)
-            out[deep_left] = base * (pts.y[deep_left] / y_min_left) ** kappa
-        if np.any(deep_right):
-            kappa = self._edge_kappa(1)
-            base = max(self.values[-2], 0.0)
-            out[deep_right] = base * (pts.y[deep_right] / y_min_right) ** kappa
+        out = c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+        if inside is not None:
+            out = np.where(inside, out, 0.0)
+        for side, node, (at, ratio) in zip((-1, 1), (1, -2), deep):
+            if at.size:
+                out[at] = max(self.values[node], 0.0) * ratio ** self._edge_kappa(side)
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -307,7 +336,44 @@ def _master_grid(mu: RadonMeasure, opts: SolverOptions,
     return graded_grid(opts.n_nodes, opts.grading_ratio, opts.y_floor, mandatory)
 
 
+# panel structures by ``_structure_key``, least recently used first; every
+# read and write holds ``_PANEL_LOCK``, and a structure is built outside it
 _PANEL_CACHE: dict = {}
+_PANEL_CACHE_SIZE = 64
+_PANEL_LOCK = threading.Lock()
+_panel_counts = {"hits": 0, "misses": 0}
+
+PanelCacheInfo = namedtuple("PanelCacheInfo", "hits misses size maxsize")
+
+
+def panel_cache_info() -> PanelCacheInfo:
+    """Hits and misses of the panel-structure cache since import, its size
+    and its bound, like ``functools.lru_cache``'s ``cache_info``."""
+    with _PANEL_LOCK:
+        return PanelCacheInfo(_panel_counts["hits"], _panel_counts["misses"],
+                              len(_PANEL_CACHE), _PANEL_CACHE_SIZE)
+
+
+def _read_only(pts: Points) -> bool:
+    return not (pts.x.flags.writeable or pts.side.flags.writeable or pts.y.flags.writeable)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+class _StructureKey(tuple):
+    """A cache key hashed once: a hit hashes it three times (the lookup and
+    the recency refresh), a miss twice."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self):
+        return self._hash
 
 
 def _structure_key(mu: RadonMeasure, opts: SolverOptions,
@@ -315,14 +381,14 @@ def _structure_key(mu: RadonMeasure, opts: SolverOptions,
                    y_cut_l: float, y_cut_r: float,
                    deep_l: tuple, deep_r: tuple):
     try:
-        return (
+        return _StructureKey((
             opts, extra_nodes, ladder_nodes,
             tuple(mu.atom_locations.tolist()),
             tuple(sorted(mu.interior_breaks())),
             deep_l, deep_r,
             float(np.round(np.log10(y_cut_l), 0)),
             float(np.round(np.log10(y_cut_r), 0)),
-        )
+        ))
     except TypeError:
         return None
 
@@ -347,9 +413,16 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     y_cut_r = 10.0 ** np.floor(np.log10(max(y_cut_r, 1e-280)))
     key = _structure_key(mu, opts, extra_nodes, ladder_nodes,
                          y_cut_l, y_cut_r, deep_l + tail_s, deep_r + tail_s)
-    # one lookup: a concurrent clear() between a membership test and the
-    # read would raise KeyError
-    cached = None if key is None else _PANEL_CACHE.get(key)
+    with _PANEL_LOCK:
+        # one lookup: an outside clear() between a membership test and the
+        # read would raise KeyError
+        cached = None if key is None else _PANEL_CACHE.get(key)
+        if cached is None:
+            _panel_counts["misses"] += 1
+        else:
+            _panel_counts["hits"] += 1
+            _PANEL_CACHE.pop(key, None)
+            _PANEL_CACHE[key] = cached
     if cached is not None:
         return cached
     grid = _master_grid(mu, opts, extra_nodes)
@@ -364,11 +437,66 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
         tail_s_left=tail_s[0],
         tail_s_right=tail_s[1],
     )
+    # what the cache shares is read-only
+    _freeze(grid.x, grid.side, grid.y, panels.pts.x, panels.pts.side, panels.pts.y,
+            panels.w, panels.cell_id, panels.panel_id, panels.panel_cell, panels.tail)
     if key is not None:
-        if len(_PANEL_CACHE) > 128:
-            _PANEL_CACHE.clear()
-        _PANEL_CACHE[key] = (grid, panels)
+        with _PANEL_LOCK:
+            _PANEL_CACHE[key] = (grid, panels)
+            for stale in list(_PANEL_CACHE)[:-_PANEL_CACHE_SIZE]:
+                _PANEL_CACHE.pop(stale, None)
     return grid, panels
+
+
+def _derived(panels: PanelSet, name: str, build: Callable[[], object]):
+    """What depends on the panel structure alone, built on first use (with
+    its arrays read-only) and kept in ``panels.memo``; a concurrent first
+    use builds an equal one."""
+    got = panels.memo.get(name)
+    if got is None:
+        got = panels.memo[name] = build()
+    return got
+
+
+def _cumulative_layout(grid: Points, panels: PanelSet, n: int) -> tuple:
+    """How ``_Workspace._panel_cumulative`` gathers and orders the panels:
+    the point indices of each Gauss panel, their widths over the rule's
+    first weight, the panels of the right endpoint cell (their cumulative
+    runs toward x = 1), the order by cell (by y inside that cell), the
+    number of panels left of x = 0 and, in that order, the first panel of
+    each cell past the first.  The point indices are 32-bit, which halves
+    what the entry keeps of them."""
+    idx = np.delete(np.arange(panels.w.size, dtype=np.int32), panels.tail).reshape(-1, n)
+    pid = panels.panel_id[idx[:, 0]]
+    cell = panels.panel_cell[pid]
+    toward_right = cell == panels.n_cells - 1
+    order = np.lexsort((np.where(toward_right, -pid, pid), cell))
+    cell = cell[order]
+    n_left = int(np.searchsorted(cell, int(np.searchsorted(grid.x, 0.0))))
+    width = (panels.w[idx[:, 0]] / gauss_rule(n)[1][0])[:, None]
+    cell_start = np.searchsorted(cell, np.arange(1, panels.n_cells))
+    _freeze(idx, width, toward_right, order, cell_start)
+    return idx, width, toward_right, order, n_left, cell_start
+
+
+def _x_order(panels: PanelSet) -> np.ndarray:
+    """The panel points in x order, by distance to the endpoint at equal x,
+    as 32-bit indices."""
+    pts = panels.pts
+    order = np.lexsort((-pts.side * pts.y, pts.x)).astype(np.int32)
+    _freeze(order)
+    return order
+
+
+def _weight_at(panels: PanelSet, w: Weight, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """w and w^(-1/(p-1)) at the panel points, kept for the last (w, p)."""
+    slot = panels.memo.get("weight")
+    if slot is None or slot[0] != w or slot[1] != p:
+        w_vals = w.values(panels.pts)
+        slot = (w, p, w_vals, w_vals ** (-(1.0 / (p - 1.0))))
+        _freeze(*slot[2:])
+        panels.memo["weight"] = slot
+    return slot[2], slot[3]
 
 
 def _edge_singularity(p: float, w: Weight, mu: RadonMeasure, side: int) -> float:
@@ -390,23 +518,35 @@ def _tail_cut(target: float, s: float, a: float) -> float:
     return max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
 
 
+_SHELLS = 2.0 ** -(np.arange(40) + 0.5)
+
+
+def _shell_points(sides: tuple[int, ...]) -> Points:
+    pts = concat_points(*(points_from_edge(side, _SHELLS) for side in sides))
+    _freeze(pts.x, pts.side, pts.y)
+    return pts
+
+
+# read-only, so a grid function keeps its interval lookup on them
+_SHELL_POINTS = {sides: _shell_points(sides) for sides in ((-1,), (1,), (-1, 1))}
+
+
 def _flux_scale(mu: RadonMeasure) -> float:
     """Rough size of the finite one-sided masses, which only picks the
     decade of the tail cut: the atoms, plus a midpoint rule in log y over
     dyadic shells, closed below 2^-40 by the declared power (within a few
-    per cent for a density that follows it)."""
-    y = 2.0 ** -(np.arange(40) + 0.5)
-    sizes = [1e-300]
-    for side in (-1, 1):
-        a = mu.sing(side)
-        if a >= 1.0:
-            continue
-        mass = mu.atom_side_mass(side)
-        if not mu.density.is_zero:
-            f = mu.density.values(points_from_edge(side, y)) * y
-            mass += float(np.sum(f)) * math.log(2.0) + f[-1] * 2.0 ** (0.5 * (a - 1.0)) / (1.0 - a)
-        sizes.append(mass)
-    return max(sizes)
+    per cent for a density that follows it).  The density is evaluated on
+    the shells of both sides at once."""
+    y = _SHELLS
+    sides = tuple(side for side in (-1, 1) if mu.sing(side) < 1.0)
+    masses = [mu.atom_side_mass(side) for side in sides]
+    if sides and not mu.density.is_zero:
+        f = mu.density.values(_SHELL_POINTS[sides]).reshape(len(sides), y.size) * y
+        for k, side in enumerate(sides):
+            a = mu.sing(side)
+            masses[k] += float(np.sum(f[k])) * math.log(2.0) \
+                + f[k, -1] * 2.0 ** (0.5 * (a - 1.0)) / (1.0 - a)
+    return max([1e-300] + masses)
 
 
 class _Workspace:
@@ -445,8 +585,7 @@ class _Workspace:
             mu, opts, tuple(extra_nodes), tuple(ladder_nodes),
             y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
         pts = self.panels.pts
-        self.w_vals = w.values(pts)
-        self.w_fac = self.w_vals ** (-self.exponent)
+        self.w_vals, self.w_fac = _weight_at(self.panels, w, p)
         self.dens = mu.density.values(pts)
         S = mu.density.cum0_many(pts)
         if S is None:
@@ -467,25 +606,23 @@ class _Workspace:
         at the ladder bottoms; below them the nodes at x = +-1 add the
         declared power's closure, dens(y0) y0 / (1 - a)."""
         panels, n = self.panels, self.opts.n_gauss
-        tail = panels.tail
-        idx = np.delete(np.arange(len(self.dens)), tail).reshape(-1, n)
+        idx, width, toward_right, order, n_left, cell_start = _derived(
+            panels, "cumulative", partial(_cumulative_layout, self.grid, panels, n))
         f = self.dens[idx]
         mass = np.sum(panels.w[idx] * f, axis=1)
-        part = (panels.w[idx[:, 0]] / gauss_rule(n)[1][0])[:, None] * (f @ gauss_cumulative(n).T)
-        pid = panels.panel_id[idx[:, 0]]
-        cell = panels.panel_cell[pid]
-        toward_right = cell == panels.n_cells - 1
+        part = width * (f @ gauss_cumulative(n).T)
         part[toward_right] = mass[toward_right, None] - part[toward_right]
-        order = np.lexsort((np.where(toward_right, -pid, pid), cell))
-        mass, cell = mass[order], cell[order]
-        n_left = int(np.searchsorted(cell, int(np.searchsorted(self.grid.x, 0.0))))
+        mass = mass[order]
         left_end = np.concatenate([-np.cumsum(mass[:n_left][::-1])[::-1],
                                    [0.0], np.cumsum(mass[n_left:-1])])
+        start = np.empty(mass.size)  # S at the start of each panel
+        start[order] = left_end
         S = np.empty(len(self.dens))
-        S[idx[order]] = left_end[:, None] + part[order]
+        S[idx] = start[:, None] + part
+        tail = panels.tail
         S[tail] = left_end[0], left_end[-1] + mass[-1]
         S_nodes = np.empty(panels.n_cells + 1)
-        S_nodes[1:-1] = left_end[np.searchsorted(cell, np.arange(1, panels.n_cells))]
+        S_nodes[1:-1] = left_end[cell_start]
         for j, side, i in ((0, -1, tail[0]), (-1, 1, tail[1])):
             a = self.mu.sing(side)
             S_nodes[j] = S[i] + side * (self.dens[i] * panels.pts.y[i] / (1.0 - a)
@@ -514,13 +651,12 @@ class _Workspace:
     def kink_location(self, ctilde: float) -> float | None:
         """Interior location where the flux crosses zero, or None when the
         crossing happens across an atom/node or out in an endpoint ladder."""
-        order = np.lexsort((-self.panels.pts.side * self.panels.pts.y, self.panels.pts.x))
+        order = _derived(self.panels, "x order", partial(_x_order, self.panels))
         S_sorted = self.S[order]
-        xs = self.panels.pts.x[order]
         idx = int(np.searchsorted(S_sorted, ctilde))
-        if idx <= 0 or idx >= xs.size:
+        if idx <= 0 or idx >= order.size:
             return None
-        a, b = float(xs[idx - 1]), float(xs[idx])
+        a, b = float(self.panels.pts.x[order[idx - 1]]), float(self.panels.pts.x[order[idx]])
         if b - a <= 1e-14:
             return None
         # a node inside the gap means the crossing sits at that node (panels
@@ -842,8 +978,21 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
             y_cuts[side] = max(y_cuts[side], 1e-12)
     _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
                                  y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
-    dens = mu.density.values(panels.pts)
-    return panels.pts, _reclose_tails(panels.w, panels.pts, panels.tail, closed), dens
+    # the weights and the density values, kept on the structure for the last
+    # hashable density (pushforwards of grid functions are not)
+    key = (mu.density, tuple(closed))
+    try:
+        hash(key)
+    except TypeError:
+        key = None
+    slot = panels.memo.get("measure")
+    if key is None or slot is None or slot[0] != key:
+        slot = (key, _reclose_tails(panels.w, panels.pts, panels.tail, closed),
+                mu.density.values(panels.pts))
+        _freeze(*slot[1:])
+        if key is not None:
+            panels.memo["measure"] = slot
+    return panels.pts, slot[1], slot[2]
 
 
 def _reclose_tails(w_quad: np.ndarray, pts: Points, tail: np.ndarray, sigmas) -> np.ndarray:

@@ -453,10 +453,21 @@ def test_monotone_limit_drop_beyond_slack_raises():
 
 def test_panel_cache_lookup_survives_concurrent_clear(monkeypatch):
     class ClearedAfterMembershipTest(dict):
-        # another thread's clear() landing between a membership test and
-        # the read that follows it
+        # another thread's clear() landing right after each read of the
+        # cache: a membership test, a lookup or the pop that refreshes an
+        # entry's recency
         def __contains__(self, key):
             found = super().__contains__(key)
+            self.clear()
+            return found
+
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            self.clear()
+            return found
+
+        def pop(self, key, *default):
+            found = super().pop(key, *default)
             self.clear()
             return found
 
@@ -464,6 +475,111 @@ def test_panel_cache_lookup_survives_concurrent_clear(monkeypatch):
     first = solve_dirichlet(2.0, W1, dirac(0.0))
     second = solve_dirichlet(2.0, W1, dirac(0.0))
     assert np.array_equal(first.u.values, second.u.values)
+
+
+def _stress_measure(k: int) -> RadonMeasure:
+    # an atom off the center and a density without a closed cumulative: the
+    # panel rule's cumulative, a flux sign change and its re-solve
+    return RadonMeasure(atoms=((-0.7 + 0.02 * k, 0.5),),
+                        density=CustomDensity(func=lambda x: 1.0 + x * x))
+
+
+def test_panel_cache_evictions_racing_lookups_keep_results_and_bound():
+    w = power_weight(0.3)
+    n_measures, n_threads = 30, 8
+    measures = [_stress_measure(k) for k in range(n_measures)]
+    misses = solver.panel_cache_info().misses
+    serial = [solve_dirichlet(2.4, w, mu) for mu in measures]
+    serial_quad = [solver.measure_quadrature(mu) for mu in measures]
+    # more distinct structures than the bound (a solve, its re-solve and a
+    # measure quadrature each): every pass evicts
+    assert solver.panel_cache_info().misses - misses > solver._PANEL_CACHE_SIZE
+    sizes, mismatches = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(n_threads, timeout=60.0)
+
+        def run(t):
+            start.wait()
+            for k in np.random.default_rng(t).permutation(n_measures):
+                res = solve_dirichlet(2.4, w, measures[k])
+                pts, wq, dens = solver.measure_quadrature(measures[k])
+                sizes.append(solver.panel_cache_info().size)
+                ref, (ref_pts, ref_wq, ref_dens) = serial[k], serial_quad[k]
+                if not (np.array_equal(res.u.values, ref.u.values)
+                        and res.flux_anchor == ref.flux_anchor
+                        and np.array_equal(pts.x, ref_pts.x)
+                        and np.array_equal(wq, ref_wq) and np.array_equal(dens, ref_dens)):
+                    mismatches.append(int(k))
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+    assert len(sizes) == n_threads * n_measures
+    assert max(sizes) <= solver._PANEL_CACHE_SIZE == 64
+    assert len(solver._PANEL_CACHE) <= 64
+
+
+def test_repeated_iteration_makes_no_panel_cache_miss():
+    # the ROADMAP instance: every structure of the second run is cached
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    first = iterate(2.4, power_weight(0.3), sigma, 0.5)
+    before = solver.panel_cache_info()
+    second = iterate(2.4, power_weight(0.3), sigma, 0.5)
+    after = solver.panel_cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert after.maxsize == 64 and after.size <= 64
+    assert np.array_equal(first.solution.values, second.solution.values)
+
+
+def test_cached_structures_give_the_results_of_fresh_builds():
+    # the second solve and measure quadrature reuse the structure and what
+    # is derived from it (cumulative layout, point order, weight and density
+    # values, the interval lookup of the pushforward's points)
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    u = solve_dirichlet(2.4, power_weight(0.3), sigma).u
+    cases = [(2.4, power_weight(0.3), sigma.pushforward(u.power_factor(0.5))),
+             (3.0, constant_weight(), _stress_measure(3))]
+    solver._PANEL_CACHE.clear()
+    fresh = [solve_dirichlet(*case) for case in cases]
+    quads = [solver.measure_quadrature(case[2]) for case in cases[1:]]
+    again = [solve_dirichlet(*case) for case in cases]
+    assert solver.panel_cache_info().size > 0
+    assert fresh[1].resolved  # the re-solve's structure is reused too
+    for a, b in zip(fresh, again):
+        assert a.resolved == b.resolved
+        assert np.array_equal(a.u.values, b.u.values) and a.flux_anchor == b.flux_anchor
+        assert np.array_equal(a.quad.w_vals, b.quad.w_vals)
+    for (pts, wq, dens), case in zip(quads, cases[1:]):
+        pts2, wq2, dens2 = solver.measure_quadrature(case[2])
+        assert pts2 is pts and wq2 is wq and dens2 is dens
+
+
+def test_what_the_cache_shares_is_read_only():
+    res = solve_dirichlet(2.4, power_weight(0.3), lebesgue().add(dirac(0.3, 0.5)))
+    for arr in (res.u.grid.x, res.u.grid.y, res.quad.pts.x, res.quad.w_quad, res.quad.w_vals):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    _, wq, dens = solver.measure_quadrature(power_measure(0.6, 0.8))
+    for arr in (wq, dens):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # a writable user point set is looked up afresh on every query
+    pts = points_from_x(np.linspace(-0.9, 0.9, 7))
+    first = res.u.values_at(pts)
+    moved = np.linspace(-0.5, 0.5, 7)
+    pts.x[:], pts.side[:], pts.y[:] = moved, np.where(moved >= 0.0, 1.0, -1.0), 1.0 - np.abs(moved)
+    assert np.array_equal(res.u.values_at(pts), res.u(moved))
+    assert not np.array_equal(res.u.values_at(pts), first)
+    assert pts.located is None
 
 
 # -- homogeneity ------------------------------------------------------------------
@@ -627,6 +743,19 @@ def test_pchip_values_and_derivative_match_scipy_bit_for_bit(seed):
     natural = points_from_x(query[1.0 - np.abs(query) >= max(grid.y[1], grid.y[-2])])
     assert len(natural) > 2000
     assert np.array_equal(u.values_at(natural), ref(natural.x))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_values_outside_the_interval_read_zero(p):
+    # kappa = 1 for the Lebesgue solution at p = 2, 0.8 for w = (1-|x|)^0.3
+    # at p = 2.5
+    w = W1 if p == 2.0 else power_weight(0.3)
+    u = solve_dirichlet(p, w, lebesgue()).u
+    assert u.right_exponent == pytest.approx(1.0 if p == 2.0 else 0.8)
+    outside = [1.5, -1.2, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+    assert np.array_equal(u(outside), np.zeros(4))
+    assert np.array_equal(u([-1.0, 1.0]), np.zeros(2))
+    assert np.all(u([np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]) > 0.0)
 
 
 # -- SolutionQuad.u is filled on first read ------------------------------------------
