@@ -235,7 +235,7 @@ def cmd_wolff(cfg: dict) -> int:
 
 
 def cmd_energy(cfg: dict) -> int:
-    from .energy import energy, triple_norm
+    from .energy import energy
 
     prob = build_problem(cfg)
     if prob.gamma_is_infinite:
@@ -245,7 +245,9 @@ def cmd_energy(cfg: dict) -> int:
     opts = build_options(cfg)
     out = cfg["output"]["directory"]
     rep = energy(prob.p, w, mu, prob.gamma, opts)
-    tn = triple_norm(prob.p, w, mu, prob.gamma, opts) if not rep.diverged else math.inf
+    # |||mu|||_gamma = E_gamma^((p-1)/(p-1+gamma)), as ``energy.triple_norm``
+    tn = math.inf if rep.diverged else \
+        rep.e_gamma ** ((prob.p - 1.0) / (prob.p - 1.0 + prob.gamma))
     write_report(os.path.join(out, "energy_report.txt"), {
         "gamma": prob.gamma,
         "e_gamma": rep.e_gamma,

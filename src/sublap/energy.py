@@ -12,12 +12,15 @@ integral |v'|^p w dx with v = u^((p-1+gamma)/p) are tied together by the
 integration-by-parts identity with the explicit constant c_E; the module
 computes the first two by independent quadratures (measure side vs weighted
 gradient side) and reports the relative identity gap.
+The ``schedule`` keywords configured the truncation ladder of earlier
+versions; they are accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,21 +50,21 @@ class EnergyReport:
     sandwich_pass: bool         # e_gamma <= v_energy <= c_E * e_gamma
     identity_gap: float         # relative deviation across the identity
     diverged: bool
-    levels_used: int            # 0: no truncation ladder is walked
-    ladder_converged: bool
+    levels_used: int = 0        # no truncation ladder is walked
     solution: PotentialResult | None = None
 
+    @property
+    def ladder_converged(self) -> bool:
+        return not self.diverged
 
-@dataclass
-class _Limit:
+
+class EnergyValue(NamedTuple):
     """``energy_ladder``'s energy (+inf once diverged) and the solve it
-    integrates (None when the potential is infinite); no level is walked."""
+    integrates (None when the potential is infinite)."""
 
     value: float
-    payload: PotentialResult | None
-    converged: bool
+    solution: PotentialResult | None
     diverged: bool
-    levels: int = 0
 
 
 def _tail_exponents(res: PotentialResult, gamma: float) -> list:
@@ -97,20 +100,19 @@ def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> flo
 def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
                   options: SolverOptions = DEFAULT_OPTIONS,
                   schedule=None, cap: float | None = None,
-                  tol: float = 1e-9) -> _Limit:
-    """E_gamma(mu) as a ``_Limit``, from one solve of the extended potential:
-    +inf (diverged) when the potential is, when the tail power of u^gamma dmu
-    is -1 or less, or past ``cap`` (default ``options.divergence_cap``).
+                  tol: float = 1e-9) -> EnergyValue:
+    """E_gamma(mu) from one solve of the extended potential: +inf
+    (diverged) when the potential is, when the tail power of u^gamma dmu is
+    -1 or less, or past ``cap`` (default ``options.divergence_cap``).
     ``schedule`` and ``tol`` are accepted and ignored."""
     cap = options.divergence_cap if cap is None else cap
     res = potential(p, w, mu, options, cap=INF)
     if res.diverged:
-        return _Limit(value=INF, payload=None, converged=False, diverged=True)
+        return EnergyValue(INF, None, True)
     infinite = any(s is not None and s >= 1.0 for s in _tail_exponents(res, gamma))
     value = INF if infinite else _level_energy(res, mu, gamma)
     diverged = value > cap
-    return _Limit(value=INF if diverged else value, payload=res,
-                  converged=not diverged, diverged=diverged)
+    return EnergyValue(INF if diverged else value, res, diverged)
 
 
 def _gradient_energy(res: PotentialResult, gamma: float) -> float:
@@ -149,13 +151,11 @@ def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     if not (0.0 < gamma < INF):
         raise ValidationError(f"energy.energy: need finite gamma > 0, got {gamma}")
     c_E = energy_constant(p, gamma)
-    lim = energy_ladder(p, w, mu, gamma, options, schedule)
-    e_val, last_res = lim.value, lim.payload
-    if lim.diverged:
+    e_val, last_res, diverged = energy_ladder(p, w, mu, gamma, options)
+    if diverged:
         return EnergyReport(
             e_gamma=INF, grad_energy=INF, v_energy=INF, sandwich_pass=False,
-            identity_gap=0.0, diverged=True, levels_used=lim.levels,
-            ladder_converged=lim.converged, solution=last_res,
+            identity_gap=0.0, diverged=True, solution=last_res,
         )
     grad = _gradient_energy(last_res, gamma)
     v_energy = c_E * gamma * grad
@@ -165,7 +165,7 @@ def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     return EnergyReport(
         e_gamma=e_val, grad_energy=grad, v_energy=v_energy,
         sandwich_pass=bool(sandwich), identity_gap=gap, diverged=False,
-        levels_used=lim.levels, ladder_converged=lim.converged, solution=last_res,
+        solution=last_res,
     )
 
 
@@ -174,7 +174,7 @@ def triple_norm(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     """|||mu|||_gamma = E_gamma(mu)^((p-1)/(p-1+gamma))."""
     if not (0.0 < gamma < INF):
         raise ValidationError("energy.triple_norm: need finite gamma > 0")
-    lim = energy_ladder(p, w, mu, gamma, options, schedule)
+    lim = energy_ladder(p, w, mu, gamma, options)
     if lim.diverged:
         return INF
     return lim.value ** ((p - 1.0) / (p - 1.0 + gamma))
@@ -185,7 +185,7 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
                     schedule=None, rel_tol: float = 1e-6) -> dict:
     """ess-sup of the potential over the support of mu, with the check that it
     agrees with the global sup (the weak-maximum-principle identity)."""
-    res = potential(p, w, mu, options, schedule=schedule)
+    res = potential(p, w, mu, options)
     if res.diverged:
         return {"value": INF, "sup_support": INF, "sup_global": INF,
                 "gap": 0.0, "agree": True, "diverged": True}
@@ -247,14 +247,15 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
     ghat = (gamma + q) * (p - 1.0) / (p - 1.0 - q)
     if mu.is_zero:
         return {"lhs": 0.0, "rhs": 0.0, "pass": True, "margin": 0.0}
-    lim_mu = energy_ladder(p, w, mu, gamma, options, schedule)
-    lim_nu = energy_ladder(p, w, nu, ghat, options, schedule)
-    res_mu = potential(p, w, mu, options, schedule=schedule)
-    if res_mu.diverged or lim_mu.diverged or lim_nu.diverged:
+    lim_mu = energy_ladder(p, w, mu, gamma, options)
+    lim_nu = energy_ladder(p, w, nu, ghat, options)
+    # W mu is the energy's solve, diverged past the cap as in ``potential``
+    if lim_mu.diverged or lim_nu.diverged \
+            or lim_mu.solution.u.sup() > options.divergence_cap:
         return {"lhs": INF, "rhs": INF, "pass": True, "margin": 0.0,
                 "diverged": True}
-    f = res_mu.u.power_factor(gamma + q)
-    lhs, _, lhs_div = measure_integral(f.values, nu, options, schedule,
+    f = lim_mu.solution.u.power_factor(gamma + q)
+    lhs, _, lhs_div = measure_integral(f.values, nu, options,
                                        exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     e_mu, e_nu = lim_mu.value, lim_nu.value
     rhs = (c_E * e_mu) ** ((gamma + q) / (p - 1.0 + gamma)) \
@@ -270,9 +271,9 @@ def quasi_additivity_check(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasu
                            schedule=None, tol: float = 1e-9) -> dict:
     """|||mu + nu||| <= c_E^gamma (|||mu||| + |||nu|||): the convex-cone bound."""
     c_E = energy_constant(p, gamma)
-    t_sum = triple_norm(p, w, mu.add(nu), gamma, options, schedule)
-    t_mu = triple_norm(p, w, mu, gamma, options, schedule)
-    t_nu = triple_norm(p, w, nu, gamma, options, schedule)
+    t_sum = triple_norm(p, w, mu.add(nu), gamma, options)
+    t_mu = triple_norm(p, w, mu, gamma, options)
+    t_nu = triple_norm(p, w, nu, gamma, options)
     rhs = c_E ** gamma * (t_mu + t_nu)
     if math.isinf(t_sum):
         ok = math.isinf(rhs)

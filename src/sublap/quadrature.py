@@ -368,85 +368,44 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
 
 
 # ---------------------------------------------------------------------------
-# root finding: safeguarded Newton, or bisection with secant acceleration
+# root finding: safeguarded Newton
 # ---------------------------------------------------------------------------
 
-def bracketed_root(g, lo: float, hi: float, g_lo: float | None = None,
-                   g_hi: float | None = None, xtol: float = 1e-12,
-                   max_iter: int = 200, slope: bool = False,
-                   x0: float | None = None) -> tuple[float, float, int]:
-    """Root of a continuous nondecreasing g with g(lo) <= 0 <= g(hi).
+def bracketed_root(g, lo: float, hi: float, xtol: float = 1e-12,
+                   max_iter: int = 200, x0: float | None = None) -> tuple[float, float, int]:
+    """Root of a continuous nondecreasing g with g(lo) <= 0 <= g(hi), where
+    g returns (g, g').
 
-    Alternates secant steps with bisection so the bracket at least halves
-    every other iteration; terminates when the bracket width drops below
-    ``xtol`` or g hits zero exactly.  Returns (root, g(root), iterations).
-
-    With ``slope``, g returns (g, g'): Newton steps from ``x0`` (default
-    the midpoint), bisecting where a step leaves the bracket or g' is not
-    finite and positive; the bracket ends are not evaluated.  Stops after
-    two successive steps of at most ``xtol`` (the second takes the root to
-    the rounding of g), a step within one ulp, or a bracket of width
-    ``xtol``.  Returns (root, g at the last evaluation, evaluations).
+    Newton steps from ``x0`` (default the midpoint), bisecting where a step
+    leaves the bracket or g' is not finite and positive; the bracket ends
+    are not evaluated.  Stops after two successive steps of at most ``xtol``
+    (the second takes the root to the rounding of g), a step within one ulp,
+    or a bracket of width ``xtol``.  Returns (root, g at the last
+    evaluation, evaluations).
     """
-    if slope:
-        x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-        short = False
-        for evals in range(1, max_iter + 1):
-            g_x, dg = g(x)
-            if g_x == 0.0:
-                return x, 0.0, evals
-            if g_x < 0.0:
-                lo = x
-            else:
-                hi = x
-            step = -g_x / dg if 0.0 < dg < np.inf else np.nan
-            if abs(step) <= np.spacing(abs(x)):
-                return x, g_x, evals
-            if abs(step) <= xtol:
-                if short:
-                    return x + step, g_x, evals
-                short = True
-                x += step
-                continue
-            short = False
-            if not lo < x + step < hi:  # also a nan step
-                step = 0.5 * (lo + hi) - x
-            if hi - lo <= xtol:
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
+    short = False
+    for evals in range(1, max_iter + 1):
+        g_x, dg = g(x)
+        if g_x == 0.0:
+            return x, 0.0, evals
+        if g_x < 0.0:
+            lo = x
+        else:
+            hi = x
+        step = -g_x / dg if 0.0 < dg < np.inf else np.nan
+        if abs(step) <= np.spacing(abs(x)):
+            return x, g_x, evals
+        if abs(step) <= xtol:
+            if short:
                 return x + step, g_x, evals
+            short = True
             x += step
-        return x, g_x, max_iter
-    if g_lo is None:
-        g_lo = g(lo)
-    if g_hi is None:
-        g_hi = g(hi)
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise ValueError(f"bracketed_root: invalid bracket g({lo})={g_lo}, g({hi})={g_hi}")
-    if g_lo == 0.0:
-        return lo, 0.0, 0
-    if g_hi == 0.0:
-        return hi, 0.0, 0
-    best_x, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    iters = 0
-    while iters < max_iter:
-        iters += 1
-        width = hi - lo
-        if width <= xtol:
-            break
-        use_secant = (iters % 2 == 1) and (g_hi > g_lo)
-        if use_secant:
-            m = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-            # keep strictly inside, else fall back to bisection
-            if not (lo + 0.01 * width < m < hi - 0.01 * width):
-                m = lo + 0.5 * width
-        else:
-            m = lo + 0.5 * width
-        g_m = g(m)
-        if abs(g_m) < abs(best_g):
-            best_x, best_g = m, g_m
-        if g_m == 0.0:
-            return m, 0.0, iters
-        if g_m < 0.0:
-            lo, g_lo = m, g_m
-        else:
-            hi, g_hi = m, g_m
-    return best_x, best_g, iters
+            continue
+        short = False
+        if not lo < x + step < hi:  # also a nan step
+            step = 0.5 * (lo + hi) - x
+        if hi - lo <= xtol:
+            return x + step, g_x, evals
+        x += step
+    return x, g_x, max_iter

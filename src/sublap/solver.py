@@ -305,9 +305,8 @@ class PotentialResult:
     flux_constant: float
     flux_anchor: float        # flux just right of the center anchor
     boundary_residual: float
-    truncation_levels_used: int  # 0: no truncation ladder is walked
     diverged: bool
-    ladder_converged: bool = True
+    truncation_levels_used: int = 0  # no truncation ladder is walked
     # evaluations of G and G' in the root finds, both of them when the solve
     # was refined at a flux sign change (``resolved``)
     root_iterations: int = 0
@@ -318,6 +317,10 @@ class PotentialResult:
     p: float = 2.0
     weight: Weight | None = None
     measure: RadonMeasure | None = None
+
+    @property
+    def ladder_converged(self) -> bool:
+        return not self.diverged
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +398,31 @@ def _structure_key(mu: RadonMeasure, opts: SolverOptions,
 
 def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
                      extra_nodes: tuple, ladder_nodes: tuple,
-                     y_cut_l: float, y_cut_r: float,
-                     tail_s: tuple[float, float] = (0.0, 0.0)) -> tuple[Points, PanelSet]:
-    deep = {-1: [], 1: []}
-    for side in (-1, 1):
-        for yb in mu.breakpoints_y(side):
-            if yb < opts.y_floor:
-                deep[side].append(float(yb))
-    deep_l = tuple(sorted(deep[-1]))
-    deep_r = tuple(sorted(deep[1]))
-    if deep_l:
-        y_cut_l = min(y_cut_l, deep_l[0] / 16.0)
-    if deep_r:
-        y_cut_r = min(y_cut_r, deep_r[0] / 16.0)
-    # bucket the ladder depth so nearby mass scales share one structure
-    y_cut_l = 10.0 ** np.floor(np.log10(max(y_cut_l, 1e-280)))
-    y_cut_r = 10.0 ** np.floor(np.log10(max(y_cut_r, 1e-280)))
+                     target: float, x_evaluated: bool,
+                     tail_s: tuple[float, float]) -> tuple[Points, PanelSet]:
+    """Grid and panels for an integrand ~ y^(-s) toward each endpoint, s =
+    ``tail_s`` per side.  An endpoint ladder is closed analytically below
+    the depth where the tail y^(1-s)/(1-s) is below ``target`` for finite
+    mass (s clipped to 0.995); for infinite mass (mu ~ y^(-a), a >= 1) the
+    closure is exact for the power and errs by the integrand's relative
+    departure from it, ~ y^(a-1).  That depth stays above 1e-12 where the
+    integrand is ``x_evaluated`` (x cannot resolve deeper distances), goes
+    below truncation edges under the grid floor, and is bucketed to its
+    decade so that nearby mass scales share one structure."""
+    y_cuts, deep = [], []
+    for side, s in zip((-1, 1), tail_s):
+        a = mu.sing(side)
+        s = s if a >= 1.0 else min(s, 0.995)
+        y_cut = max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
+        if x_evaluated:
+            y_cut = max(y_cut, 1e-12)
+        deep.append(tuple(sorted(float(yb) for yb in mu.breakpoints_y(side)
+                                 if yb < opts.y_floor)))
+        if deep[-1]:
+            y_cut = min(y_cut, deep[-1][0] / 16.0)
+        y_cuts.append(10.0 ** np.floor(np.log10(max(y_cut, 1e-280))))
     key = _structure_key(mu, opts, extra_nodes, ladder_nodes,
-                         y_cut_l, y_cut_r, deep_l + tail_s, deep_r + tail_s)
+                         *y_cuts, deep[0] + tail_s, deep[1] + tail_s)
     with _PANEL_LOCK:
         # one lookup: an outside clear() between a membership test and the
         # read would raise KeyError
@@ -429,10 +439,10 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     panels = build_panels(
         grid,
         n_gauss=opts.n_gauss,
-        y_cut_left=y_cut_l,
-        y_cut_right=y_cut_r,
-        edge_breaks_left=np.asarray(deep_l),
-        edge_breaks_right=np.asarray(deep_r),
+        y_cut_left=y_cuts[0],
+        y_cut_right=y_cuts[1],
+        edge_breaks_left=np.asarray(deep[0]),
+        edge_breaks_right=np.asarray(deep[1]),
         ladder_nodes=ladder_nodes,
         tail_s_left=tail_s[0],
         tail_s_right=tail_s[1],
@@ -510,14 +520,6 @@ def _edge_singularity(p: float, w: Weight, mu: RadonMeasure, side: int) -> float
     return (w.edge_exponent(side) + a - 1.0) / (p - 1.0)
 
 
-def _tail_cut(target: float, s: float, a: float) -> float:
-    """Depth below which an endpoint ladder of an integrand ~ y^(-s) is
-    closed analytically: where the tail y^(1-s)/(1-s) is below ``target`` for
-    finite mass (a < 1); for infinite mass the closure is exact for the power
-    and errs by the integrand's relative departure from it, ~ y^(a-1)."""
-    return max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
-
-
 _SHELLS = 2.0 ** -(np.arange(40) + 0.5)
 
 
@@ -568,22 +570,11 @@ class _Workspace:
         self.opts = opts
         self.exponent = 1.0 / (p - 1.0)
         self.flux_scale = _flux_scale(mu) if flux_scale is None else flux_scale
-
-        y_cuts = {}
-        tail_s = {side: _edge_singularity(p, w, mu, side) for side in (-1, 1)}
-        x_evaluated = (w.family == "custom") or not mu.density.y_resolved
-        target = 1e-16 / (1.0 + self.flux_scale ** self.exponent)
-        for side in (-1, 1):
-            a = mu.sing(side)
-            y_cuts[side] = _tail_cut(target, tail_s[side] if a >= 1.0 else min(tail_s[side], 0.995), a)
-            if x_evaluated:
-                # x-based evaluators cannot resolve deeper distances; the
-                # pseudo tail panel closes the remainder analytically
-                y_cuts[side] = max(y_cuts[side], 1e-12)
-
         self.grid, self.panels = _panel_structure(
             mu, opts, tuple(extra_nodes), tuple(ladder_nodes),
-            y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
+            1e-16 / (1.0 + self.flux_scale ** self.exponent),
+            w.family == "custom" or not mu.density.y_resolved,
+            tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1)))
         pts = self.panels.pts
         self.w_vals, self.w_fac = _weight_at(self.panels, w, p)
         self.dens = mu.density.values(pts)
@@ -646,7 +637,7 @@ class _Workspace:
     def solve_constant(self, x0: float = 0.0) -> tuple[float, float, int]:
         lo, hi = self.bracket
         return bracketed_root(self.G, lo, hi, xtol=self.opts.bracket_tol,
-                              max_iter=self.opts.max_root_iter, slope=True, x0=x0)
+                              max_iter=self.opts.max_root_iter, x0=x0)
 
     def kink_location(self, ctilde: float) -> float | None:
         """Interior location where the flux crosses zero, or None when the
@@ -727,9 +718,8 @@ def _solve(p: float, w: Weight, mu: RadonMeasure, options: SolverOptions,
         n = grid.x.size
         return PotentialResult(
             u=zero_grid_function(grid), flux_constant=0.0, flux_anchor=0.0,
-            boundary_residual=0.0, truncation_levels_used=0, diverged=False,
-            u_prime=np.zeros(n), flux_nodes=np.zeros(n),
-            quad=None, p=p, weight=w, measure=mu,
+            boundary_residual=0.0, diverged=False, u_prime=np.zeros(n),
+            flux_nodes=np.zeros(n), quad=None, p=p, weight=w, measure=mu,
         )
 
     ws = _Workspace(p, w, mu, options, extra_nodes=extra_nodes)
@@ -817,8 +807,8 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     )
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
-        boundary_residual=residual, truncation_levels_used=0, diverged=False,
-        root_iterations=evals, u_prime=uprime_nodes, flux_nodes=flux_nodes,
+        boundary_residual=residual, diverged=False, root_iterations=evals,
+        u_prime=uprime_nodes, flux_nodes=flux_nodes,
         quad=quad, p=p, weight=w, measure=mu,
     )
 
@@ -945,11 +935,11 @@ def potential(p: float, w: Weight, mu: RadonMeasure,
     if res is None:
         res = PotentialResult(
             u=zero_grid_function(_master_grid(mu, options, extra_nodes)), flux_constant=INF,
-            flux_anchor=INF, boundary_residual=0.0, truncation_levels_used=0, diverged=True,
+            flux_anchor=INF, boundary_residual=0.0, diverged=True,
             p=p, weight=w, measure=mu)
     grid = res.u.grid
     return replace(res, u=GridFunction(grid=grid, values=np.full(grid.x.size, INF)),
-                   quad=None, diverged=True, ladder_converged=False)
+                   quad=None, diverged=True)
 
 
 def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,
@@ -963,21 +953,13 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
     mu ~ dist^(-a) has infinite mass the integrand is declared ~ dist^kappa
     (``exponents``) and the ladder is closed at the power kappa - a > -1.
     """
-    y_cuts, tail_s, closed = {}, {}, []
+    tail_s, closed = [], []
     for side, kappa in zip((-1, 1), exponents):
         a = mu.sing(side)
-        if a < 1.0:
-            tail_s[side] = max(0.0, a)
-            y_cuts[side] = _tail_cut(1e-16, min(tail_s[side], 0.995), a)
-            closed.append(None)
-        else:
-            tail_s[side] = a - kappa
-            y_cuts[side] = _tail_cut(1e-16, tail_s[side], a)
-            closed.append(tail_s[side])
-        if not mu.density.y_resolved:
-            y_cuts[side] = max(y_cuts[side], 1e-12)
-    _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
-                                 y_cuts[-1], y_cuts[1], tail_s=(tail_s[-1], tail_s[1]))
+        tail_s.append(max(0.0, a) if a < 1.0 else a - kappa)
+        closed.append(tail_s[-1] if a >= 1.0 else None)
+    _, panels = _panel_structure(mu, options, tuple(extra_nodes), (), 1e-16,
+                                 not mu.density.y_resolved, tuple(tail_s))
     # the weights and the density values, kept on the structure for the last
     # hashable density (pushforwards of grid functions are not)
     key = (mu.density, tuple(closed))

@@ -7,7 +7,8 @@ the minimal solution.  The module also hosts the checks tied to the
 construction: the iterated pointwise inequality, the equivalence-chain links
 with their explicit constants, the finite-energy sandwich, the sup-norm
 criterion, and the coefficient-singularity sweep against the closed-form
-solvability threshold.
+solvability threshold.  The ``schedule`` keywords configured the truncation
+ladder of earlier versions; they are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
                    schedule=None) -> Envelope:
     """c_V (W sigma)^((p-1)/(p-1-q)): every positive supersolution dominates it."""
     _validate_sub_natural(p, q, sigma, require_nonzero=False)
-    res = potential(p, w, sigma, options, schedule=schedule)
+    res = potential(p, w, sigma, options)
     if res.diverged:
         gf = GridFunction(grid=res.u.grid, values=np.full(res.u.x.size, INF))
         return Envelope(u=gf, diverged=True, base=res)
@@ -134,7 +135,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     cap = options.divergence_cap
     expo = gamma + q
 
-    env = lower_envelope(p, w, sigma, q, options, schedule)
+    env = lower_envelope(p, w, sigma, q, options)
     if env.diverged:
         return IterationTrace(iterates=[env.u], norms=[INF], monotone=True,
                               converged=False, diverged=True, steps=0,
@@ -209,13 +210,13 @@ def iterated_inequality_check(p: float, w: Weight, sigma: RadonMeasure, beta: fl
     """(W sigma)^beta <= beta * W((W sigma)^((beta-1)(p-1)) sigma) at the nodes."""
     if not (beta >= 1.0):
         raise ValidationError("sublinear.iterated_inequality_check: need beta >= 1")
-    res = potential(p, w, sigma, options, schedule=schedule)
+    res = potential(p, w, sigma, options)
     if res.diverged:
         return {"pass": True, "max_violation": 0.0, "diverged": True}
     u = res.u
     lhs = u.values ** beta
     factor = u.power_factor((beta - 1.0) * (p - 1.0))
-    res2 = potential(p, w, sigma.pushforward(factor), options, schedule=schedule)
+    res2 = potential(p, w, sigma.pushforward(factor), options)
     if res2.diverged:
         return {"pass": True, "max_violation": 0.0, "diverged": True}
     rhs = beta * res2.u.values_at(u.grid)
@@ -237,15 +238,15 @@ def verify_equivalence(p: float, w: Weight, sigma: RadonMeasure, q: float,
     """
     _validate_sub_natural(p, q, sigma)
     ghat = (gamma + q) * (p - 1.0) / (p - 1.0 - q)
-    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    lim = energy_ladder(p, w, sigma, ghat, options)
     if lim.diverged:
-        trace = iterate(p, w, sigma, q, gamma, options=options, schedule=schedule,
+        trace = iterate(p, w, sigma, q, gamma, options=options,
                         max_steps=min(max_steps, 25), keep_iterates=False)
         return CriterionReport(C1=INF, C2=INF, chain_pass=bool(trace.diverged),
                                link_upper=trace.diverged, link_lower=trace.diverged,
                                diverged=True, trace=trace)
     C2 = lim.value ** (1.0 / (gamma + q))
-    trace = iterate(p, w, sigma, q, gamma, options=options, schedule=schedule,
+    trace = iterate(p, w, sigma, q, gamma, options=options,
                     max_steps=max_steps, keep_iterates=False)
     C1 = trace.norms[-1]
     c_E = energy_constant(p, gamma)
@@ -269,13 +270,13 @@ def finite_energy_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
     """
     _validate_sub_natural(p, q, sigma)
     ghat = (1.0 + q) * (p - 1.0) / (p - 1.0 - q)
-    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    lim = energy_ladder(p, w, sigma, ghat, options)
     if lim.diverged:
         raise ValidationError(
             "sublinear.finite_energy_check: the energy criterion is infinite"
         )
     e_val = lim.value
-    trace = iterate(p, w, sigma, q, gamma=1.0, options=options, schedule=schedule,
+    trace = iterate(p, w, sigma, q, gamma=1.0, options=options,
                     max_steps=max_steps, keep_iterates=False)
     if not trace.converged:
         return {"pass": False, "converged": False}
@@ -331,11 +332,11 @@ def bounded_solution_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
     bounded-solution window the explicit supersolution C (1-|x|)^A dominates
     the solution and forces boundary decay."""
     _validate_sub_natural(p, q, sigma)
-    sup_rep = sup_norm_energy(p, w, sigma, options, schedule)
+    sup_rep = sup_norm_energy(p, w, sigma, options)
     if sup_rep["diverged"] or not np.isfinite(sup_rep["value"]):
         return {"pass": True, "finite": False, "C2_inf": INF}
     C2_inf = sup_rep["value"] ** ((p - 1.0) / (p - 1.0 - q))
-    trace = iterate(p, w, sigma, q, gamma=1.0, options=options, schedule=schedule,
+    trace = iterate(p, w, sigma, q, gamma=1.0, options=options,
                     max_steps=max_steps, keep_iterates=False)
     if not trace.converged:
         return {"pass": False, "finite": True, "converged": False, "C2_inf": C2_inf}
@@ -395,9 +396,9 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
                 f"sublinear.hardy_sweep: alpha={alpha} outside the bounded window"
             )
         sigma = power_measure(alpha)
-        lim = energy_ladder(p, w, sigma, ghat, options, schedule, cap=cap)
-        classification = "not_solvable" if lim.payload is None \
-            else _trend_classification(_shell_energies(lim.payload, ghat))
+        lim = energy_ladder(p, w, sigma, ghat, options, cap=cap)
+        classification = "not_solvable" if lim.solution is None \
+            else _trend_classification(_shell_energies(lim.solution, ghat))
         if classification == "inconclusive":
             # shells within 3 % of ratio one: alpha sits at the threshold,
             # where the energy is finite or logarithmically infinite
@@ -413,7 +414,7 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
             "expected": expected,
             "in_dead_band": bool(in_band),
             "agree": bool(agree),
-            "levels": lim.levels,
+            "levels": 0,
         })
     return rows
 

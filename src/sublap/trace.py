@@ -9,7 +9,8 @@ With theta = (1+q)p/(p-1-q) and E the energy at the sandwich exponent
 and the two ends coincide at q = 0.  Rayleigh quotients of explicit
 zero-boundary test functions (powers of truncated potentials, hat functions
 on atoms) give independent certified lower bounds that must land inside the
-bracket.
+bracket.  The ``schedule`` keyword of ``trace_bracket`` configured the
+truncation ladder of earlier versions; it is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def trace_bracket(p: float, w: Weight, sigma: RadonMeasure, q: float,
     if not (-1.0 < q < p - 1.0):
         raise ValidationError(f"trace.trace_bracket: need -1 < q < p - 1, got q={q}")
     theta, ghat = _trace_exponents(p, q)
-    lim = energy_ladder(p, w, sigma, ghat, options, schedule)
+    lim = energy_ladder(p, w, sigma, ghat, options)
     if lim.diverged:
         raise ValidationError("trace.trace_bracket: the energy integral is infinite")
     e_val = lim.value

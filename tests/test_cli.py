@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sublap.cli import main
+from sublap.energy import triple_norm
+from sublap.measures import dirac
+from sublap.weights import constant_weight
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -44,6 +47,20 @@ def test_solve_reports_no_truncation_levels(tmp_path):
                   (out / "solve_report.txt").read_text().splitlines())
     assert int(report["truncation_levels_used"]) == 0
     assert report["diverged"] == "false" and report["flux_constant"] == "inf"
+
+
+def test_energy_report_and_sweep_keep_their_zero_level_counts(tmp_path):
+    for name, measure in (("finite", DIRAC_CFG["measure"]),
+                          ("infinite", {"density": {"family": "power", "alpha": 1.2}})):
+        cfg = write_config(tmp_path, dict(DIRAC_CFG, measure=measure), name + ".json")
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out), "energy"]) == 0
+        assert "levels_used = 0" in (out / "energy_report.txt").read_text().splitlines()
+    out = tmp_path / "sweep"
+    assert main(["--config", cfg, "--out", str(out), "sweep", "--axis", "alpha=1.2,1.9"]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "levels"
+    assert len(rows) == 2 and all(row.split(",")[-1] == "0" for row in rows)
 
 
 def test_config_with_truncation_ladder_keys_still_solves(tmp_path):
@@ -89,6 +106,9 @@ def test_energy_and_trace_reports(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "energy"]) == 0
     text = (out / "energy_report.txt").read_text()
     assert "e_gamma = 0.5" in text.splitlines()
+    # from the energy, not from a second solve
+    norm = triple_norm(2.0, constant_weight(), dirac(0.0), 1.0)
+    assert f"triple_norm = {norm!r}" in text.splitlines()
     assert main(["--config", cfg, "--out", str(out), "--q", "0.0", "trace"]) == 0
     text = (out / "trace_report.txt").read_text()
     assert "rayleigh_lower" in text

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from sublap.energy import (
 )
 from sublap.errors import ValidationError
 from sublap.measures import RadonMeasure, TabulatedDensity, dirac, lebesgue, power_measure
-from sublap.solver import potential, solve_dirichlet
+from sublap.solver import SolverOptions, potential, solve_dirichlet
+from sublap.sublinear import hardy_sweep, iterate
+from sublap.trace import trace_bracket
 from sublap.weights import constant_weight, power_weight
 
 W1 = constant_weight()
@@ -141,6 +144,31 @@ def test_mee_lebesgue_vs_dirac_margin():
     assert rep["margin"] > 0.0
 
 
+def test_mee_bound_reuses_the_energy_solve_of_mu(monkeypatch):
+    # sublap.energy the package attribute is the function, not the module
+    module = importlib.import_module("sublap.energy")
+    solved = []
+
+    def counting(p, w, mu, *args, **kwargs):
+        solved.append(mu)
+        return potential(p, w, mu, *args, **kwargs)
+
+    monkeypatch.setattr(module, "potential", counting)
+    mu, nu = lebesgue(0.5).add(dirac(0.3)), power_measure(0.5)
+    rep = mee_bound(2.5, W1, mu, nu, gamma=1.0, q=0.5)
+    assert solved == [mu, nu]
+    # the bound from a separate solve of mu
+    f = potential(2.5, W1, mu).u.power_factor(1.5)
+    lhs = measure_integral(f.values, nu, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    assert rep["lhs"] == lhs[0] and rep["pass"] and not rep["diverged"]
+    # sup W mu = 1/4 is past the cap where E_1(mu) = 1/8 and E_1(nu) are not:
+    # diverged, as the potential of mu is
+    half = dirac(0.0, 0.5)
+    opts = SolverOptions(divergence_cap=0.2)
+    assert potential(2.0, W1, half, opts).diverged
+    assert mee_bound(2.0, W1, half, half, gamma=1.0, q=0.0, options=opts)["diverged"]
+
+
 def test_mee_rejects_bad_q():
     with pytest.raises(ValidationError):
         mee_bound(2.0, W1, D0, D0, gamma=1.0, q=1.5)
@@ -208,7 +236,7 @@ def test_energy_ladder_monotone_levels():
     # u = (y^0.8/0.8 - y)/0.2 with y = 1 - |x|, so E_1 = 10 (1/0.48 - 1/0.8)
     mu = power_measure(1.2)
     lim = energy_ladder(2.0, W1, mu, 1.0)
-    assert not lim.diverged and lim.converged and lim.levels == 0
+    assert not lim.diverged and lim.solution is not None
     assert lim.value == pytest.approx(25.0 / 3.0, rel=1e-6)
     levels = [_level_energy(solve_dirichlet(2.0, W1, mu.truncate(k)), mu.truncate(k), 1.0)
               for k in (2, 4, 8, 16, 32)]
@@ -244,9 +272,10 @@ def test_infinite_mass_energy_at_gamma_one_half(p, alpha, beta):
 
 def test_energy_of_finite_measure_is_one_solve():
     mu = power_measure(0.8)
-    lim = energy_ladder(2.0, W1, mu, 1.0)
-    assert lim.levels == 0 and lim.converged and not lim.diverged
-    assert lim.value == _level_energy(solve_dirichlet(2.0, W1, mu), mu, 1.0)
+    value, solution, diverged = energy_ladder(2.0, W1, mu, 1.0)
+    direct = solve_dirichlet(2.0, W1, mu)
+    assert not diverged and np.array_equal(solution.u.values, direct.u.values)
+    assert value == _level_energy(direct, mu, 1.0)
 
 
 def test_measure_integral_of_finite_measure_is_one_exact_sum():
@@ -262,3 +291,23 @@ def test_finite_mass_limits_keep_the_cap():
     assert lim.diverged and lim.value == math.inf
     assert measure_integral(lambda pts: np.full(len(pts), 2.0), D0, cap=1.0) \
         == (math.inf, False, True)
+
+
+@pytest.mark.parametrize("call, keywords, key", [
+    (lambda **kw: potential(2.0, W1, power_measure(1.2), **kw),
+     {"schedule": tuple(range(1, 41)), "tol": 1e-3, "start_level": 5},
+     lambda res: (res.u.values.tobytes(), res.flux_anchor, res.diverged)),
+    (lambda **kw: energy(2.0, W1, power_measure(1.2), 1.0, **kw), {"schedule": (1, 2)},
+     lambda rep: (rep.e_gamma, rep.grad_energy, rep.identity_gap, rep.sandwich_pass)),
+    (lambda **kw: triple_norm(2.0, W1, power_measure(1.2), 1.0, **kw), {"schedule": (1, 2)},
+     lambda t: t),
+    (lambda **kw: iterate(2.0, W1, D0, 0.5, keep_iterates=False, **kw), {"schedule": (1, 2)},
+     lambda tr: (tr.solution.values.tobytes(), tr.norms, tr.steps)),
+    (lambda **kw: hardy_sweep(2.0, 0.0, 0.5, [1.3, 1.9], **kw), {"schedule": (1, 2)},
+     lambda rows: rows),
+    (lambda **kw: trace_bracket(2.0, W1, D0, 0.0, **kw), {"schedule": (1, 2)},
+     lambda tb: tb),
+], ids=["potential", "energy", "triple_norm", "iterate", "hardy_sweep", "trace_bracket"])
+def test_truncation_ladder_keywords_are_ignored(call, keywords, key):
+    # they configured the truncation ladder of earlier versions
+    assert key(call(**keywords)) == key(call())

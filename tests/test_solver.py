@@ -186,9 +186,24 @@ def test_flux_monotone_and_uprime_nonincreasing_unweighted():
     assert np.all(np.diff(res.u_prime) <= 1e-12)
 
 
+def _bisection_root(g, lo, hi, xtol):
+    """Root of a nondecreasing g with g(lo) <= 0 <= g(hi) by plain
+    bisection, the reference for the safeguarded Newton root."""
+    assert g(lo) <= 0.0 <= g(hi)
+    while hi - lo > xtol:
+        m = 0.5 * (lo + hi)
+        if not lo < m < hi:
+            break  # the bracket is down to the float spacing
+        if g(m) < 0.0:
+            lo = m
+        else:
+            hi = m
+    return 0.5 * (lo + hi)
+
+
 def test_bracketed_root_bisection_budget():
     # the flux-constant search must hit 1e-12 bracket width within 200 steps
-    g = lambda c: c ** 3 - 0.1
+    g = lambda c: (c ** 3 - 0.1, 3.0 * c ** 2)
     root, val, iters = bracketed_root(g, -2.0, 3.0, xtol=1e-12, max_iter=200)
     assert iters <= 200
     assert abs(root - 0.1 ** (1 / 3)) < 1e-10
@@ -217,8 +232,8 @@ def _newton_cases():
 def test_newton_root_matches_bisection_root(case):
     p, w, mu = _newton_cases()[case]
     ws = solver._Workspace(p, w, mu, DEFAULT_OPTIONS)
-    c_old, _, _ = bracketed_root(lambda c: ws.G(c)[0], *ws.bracket,
-                                 xtol=DEFAULT_OPTIONS.bracket_tol)
+    c_old = _bisection_root(lambda c: ws.G(c)[0], *ws.bracket,
+                            xtol=DEFAULT_OPTIONS.bracket_tol)
     c_new, _, evals = ws.solve_constant()
     assert abs(c_new - c_old) <= DEFAULT_OPTIONS.bracket_tol
     assert evals <= 12
@@ -659,7 +674,7 @@ def test_kink_location_matches_the_closed_cumulative():
         return float(mu.density.cum0_many(points_from_x(np.asarray([x])))[0]) \
             + float(mu.atom_cum_center(np.asarray([x]))[0]) - c
 
-    exact = bracketed_root(excess, x_star - 1e-3, x_star + 1e-3, xtol=1e-15)[0]
+    exact = _bisection_root(excess, x_star - 1e-3, x_star + 1e-3, xtol=1e-15)
     assert abs(x_star - exact) <= 1e-9
 
 
