@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, ValidationError
 
 
 @lru_cache(maxsize=32)
@@ -383,6 +383,8 @@ def bracketed_root(g, lo: float, hi: float, xtol: float = 1e-12,
     or a bracket of width ``xtol``.  Returns (root, g at the last
     evaluation, evaluations).
     """
+    if max_iter < 1:
+        raise ValidationError(f"quadrature.bracketed_root: max_iter={max_iter!r} < 1")
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     short = False
     for evals in range(1, max_iter + 1):

@@ -66,6 +66,21 @@ class SolverOptions:
     max_root_iter: int = 200
     divergence_cap: float = 1e12
 
+    def __post_init__(self):
+        for name, ok in (
+            ("n_nodes", self.n_nodes >= 8),  # graded_grid's least grid
+            ("grading_ratio", 0.0 < self.grading_ratio < 1.0),
+            ("y_floor", 0.0 < self.y_floor < 1.0),
+            ("n_gauss", self.n_gauss >= 1),
+            ("bracket_tol", self.bracket_tol > 0.0),
+            ("max_root_iter", self.max_root_iter >= 1),
+            ("divergence_cap", self.divergence_cap > 0.0),
+        ):
+            if not ok:
+                raise ValidationError(
+                    f"solver.SolverOptions: {name}={getattr(self, name)!r} is out of range"
+                )
+
 
 DEFAULT_OPTIONS = SolverOptions()
 

@@ -121,6 +121,13 @@ def test_iterate_subcommand(tmp_path):
     rows = np.genfromtxt(out / "iterate.csv", delimiter=",", names=True)
     i0 = np.argmin(np.abs(rows["x"]))
     assert rows["u"][i0] == pytest.approx(0.25, rel=1e-6)
+    # the per-step scale factors stay out of the artifacts
+    report = dict(line.split(" = ") for line in
+                  (out / "iterate_report.txt").read_text().splitlines())
+    assert set(report) == {"steps", "converged", "diverged", "monotone",
+                           "final_residual", "final_norm"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "iterate.csv", "iterate_norms.csv", "iterate_report.txt"]
 
 
 def test_wolff_subcommand(tmp_path):

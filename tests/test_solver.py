@@ -211,6 +211,37 @@ def test_bracketed_root_bisection_budget():
     assert res.root_iterations <= 200
 
 
+def test_bracketed_root_rejects_an_empty_budget():
+    # max_iter = 0 returned an unbound name
+    g = lambda c: (c - 0.5, 1.0)
+    with pytest.raises(ValidationError):
+        bracketed_root(g, 0.0, 1.0, max_iter=0)
+    assert bracketed_root(g, 0.0, 1.0, max_iter=1)[2] == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_root_iter": 0}, {"n_gauss": 0}, {"n_nodes": 7},
+    {"grading_ratio": 0.0}, {"grading_ratio": 1.0}, {"grading_ratio": math.nan},
+    {"y_floor": 0.0}, {"y_floor": 1.0}, {"bracket_tol": 0.0}, {"bracket_tol": -1e-12},
+    {"divergence_cap": 0.0}, {"divergence_cap": -1.0},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_solver_options_reject_out_of_range_fields(bad):
+    with pytest.raises(ValidationError):
+        SolverOptions(**bad)
+
+
+def test_solver_options_reproducers_raise_validation_errors():
+    # max_root_iter = 0 raised UnboundLocalError inside the root find and
+    # n_gauss = 0 numpy's ValueError inside the panel layout
+    for bad in ({"max_root_iter": 0}, {"n_gauss": 0}):
+        with pytest.raises(ValidationError):
+            solve_dirichlet(2.0, W1, power_measure(0.5), SolverOptions(**bad))
+    # the least admissible values still solve
+    res = solve_dirichlet(2.0, W1, power_measure(0.5),
+                          SolverOptions(n_nodes=8, max_root_iter=1, n_gauss=1))
+    assert res.u.finite and not res.diverged
+
+
 def _newton_cases():
     sigma = dirac(0.2).add(power_measure(0.6, 0.8))
     w = power_weight(0.3)

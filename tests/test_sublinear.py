@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sublap.errors import ValidationError
+from sublap import sublinear
+from sublap.acceptance import _chain_instances
+from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, manufactured_measure, power_measure
 from sublap.params import envelope_constant, hardy_threshold
-from sublap.solver import GridFunction
+from sublap.quadrature import graded_grid
+from sublap.solver import DEFAULT_OPTIONS, GridFunction, potential
 from sublap.sublinear import (
     bounded_solution_check,
     finite_energy_check,
@@ -16,7 +19,7 @@ from sublap.sublinear import (
     lower_envelope,
     verify_equivalence,
 )
-from sublap.weights import constant_weight
+from sublap.weights import constant_weight, power_weight
 
 W1 = constant_weight()
 D0 = dirac(0.0)
@@ -82,6 +85,110 @@ def test_iterate_recovers_manufactured_solution():
     assert tr.converged
     exact = 1.0 - tr.solution.x ** 2
     assert np.max(np.abs(tr.solution.values - exact)) < 1e-5
+
+
+def _plain_iterate(p, w, sigma, q, tol=1e-8, max_steps=200, options=DEFAULT_OPTIONS,
+                   start=None):
+    """The unscaled iteration u -> W(u^q sigma) with ``iterate``'s stopping
+    rule, the reference for its scaled steps: (last iterate, steps)."""
+    u = lower_envelope(p, w, sigma, q, options).u if start is None else start
+    master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
+                         tuple(sigma.atom_locations.tolist()))
+    vals = u.values_at(master)
+    for steps in range(1, max_steps + 1):
+        u = potential(p, w, sigma.pushforward(u.power_factor(q)), options).u
+        nxt = u.values_at(master)
+        change = float(np.max(np.abs(nxt - vals))) / max(float(np.max(nxt)), 1e-300)
+        vals = nxt
+        if change < tol:
+            return u, steps
+    return u, max_steps
+
+
+def _iterate_instances():
+    """(p, q, w, sigma): the benchmark's five iterate kinds (one draw each of
+    the chain kinds) and criterion_5's ten chain instances."""
+    out = [
+        (2.0, 0.5, W1, D0),
+        (3.0, 0.5, W1, manufactured_measure(3.0, 0.5)),
+        (2.4, 0.5, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8))),
+        (2.14, 0.74, W1, RadonMeasure(atoms=((-0.6, 1.25),))),
+        (2.38, 0.29, power_weight(0.68),
+         RadonMeasure(atoms=((-0.73, 1.4), (0.31, 0.36))).add(power_measure(0.04, 0.45))),
+    ]
+    out += [(p, q, w, mu) for p, q, _, w, mu in _chain_instances(np.random.default_rng(502), 10)]
+    return out
+
+
+def test_scaled_iteration_matches_the_plain_limit():
+    # the plain loop stops up to tol r/(1-r) below the minimal solution; the
+    # scaled one converges from below too, so it lies at most that far above.
+    # Chain solutions live on kink grids that follow x*, so both are read on
+    # one common grid.
+    tol, slack = 1e-8, 1e-9
+    for p, q, w, sigma in _iterate_instances():
+        r = q / (p - 1.0)
+        ref, ref_steps = _plain_iterate(p, w, sigma, q, tol=tol)
+        tr = iterate(p, w, sigma, q, tol=tol, keep_iterates=False)
+        assert tr.converged and tr.monotone and tr.steps < ref_steps
+        grid = graded_grid(mandatory=tuple(sigma.atom_locations.tolist()))
+        a, b = ref.values_at(grid), tr.solution.values_at(grid)
+        gap = (b - a) / float(np.max(a))
+        assert np.min(gap) >= -slack
+        assert np.max(gap) <= tol * r / (1.0 - r) + slack
+
+
+def test_custom_start_takes_the_plain_steps_exactly():
+    sigma = manufactured_measure(3.0, 0.5)
+    env = lower_envelope(3.0, W1, sigma, 0.5)
+    start = GridFunction(grid=env.u.grid, values=1.5 * env.u.values,
+                         left_exponent=env.u.left_exponent,
+                         right_exponent=env.u.right_exponent)
+    ref, ref_steps = _plain_iterate(3.0, W1, sigma, 0.5, start=start)
+    tr = iterate(3.0, W1, sigma, 0.5, start=start, keep_iterates=False)
+    assert tr.steps == ref_steps
+    assert tr.scales == [1.0] * tr.steps
+    assert np.array_equal(tr.solution.x, ref.x)
+    assert np.array_equal(tr.solution.values, ref.values)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 0.5), (3.0, 1.8)])
+def test_dirac_iteration_is_exact_in_a_few_steps(p, q):
+    # T maps every multiple of (1-|x|) to one, so the first scaled step lands
+    # on the fixed point c (1-|x|), c^(p-1-q) = 1/2; the plain loop takes 28
+    # and 184 steps
+    c = 0.5 ** (1.0 / (p - 1.0 - q))
+    tr = iterate(p, W1, D0, q, keep_iterates=False)
+    assert tr.converged and tr.monotone and tr.steps <= 3
+    u = tr.solution
+    assert np.max(np.abs(u.values - c * (1.0 - np.abs(u.x)))) <= 1e-14
+
+
+def test_scales_are_recorded_per_step():
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    w = power_weight(0.3)
+    tr = iterate(2.4, w, sigma, 0.5)
+    assert len(tr.scales) == tr.steps == len(tr.iterates) - 1
+    assert all(c >= 1.0 for c in tr.scales) and tr.scales[0] > 1.0
+    # the solution is the last scale times the last, unscaled, solve
+    last = tr.last_solution.u
+    assert np.array_equal(tr.solution.x, last.x)
+    assert np.allclose(tr.solution.values, tr.scales[-1] * last.values, rtol=1e-15, atol=0.0)
+    assert tr.solution.left_exponent == last.left_exponent
+    assert tr.solution.right_exponent == last.right_exponent
+
+
+def test_non_monotone_step_from_the_envelope_raises(monkeypatch):
+    # a step whose solve comes out far too low breaks the monotone invariant
+    calls = []
+
+    def shrunk(p, w, sigma, options=DEFAULT_OPTIONS):
+        calls.append(sigma)
+        return potential(p, w, sigma if len(calls) == 1 else sigma.scale(1e-3), options)
+
+    monkeypatch.setattr(sublinear, "potential", shrunk)
+    with pytest.raises(InternalInvariantError):
+        iterate(2.0, W1, D0, 0.5)
 
 
 def test_iterate_rejects_zero_measure_and_bad_q():
