@@ -3,17 +3,19 @@
 E_gamma(mu) = integral of (W mu)^gamma against mu, from one solve of the
 extended potential u = W mu whatever the mass of mu.  Where mu ~ dist^(-a)
 has infinite mass, u^gamma dmu ~ dist^(gamma kappa - a), kappa the declared
-edge exponent of u: the energy is finite exactly when that power exceeds -1,
-and the quadrature closes its tail at that power (``measure_integral`` does
-the same for a given integrand).
+edge exponent of u: the energy is finite exactly when that power exceeds -1.
+Every quadrature sum closes its tails at its own integrand's declared power,
+on both sides whatever the mass: the energy at that of u^gamma dmu, the
+gradient energy at that of |u'|^p u^(gamma-1) w dx and ``measure_integral``
+at that of fn dmu.
 On each solved measure the measure-side integral, the gradient energy
 gamma * integral |u'|^p u^(gamma-1) w dx and the transformed-gradient energy
 integral |v'|^p w dx with v = u^((p-1+gamma)/p) are tied together by the
 integration-by-parts identity with the explicit constant c_E; the module
 computes the first two by independent quadratures (measure side vs weighted
 gradient side) and reports the relative identity gap.
-The ``schedule`` keywords configured the truncation ladder of earlier
-versions; they are accepted and ignored.
+The ``schedule`` keywords of the reports configured the truncation ladder
+of earlier versions; they are accepted and ignored.
 """
 
 from __future__ import annotations
@@ -67,19 +69,19 @@ class EnergyValue(NamedTuple):
     diverged: bool
 
 
-def _tail_exponents(res: PotentialResult, gamma: float) -> list:
-    """sigma with u^gamma dmu ~ dist^(-sigma) where mu has infinite mass
-    (None on a side of finite mass)."""
+def _tail_powers(res: PotentialResult, gamma: float, least_a: float = -INF) -> list:
+    """sigma per side with u^gamma dmu ~ dist^(-sigma): a - gamma kappa, mu ~
+    dist^(-a) and u ~ dist^kappa.  With ``least_a`` = 1 it is the power of
+    |u'|^p u^(gamma-1) w dx, whose flux tends to a constant where mu has
+    finite mass."""
     mu, u = res.measure, res.u.power_factor(gamma)
-    return [mu.sing(side) - u.edge_exponent(side) if mu.sing(side) >= 1.0 else None
-            for side in (-1, 1)]
+    return [max(mu.sing(side), least_a) - u.edge_exponent(side) for side in (-1, 1)]
 
 
-def _energy_weights(res: PotentialResult, gamma: float) -> np.ndarray:
-    """The solve's weights closed at the power of u^gamma dmu, which is also
-    that of |u'|^p u^(gamma-1) w dx, the other side of the identity."""
+def _closed_weights(res: PotentialResult, gamma: float, least_a: float = -INF) -> np.ndarray:
+    """The solve's weights with each tail closed at ``_tail_powers``."""
     quad = res.quad
-    return _reclose_tails(quad.w_quad, quad.pts, quad.tail, _tail_exponents(res, gamma))
+    return _reclose_tails(quad.w_quad, quad.pts, quad.tail, _tail_powers(res, gamma, least_a))
 
 
 def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> float:
@@ -89,7 +91,7 @@ def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> flo
     if quad is not None:
         with np.errstate(invalid="ignore"):
             vals = np.where(quad.u > 0.0, quad.u ** gamma, 0.0 if gamma > 0.0 else 1.0)
-        total += float(np.dot(_energy_weights(res, gamma), vals * quad.dens_vals))
+        total += float(np.dot(_closed_weights(res, gamma), vals * quad.dens_vals))
     locs = mu_k.atom_locations
     if locs.size:
         u_at = res.u.values_at(points_from_x(locs))
@@ -99,17 +101,15 @@ def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> flo
 
 def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
                   options: SolverOptions = DEFAULT_OPTIONS,
-                  schedule=None, cap: float | None = None,
-                  tol: float = 1e-9) -> EnergyValue:
+                  cap: float | None = None) -> EnergyValue:
     """E_gamma(mu) from one solve of the extended potential: +inf
     (diverged) when the potential is, when the tail power of u^gamma dmu is
-    -1 or less, or past ``cap`` (default ``options.divergence_cap``).
-    ``schedule`` and ``tol`` are accepted and ignored."""
+    -1 or less, or past ``cap`` (default ``options.divergence_cap``)."""
     cap = options.divergence_cap if cap is None else cap
     res = potential(p, w, mu, options, cap=INF)
     if res.diverged:
         return EnergyValue(INF, None, True)
-    infinite = any(s is not None and s >= 1.0 for s in _tail_exponents(res, gamma))
+    infinite = any(s >= 1.0 for s in _tail_powers(res, gamma))
     value = INF if infinite else _level_energy(res, mu, gamma)
     diverged = value > cap
     return EnergyValue(INF if diverged else value, res, diverged)
@@ -141,7 +141,7 @@ def _gradient_energy(res: PotentialResult, gamma: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.abs(quad.flux) ** pp * quad.w_vals ** (-e)
         factor = np.where(quad.u > 0.0, quad.u ** (gamma - 1.0), 0.0)
-    return float(np.dot(_energy_weights(res, gamma), integrand * factor))
+    return float(np.dot(_closed_weights(res, gamma, 1.0), integrand * factor))
 
 
 def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,
@@ -212,28 +212,26 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
 
 
 def measure_integral(fn, mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTIONS,
-                     schedule=None, cap: float | None = None,
-                     tol: float = 1e-9,
-                     exponents: tuple[float, float] = (0.0, 0.0)) -> tuple[float, bool, bool]:
+                     cap: float | None = None,
+                     exponents: tuple[float, float] = (0.0, 0.0)) -> tuple[float, bool]:
     """Integral of a nonnegative fn (vectorized over Points) against mu by one
-    graded quadrature sum; returns (value, converged, diverged).
+    graded quadrature sum; returns (value, diverged).
 
     ``exponents`` declare fn ~ dist^kappa at each endpoint (0: bounded away
-    from zero).  Where mu ~ dist^(-a) has infinite mass the value is +inf
-    unless kappa - a > -1; past ``cap`` (default ``options.divergence_cap``)
-    too.  ``schedule`` and ``tol`` are accepted and ignored.
+    from zero), and each tail is closed at the power kappa - a of fn dmu,
+    mu ~ dist^(-a).  The value is +inf unless kappa - a > -1 on both sides;
+    past ``cap`` (default ``options.divergence_cap``) too.
     """
     cap = options.divergence_cap if cap is None else cap
-    if any(mu.sing(side) >= 1.0 and mu.sing(side) - kappa >= 1.0
-           for side, kappa in zip((-1, 1), exponents)):
-        return INF, False, True
+    if any(mu.sing(side) - kappa >= 1.0 for side, kappa in zip((-1, 1), exponents)):
+        return INF, True
     pts, wq, dens = measure_quadrature(mu, options, exponents=exponents)
     total = float(np.dot(wq, np.asarray(fn(pts)) * dens))
     locs = mu.atom_locations
     if locs.size:
         total += float(np.dot(mu.atom_masses, np.asarray(fn(points_from_x(locs)))))
     diverged = total > cap
-    return (INF if diverged else total), not diverged, diverged
+    return (INF if diverged else total), diverged
 
 
 def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
@@ -255,7 +253,7 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
         return {"lhs": INF, "rhs": INF, "pass": True, "margin": 0.0,
                 "diverged": True}
     f = lim_mu.solution.u.power_factor(gamma + q)
-    lhs, _, lhs_div = measure_integral(f.values, nu, options,
+    lhs, lhs_div = measure_integral(f.values, nu, options,
                                        exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     e_mu, e_nu = lim_mu.value, lim_nu.value
     rhs = (c_E * e_mu) ** ((gamma + q) / (p - 1.0 + gamma)) \

@@ -42,11 +42,9 @@ from .quadrature import (
     Points,
     bracketed_root,
     build_panels,
-    concat_points,
     gauss_cumulative,
     gauss_rule,
     graded_grid,
-    points_from_edge,
     points_from_x,
 )
 from .weights import Weight
@@ -396,39 +394,42 @@ class _StructureKey(tuple):
 
 def _structure_key(mu: RadonMeasure, opts: SolverOptions,
                    extra_nodes: tuple, ladder_nodes: tuple,
-                   y_cut_l: float, y_cut_r: float,
-                   deep_l: tuple, deep_r: tuple):
+                   y_cuts: list, deep_l: tuple, deep_r: tuple):
     try:
         return _StructureKey((
             opts, extra_nodes, ladder_nodes,
             tuple(mu.atom_locations.tolist()),
             tuple(sorted(mu.interior_breaks())),
-            deep_l, deep_r,
-            float(np.round(np.log10(y_cut_l), 0)),
-            float(np.round(np.log10(y_cut_r), 0)),
+            deep_l, deep_r, *y_cuts,
         ))
     except TypeError:
         return None
 
 
+# the endpoint ladders stop where the tail of an integrand following its
+# declared power is this small relative to the integrand's scale
+_TAIL_TARGET = 1e-16
+
+
 def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
-                     extra_nodes: tuple, ladder_nodes: tuple,
-                     target: float, x_evaluated: bool,
+                     extra_nodes: tuple, ladder_nodes: tuple, x_evaluated: bool,
                      tail_s: tuple[float, float]) -> tuple[Points, PanelSet]:
     """Grid and panels for an integrand ~ y^(-s) toward each endpoint, s =
     ``tail_s`` per side.  An endpoint ladder is closed analytically below
-    the depth where the tail y^(1-s)/(1-s) is below ``target`` for finite
-    mass (s clipped to 0.995); for infinite mass (mu ~ y^(-a), a >= 1) the
-    closure is exact for the power and errs by the integrand's relative
-    departure from it, ~ y^(a-1).  That depth stays above 1e-12 where the
-    integrand is ``x_evaluated`` (x cannot resolve deeper distances), goes
-    below truncation edges under the grid floor, and is bucketed to its
-    decade so that nearby mass scales share one structure."""
+    the depth where the tail y^(1-s)/(1-s) is below ``_TAIL_TARGET`` for
+    finite mass (s clipped to 0.995); for infinite mass (mu ~ y^(-a), a >= 1)
+    the closure is exact for the power and errs by the integrand's relative
+    departure from it, ~ y^(a-1).  Each quadrature sum re-closes the tail at
+    its own integrand's power (``_reclose_tails``).  The depth reads the
+    declared powers alone, not the size of mu, so mu and its multiples share
+    one structure; it stays above 1e-12 where the integrand is
+    ``x_evaluated`` (x cannot resolve deeper distances), goes below
+    truncation edges under the grid floor, and is bucketed to its decade."""
     y_cuts, deep = [], []
     for side, s in zip((-1, 1), tail_s):
         a = mu.sing(side)
         s = s if a >= 1.0 else min(s, 0.995)
-        y_cut = max((target * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
+        y_cut = max((_TAIL_TARGET * (1.0 - s)) ** (1.0 / (max(a, 1.0) - s)), 1e-280)
         if x_evaluated:
             y_cut = max(y_cut, 1e-12)
         deep.append(tuple(sorted(float(yb) for yb in mu.breakpoints_y(side)
@@ -437,7 +438,7 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
             y_cut = min(y_cut, deep[-1][0] / 16.0)
         y_cuts.append(10.0 ** np.floor(np.log10(max(y_cut, 1e-280))))
     key = _structure_key(mu, opts, extra_nodes, ladder_nodes,
-                         *y_cuts, deep[0] + tail_s, deep[1] + tail_s)
+                         y_cuts, deep[0] + tail_s, deep[1] + tail_s)
     with _PANEL_LOCK:
         # one lookup: an outside clear() between a membership test and the
         # read would raise KeyError
@@ -535,37 +536,6 @@ def _edge_singularity(p: float, w: Weight, mu: RadonMeasure, side: int) -> float
     return (w.edge_exponent(side) + a - 1.0) / (p - 1.0)
 
 
-_SHELLS = 2.0 ** -(np.arange(40) + 0.5)
-
-
-def _shell_points(sides: tuple[int, ...]) -> Points:
-    pts = concat_points(*(points_from_edge(side, _SHELLS) for side in sides))
-    _freeze(pts.x, pts.side, pts.y)
-    return pts
-
-
-# read-only, so a grid function keeps its interval lookup on them
-_SHELL_POINTS = {sides: _shell_points(sides) for sides in ((-1,), (1,), (-1, 1))}
-
-
-def _flux_scale(mu: RadonMeasure) -> float:
-    """Rough size of the finite one-sided masses, which only picks the
-    decade of the tail cut: the atoms, plus a midpoint rule in log y over
-    dyadic shells, closed below 2^-40 by the declared power (within a few
-    per cent for a density that follows it).  The density is evaluated on
-    the shells of both sides at once."""
-    y = _SHELLS
-    sides = tuple(side for side in (-1, 1) if mu.sing(side) < 1.0)
-    masses = [mu.atom_side_mass(side) for side in sides]
-    if sides and not mu.density.is_zero:
-        f = mu.density.values(_SHELL_POINTS[sides]).reshape(len(sides), y.size) * y
-        for k, side in enumerate(sides):
-            a = mu.sing(side)
-            masses[k] += float(np.sum(f[k])) * math.log(2.0) \
-                + f[k, -1] * 2.0 ** (0.5 * (a - 1.0)) / (1.0 - a)
-    return max([1e-300] + masses)
-
-
 class _Workspace:
     """Panelized quadrature state for one Dirichlet solve.
 
@@ -577,17 +547,14 @@ class _Workspace:
 
     def __init__(self, p: float, w: Weight, mu: RadonMeasure, opts: SolverOptions,
                  extra_nodes: tuple[float, ...] = (),
-                 ladder_nodes: tuple[float, ...] = (),
-                 flux_scale: float | None = None):
+                 ladder_nodes: tuple[float, ...] = ()):
         self.p = p
         self.w = w
         self.mu = mu
         self.opts = opts
         self.exponent = 1.0 / (p - 1.0)
-        self.flux_scale = _flux_scale(mu) if flux_scale is None else flux_scale
         self.grid, self.panels = _panel_structure(
             mu, opts, tuple(extra_nodes), tuple(ladder_nodes),
-            1e-16 / (1.0 + self.flux_scale ** self.exponent),
             w.family == "custom" or not mu.density.y_resolved,
             tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1)))
         pts = self.panels.pts
@@ -744,7 +711,7 @@ def _solve(p: float, w: Weight, mu: RadonMeasure, options: SolverOptions,
         # refine at the flux sign change, warm-started from the first root
         ws = _Workspace(p, w, mu, options,
                         extra_nodes=extra_nodes + (x_star,),
-                        ladder_nodes=(x_star,), flux_scale=ws.flux_scale)
+                        ladder_nodes=(x_star,))
         c, _, evals_b = ws.solve_constant(x0=c)
         evals += evals_b
     return replace(_assemble(ws, c, evals), resolved=x_star is not None)
@@ -963,17 +930,17 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
                        ) -> tuple[Points, np.ndarray, np.ndarray]:
     """Panel points, weights and density values for integrating against mu.
 
-    Used for integrals of bounded-at-the-boundary integrands against the
-    measure's density part (atoms are summed separately by callers).  Where
-    mu ~ dist^(-a) has infinite mass the integrand is declared ~ dist^kappa
-    (``exponents``) and the ladder is closed at the power kappa - a > -1.
+    Used for integrals of integrands declared ~ dist^kappa at each endpoint
+    (``exponents``) against the measure's density part (atoms are summed
+    separately by callers).  With mu ~ dist^(-a) the tails are closed at the
+    power kappa - a, which must exceed -1.
     """
     tail_s, closed = [], []
     for side, kappa in zip((-1, 1), exponents):
         a = mu.sing(side)
         tail_s.append(max(0.0, a) if a < 1.0 else a - kappa)
-        closed.append(tail_s[-1] if a >= 1.0 else None)
-    _, panels = _panel_structure(mu, options, tuple(extra_nodes), (), 1e-16,
+        closed.append(a - kappa)
+    _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
                                  not mu.density.y_resolved, tuple(tail_s))
     # the weights and the density values, kept on the structure for the last
     # hashable density (pushforwards of grid functions are not)
@@ -993,15 +960,10 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
 
 
 def _reclose_tails(w_quad: np.ndarray, pts: Points, tail: np.ndarray, sigmas) -> np.ndarray:
-    """Weights with the tail pseudo-point of each side with a declared
-    integrand power y^(-sigma) (not None, sigma < 1) closed exactly,
-    y0 / (1 - sigma), where the panel set clips sigma to [0, 0.995]."""
-    if all(sigma is None for sigma in sigmas):
-        return w_quad
+    """Weights with the tail pseudo-point of each side closed exactly for an
+    integrand ~ y^(-sigma) (sigma < 1) below it: y0 / (1 - sigma)."""
     w = w_quad.copy()
-    for i, sigma in zip(tail, sigmas):
-        if sigma is not None:
-            w[i] = pts.y[i] / (1.0 - sigma)
+    w[tail] = pts.y[tail] / (1.0 - np.asarray(sigmas, dtype=float))
     return w
 
 

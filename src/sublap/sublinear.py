@@ -133,13 +133,14 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
 
 def _norm_against(sigma: RadonMeasure, u: GridFunction, expo: float,
                   options: SolverOptions, cap: float) -> float:
+    """The L^expo(sigma) norm of u, +inf past ``cap``; the cap bounds the
+    norm itself, as cap^expo may not be a float."""
     f = u.power_factor(expo)
-    val, _, div = measure_integral(f.values, sigma, options,
-                                   cap=cap ** expo if np.isfinite(cap) else None,
-                                   exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
-    if div or not np.isfinite(val):
-        return INF
-    return val ** (1.0 / expo)
+    val, _ = measure_integral(f.values, sigma, options, cap=INF,
+                              exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    with np.errstate(over="ignore"):
+        nrm = float(np.float64(val) ** (1.0 / expo))
+    return nrm if nrm <= cap else INF
 
 
 def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1.0,
@@ -162,8 +163,10 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     the fixed-point residual with one extra application) or when the norms
     exceed the divergence cap, which signals failure of the existence
     criterion.  A non-monotone step from the envelope start is a bug and
-    raises; custom starts (``start``) may legitimately be non-monotone, so
-    pass require_monotone=False with them.
+    raises (unless ``require_monotone`` is False); steps from a custom
+    ``start`` may legitimately be non-monotone and never raise, they only
+    clear ``monotone``.  An envelope that underflows to zero everywhere (the
+    envelope constant does once q is close to p - 1) raises ValidationError.
     """
     _validate_sub_natural(p, q, sigma)
     cap = options.divergence_cap
@@ -175,6 +178,9 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
         return IterationTrace(iterates=[env.u], norms=[INF], monotone=True,
                               converged=False, diverged=True, steps=0,
                               final_residual=INF, last_solution=env.base)
+    if start is None and not np.any(env.u.values > 0.0):
+        raise ValidationError(
+            f"sublinear.iterate: the lower envelope underflows to zero (p={p}, q={q})")
     u_cur = env.u if start is None else start
     master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
                          tuple(sigma.atom_locations.tolist()))
@@ -332,8 +338,8 @@ def finite_energy_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
     # the solution is scales[-1] times the last solve, and |(c u)'|^p = c^p |u'|^p
     grad_p = trace.scales[-1] ** p * _gradient_energy(trace.last_solution, 1.0)
     f = trace.solution.power_factor(1.0 + q)
-    rhs_int, _, _ = measure_integral(f.values, sigma, options,
-                                     exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    rhs_int, _ = measure_integral(f.values, sigma, options,
+                                  exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     c_V = envelope_constant(p, q)
     lower_ok = c_V ** (1.0 + q) * e_val <= grad_p * (1.0 + tol)
     upper_ok = grad_p <= e_val * (1.0 + tol)

@@ -79,8 +79,8 @@ class HatFunction:
 def _quotient_hat(p: float, w: Weight, sigma: RadonMeasure, q: float,
                   hat: HatFunction, options: SolverOptions) -> float:
     # a hat vanishes at least linearly at an endpoint of its support
-    num, _, div = measure_integral(lambda pts: hat(pts.x) ** (1.0 + q), sigma, options,
-                                   exponents=(1.0 + q, 1.0 + q))
+    num, div = measure_integral(lambda pts: hat(pts.x) ** (1.0 + q), sigma, options,
+                                exponents=(1.0 + q, 1.0 + q))
     if div or num <= 0.0:
         return 0.0
     den = hat.grad_norm_p(p, w)
@@ -104,8 +104,8 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
     if den_p <= 0.0:
         return 0.0
     f = res.u.power_factor(rho * (1.0 + q))
-    num, _, div = measure_integral(f.values, sigma, options,
-                                   exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    num, div = measure_integral(f.values, sigma, options,
+                                exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     if div:
         return 0.0
     return num ** (1.0 / (1.0 + q)) / den_p ** (1.0 / p)
@@ -116,7 +116,7 @@ def _quotient_callable(p: float, w: Weight, sigma: RadonMeasure, q: float,
                        kappa: tuple[float, float] = (1.0, 1.0)) -> float:
     """Rayleigh quotient of a user pair with f ~ dist^kappa at the endpoints
     (1 for a bounded f'), so that |f'|^p w ~ dist^(p (kappa - 1) + b)."""
-    num, _, div = measure_integral(
+    num, div = measure_integral(
         lambda pts: np.abs(np.asarray(f(pts.x))) ** (1.0 + q), sigma, options)
     if div:
         return 0.0

@@ -17,6 +17,7 @@ from sublap.measures import (
     TabulatedDensity,
     dirac,
     lebesgue,
+    manufactured_measure,
     power_measure,
 )
 from sublap.quadrature import Points, bracketed_root, graded_grid, points_from_x
@@ -586,6 +587,21 @@ def test_repeated_iteration_makes_no_panel_cache_miss():
     assert np.array_equal(first.solution.values, second.solution.values)
 
 
+@pytest.mark.parametrize("mu", [power_measure(0.5), dirac(0.0),
+                                manufactured_measure(3.0, 0.5)],
+                         ids=["power", "dirac", "manufactured"])
+def test_the_panel_structure_does_not_read_the_mass(mu):
+    # the endpoint ladders are cut from declared powers alone, so mu and its
+    # multiples share one structure; at p = 1.5 an estimate of the mass
+    # would move the cut across decades within this range of factors
+    solver._PANEL_CACHE.clear()
+    before = solver.panel_cache_info().misses
+    for a in np.geomspace(0.25, 4.0, 9):
+        res = solve_dirichlet(1.5, W1, mu.scale(float(a)))
+        assert not res.resolved
+    assert solver.panel_cache_info().misses - before == 1
+
+
 def test_cached_structures_give_the_results_of_fresh_builds():
     # the second solve and measure quadrature reuse the structure and what
     # is derived from it (cumulative layout, point order, weight and density
@@ -638,6 +654,24 @@ def test_homogeneity(p):
     scale = np.max(r2.u.values)
     rel = np.max(np.abs(r2.u.values - 5.0 ** (1.0 / (p - 1.0)) * r1.u.values)) / scale
     assert rel < 1e-9
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_scaled_density_solves_are_homogeneous(p):
+    # the manufactured density has no scaled() of its own, so a * mu carries
+    # the generic scaled density: W(a mu) = a^(1/(p-1)) W mu
+    mu = manufactured_measure(3.0, 0.5)
+    base = solve_dirichlet(p, W1, mu)
+    for a in (0.25, 3.0):
+        scaled = mu.scale(a)
+        assert type(scaled.density).__name__ == "_ScaledDensity"
+        assert scaled.density.side_mass(1) == a * mu.density.side_mass(1)
+        assert scaled.density.kinks() == mu.density.kinks()
+        res = solve_dirichlet(p, W1, scaled)
+        ref = a ** (1.0 / (p - 1.0)) * base.u.values
+        assert np.max(np.abs(res.u.values - ref)) <= 1e-14 * np.max(ref)
+    # scaling twice multiplies the factors
+    assert mu.scale(2.0).scale(1.5).density == mu.scale(3.0).density
 
 
 # -- comparison principle -----------------------------------------------------------

@@ -9,7 +9,7 @@ from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, manufactured_measure, power_measure
 from sublap.params import envelope_constant, hardy_threshold
 from sublap.quadrature import graded_grid
-from sublap.solver import DEFAULT_OPTIONS, GridFunction, potential
+from sublap.solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, potential
 from sublap.sublinear import (
     bounded_solution_check,
     finite_energy_check,
@@ -189,6 +189,75 @@ def test_non_monotone_step_from_the_envelope_raises(monkeypatch):
     monkeypatch.setattr(sublinear, "potential", shrunk)
     with pytest.raises(InternalInvariantError):
         iterate(2.0, W1, D0, 0.5)
+
+
+def test_custom_start_never_raises_on_a_non_monotone_step():
+    # from twice the fixed point the steps decrease: monotone is cleared,
+    # nothing raises, and the limit is the fixed point c (1-|x|), c = 1/4
+    env = lower_envelope(2.0, W1, D0, 0.5)
+    start = GridFunction(grid=env.u.grid, values=0.5 * (1.0 - np.abs(env.u.x)),
+                         left_exponent=1.0, right_exponent=1.0)
+    tr = iterate(2.0, W1, D0, 0.5, start=start, keep_iterates=False)
+    assert tr.converged and not tr.monotone
+    assert np.max(np.abs(tr.solution.values - 0.25 * (1.0 - np.abs(tr.solution.x)))) < 1e-7
+
+
+def test_norm_cap_past_the_float_range():
+    # cap^(gamma+q) = 1e300^1.99 is no float; the cap bounds the norm itself
+    # and is never reached here, so the iteration ends as under a lower cap
+    sigma = power_measure(1.95)
+    runs = [iterate(2.0, W1, sigma, 0.99, keep_iterates=False,
+                    options=SolverOptions(divergence_cap=cap)) for cap in (1e100, 1e300)]
+    for tr in runs:
+        assert tr.converged and not tr.diverged
+        assert 1e44 < tr.norms[-1] < 1e45
+    assert runs[0].norms == runs[1].norms and runs[0].steps == runs[1].steps
+
+
+def test_envelope_underflow_raises():
+    # envelope_constant(2, 0.995) = (0.005)^200 is below the least double:
+    # the envelope is zero everywhere and would pass for a fixed point
+    assert envelope_constant(2.0, 0.995) == 0.0
+    with pytest.raises(ValidationError, match="underflows"):
+        iterate(2.0, W1, dirac(0.0, 3.0), 0.995)
+
+
+# For 16 delta_0 at (p, q, gamma) = (2, 0.5, 10): sup W sigma = 8, the
+# envelope's norm is 20.8, the first solve's sup 32 and, scaled by c = 2, the
+# fixed point 64 (1-|x|) with norm 83.3.
+
+def test_iterate_diverges_when_a_step_solve_passes_the_cap():
+    tr = iterate(2.0, W1, dirac(0.0, 16.0), 0.5, gamma=10.0,
+                 options=SolverOptions(divergence_cap=25.0))
+    assert tr.diverged and not tr.converged and tr.steps == 1
+    assert tr.last_solution.diverged and tr.scales == [1.0]
+    assert len(tr.norms) == len(tr.iterates) == 1 and tr.final_residual == math.inf
+
+
+def test_iterate_diverges_when_a_scaled_norm_passes_the_cap():
+    tr = iterate(2.0, W1, dirac(0.0, 16.0), 0.5, gamma=10.0,
+                 options=SolverOptions(divergence_cap=50.0))
+    assert tr.diverged and not tr.converged and tr.steps == 1
+    assert not tr.last_solution.diverged and tr.scales == [2.0]
+    assert tr.norms[-1] == math.inf and len(tr.iterates) == 2
+    assert tr.solution.sup() == pytest.approx(64.0, rel=1e-12)
+
+
+def test_a_diverged_residual_solve_leaves_the_residual_infinite(monkeypatch):
+    ref = iterate(2.0, W1, D0, 0.5, keep_iterates=False)
+    calls = []
+
+    def last_diverges(p, w, sigma, options=DEFAULT_OPTIONS):
+        calls.append(sigma)
+        # the envelope, one solve per step, then the residual solve
+        cap = 0.0 if len(calls) == ref.steps + 2 else None
+        return potential(p, w, sigma, options, cap=cap)
+
+    monkeypatch.setattr(sublinear, "potential", last_diverges)
+    tr = iterate(2.0, W1, D0, 0.5, keep_iterates=False)
+    assert len(calls) == ref.steps + 2
+    assert tr.converged and not tr.diverged and tr.final_residual == math.inf
+    assert np.array_equal(tr.solution.values, ref.solution.values)
 
 
 def test_iterate_rejects_zero_measure_and_bad_q():
