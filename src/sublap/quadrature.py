@@ -194,9 +194,11 @@ def build_panels(
     sign change.
 
     Each endpoint ladder is closed by one pseudo-panel: a single point at the
-    ladder bottom y0 carrying weight y0/(1 - s), which equals the analytic
-    tail integral of C * y^(-s) below y0 when the integrand follows the
-    declared power ``tail_s_*`` there (and is negligible otherwise).
+    ladder bottom y0 carrying weight y0/(1 - s), s capped at 0.995, which
+    equals the analytic tail integral of C * y^(-s) below y0 when the
+    integrand follows the declared power ``tail_s_*`` there (and is
+    negligible otherwise); s < 0 (an integrand vanishing at the endpoint)
+    is taken as it is.
     ``PanelSet.tail`` holds the two pseudo-points, so an integrand with
     another declared power can re-close them.
 
@@ -252,7 +254,7 @@ def build_panels(
 
     y_tail = np.asarray([ends[0][0], ends[1][0]])
     s_tail = np.asarray([-1.0, 1.0])
-    w_tail = y_tail / (1.0 - np.clip([tail_s_left, tail_s_right], 0.0, 0.995))
+    w_tail = y_tail / (1.0 - np.minimum([tail_s_left, tail_s_right], 0.995))
     pos = at * n_gauss
     panel_cell = np.insert(cell, at, [0, n_cells - 1])
     counts = np.insert(np.full(cell.size, n_gauss), at, 1)

@@ -17,6 +17,11 @@ by the panel rule; the root bracket is (min S, max S), and the root is found
 by safeguarded Newton steps on G and its derivative, both from one pass over
 the same arrays.  The classical c is read from S at x = -1.
 
+u is integrated by the same panel rule, each half from its endpoint toward
+the centre node, at the nodes and at the quadrature points alike, so it
+keeps its relative accuracy near both endpoints; the two halves meet at
+x = 0, where their mismatch is the solve's ``boundary_residual``.
+
 The same single solve covers infinite mass near an endpoint: S is finite at
 every interior point, and the flux-inversion integrand follows a declared
 power there (``_edge_singularity``), at which the endpoint ladder is closed.
@@ -283,11 +288,11 @@ def zero_grid_function(grid: Points) -> GridFunction:
 @dataclass
 class SolutionQuad:
     """Quadrature view of a solve: panel points with weights, weight values,
-    flux, u' and interpolated u, ready for energy integrals.
+    flux, u' and u, ready for energy integrals.
 
-    ``u`` is filled on first read by ``fill_u`` (``_u_at_points`` bound to
-    the arrays it reads), so solves whose callers read only the nodal
-    solution do not pay for it."""
+    ``u`` is filled on first read by ``fill_u`` (``_hermite_at_points`` on
+    the arrays it reads: u' integrated by the panel rule from the nodes), so
+    solves whose callers read only the nodal solution do not pay for it."""
 
     pts: Points
     w_quad: np.ndarray
@@ -485,13 +490,14 @@ def _derived(panels: PanelSet, name: str, build: Callable[[], object]):
 
 
 def _cumulative_layout(grid: Points, panels: PanelSet, n: int) -> tuple:
-    """How ``_Workspace._panel_cumulative`` gathers and orders the panels:
-    the point indices of each Gauss panel, their widths over the rule's
-    first weight, the panels of the right endpoint cell (their cumulative
-    runs toward x = 1), the order by cell (by y inside that cell), the
-    number of panels left of x = 0 and, in that order, the first panel of
-    each cell past the first.  The point indices are 32-bit, which halves
-    what the entry keeps of them."""
+    """How ``_Workspace._panel_cumulative`` and the u fill
+    (``_hermite_at_points``) gather and order the panels: the point indices
+    of each Gauss panel, their widths over the rule's first weight, the
+    panels of the right endpoint cell (their cumulative runs toward x = 1),
+    the order by cell (by y inside that cell), the number of panels left of
+    x = 0 and, in that order, the first panel of each cell past the first.
+    The point indices are 32-bit, which halves what the entry keeps of
+    them."""
     idx = np.delete(np.arange(panels.w.size, dtype=np.int32), panels.tail).reshape(-1, n)
     pid = panels.panel_id[idx[:, 0]]
     cell = panels.panel_cell[pid]
@@ -720,13 +726,13 @@ def _solve(p: float, w: Weight, mu: RadonMeasure, options: SolverOptions,
 def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     """Nodal u, u' and flux of a solved workspace, plus its quadrature view.
 
+    u is integrated half by half, from each endpoint toward the centre node,
+    and ``boundary_residual`` is the mismatch of the two halves at x = 0.
     Pure-atom measures with a constant weight have a flux that is constant
-    between atoms, so u is piecewise linear: each half is integrated in
-    closed form from its endpoint toward the centre node
-    (``_piecewise_linear_half``) and ``boundary_residual`` is the mismatch of
-    the two halves at the centre.  Every other solve sums the per-cell
-    quadrature of u' from -1 to the right and ``boundary_residual`` is the
-    mismatch at x = 1.
+    between atoms, so u is piecewise linear and each half is summed in closed
+    form (``_piecewise_linear_half``); every other solve sums the per-cell
+    quadrature of u'.  A sum from one endpoint would keep only the absolute
+    accuracy of u near the other.
     """
     p, w, mu, opts = ws.p, ws.w, ws.mu, ws.opts
     e = ws.exponent
@@ -747,45 +753,41 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         atom_cum_left = np.zeros(nodes.x.size)
         atom_cum_right = atom_cum_left
     flux_nodes = ctilde - (ws.S_nodes + atom_cum_left)
-    flux_nodes_right = ctilde - (ws.S_nodes + atom_cum_right)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_nodes = w.values(nodes)
         uprime_nodes = np.sign(flux_nodes) * np.abs(flux_nodes) ** e * w_nodes ** (-e)
-        uprime_right = np.sign(flux_nodes_right) * np.abs(flux_nodes_right) ** e \
-            * w_nodes ** (-e)
 
+    mid = int(np.searchsorted(nodes.x, 0.0))  # x = 0 is always a node
     if mu.density.is_zero and w.family == "constant":
         # cell i carries the flux just right of node i
-        slope = uprime_right[:-1]
-        mid = int(np.searchsorted(nodes.x, 0.0))  # x = 0 is always a node
+        flux_right = ctilde - (ws.S_nodes + atom_cum_right)
+        slope = (np.sign(flux_right) * np.abs(flux_right) ** e * w_nodes ** (-e))[:-1]
         u_left = _piecewise_linear_half(nodes.y[:mid + 1], slope[:mid])
         u_right = _piecewise_linear_half(nodes.y[mid:][::-1], -slope[mid:][::-1])
-        residual = abs(float(u_left[-1] - u_right[-1]))
-        u_nodes = np.concatenate([u_left[:-1], [0.5 * (u_left[-1] + u_right[-1])],
-                                  u_right[-2::-1]])
     else:
         contrib = ws.panels.w * phi
         panel_int = np.bincount(ws.panels.panel_id, weights=contrib,
                                 minlength=ws.panels.panel_cell.size)
         cell_int = np.bincount(ws.panels.panel_cell, weights=panel_int,
                                minlength=ws.panels.n_cells)
-        u_nodes = np.concatenate([[0.0], np.cumsum(cell_int)])
-        residual = abs(float(u_nodes[-1]))
-        u_nodes[-1] = 0.0
+        u_left = np.concatenate([[0.0], np.cumsum(cell_int[:mid])])
+        u_right = np.concatenate([[0.0], np.cumsum(-cell_int[mid:][::-1])])
+    residual = abs(float(u_left[-1] - u_right[-1]))
+    u_nodes = np.concatenate([u_left[:-1], [0.5 * (u_left[-1] + u_right[-1])],
+                              u_right[-2::-1]])
     u_nodes = np.maximum(u_nodes, 0.0)
 
     # boundary exponents of the limit: u ~ dist^(1 - s)
-    kappa_l = 1.0 - _edge_singularity(p, w, mu, -1)
-    kappa_r = 1.0 - _edge_singularity(p, w, mu, 1)
     u = GridFunction(grid=nodes, values=u_nodes,
-                     left_exponent=kappa_l, right_exponent=kappa_r)
+                     left_exponent=1.0 - _edge_singularity(p, w, mu, -1),
+                     right_exponent=1.0 - _edge_singularity(p, w, mu, 1))
 
+    panels, n = ws.panels, opts.n_gauss
     quad = SolutionQuad(
-        pts=ws.panels.pts, w_quad=ws.panels.w, tail=ws.panels.tail, w_vals=ws.w_vals,
+        pts=panels.pts, w_quad=panels.w, tail=panels.tail, w_vals=ws.w_vals,
         flux=flux, uprime=phi, dens_vals=ws.dens,
-        fill_u=partial(_u_at_points, nodes, u_nodes, uprime_right, uprime_nodes,
-                       kappa_l, kappa_r, ws.panels, phi,
-                       tuple(side for side in (-1, 1) if mu.sing(side) >= 1.0), opts.n_gauss),
+        # the fill is looked up by name on the first read
+        fill_u=lambda: _hermite_at_points(nodes, u_nodes, panels, phi, n),
     )
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
@@ -813,83 +815,53 @@ def _piecewise_linear_half(d: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return u
 
 
-def _u_at_points(nodes: Points, u_nodes: np.ndarray, dR: np.ndarray, dL: np.ndarray,
-                 kappa_l: float, kappa_r: float, panels: PanelSet, phi: np.ndarray,
-                 infinite_sides: tuple[int, ...], n_gauss: int) -> np.ndarray:
-    """u at the quadrature points: the Hermite fill, with the endpoint cells
-    of the sides of infinite mass integrated from the endpoint."""
-    u = _hermite_at_points(nodes, u_nodes, dR, dL, kappa_l, kappa_r, panels)
-    for side in infinite_sides:
-        idx, vals = _edge_cell_u(panels, phi, side, n_gauss)
-        u[idx] = vals
-    return u
+def _hermite_at_points(nodes: Points, u_nodes: np.ndarray, panels: PanelSet,
+                       phi: np.ndarray, n: int) -> np.ndarray:
+    """u at the quadrature points by the solve's own panel rule (perfbench
+    traces it by this name).
 
+    Like the nodal u, each half is integrated from its endpoint: a panel
+    starts from the node of its cell on that side (in an endpoint cell from
+    the tail pseudo-point, whose weight closes the integral of u' below it),
+    adds the panels before it in its cell and then the Gauss cumulative of
+    u' inside itself.  Every sum starts at its half's endpoint, so u keeps
+    its relative accuracy near both endpoints, where a sum across the centre
+    would cancel."""
+    idx, width, toward_right, order, n_left, _ = _derived(
+        panels, "cumulative", partial(_cumulative_layout, nodes, panels, n))
+    cell = panels.cell_id[idx[:, 0]]
+    mid = int(np.searchsorted(nodes.x, 0.0))
+    right = cell >= mid
+    # u' away from the endpoint of each half
+    v = phi[idx]
+    v[right] *= -1.0
+    mass = np.sum(panels.w[idx] * v, axis=1)
+    # the right half's panels in x run toward its endpoint: integrate them
+    # from their upper end (the Gauss nodes are symmetric)
+    flip = right & ~toward_right
+    v[flip] = v[flip, ::-1]
+    part = width * (v @ gauss_cumulative(n).T)
+    part[flip] = part[flip, ::-1]
 
-def _hermite_at_points(nodes: Points, u_nodes: np.ndarray,
-                       dR: np.ndarray, dL: np.ndarray,
-                       kappa_l: float, kappa_r: float,
-                       panels: PanelSet) -> np.ndarray:
-    """u at the quadrature points by per-cell cubic Hermite interpolation.
+    # the panels of each half from its endpoint, and the mass of those
+    # before each one in its cell
+    seq = np.concatenate([order[:n_left], order[n_left:][::-1]])
+    m, c = mass[seq], cell[seq]
+    before = np.concatenate([[0.0], np.cumsum(m[:n_left - 1]),
+                             [0.0], np.cumsum(m[n_left:-1])])
+    first = np.concatenate([[True], c[1:] != c[:-1]])
+    before -= before[np.maximum.accumulate(np.where(first, np.arange(c.size), 0))]
 
-    One-sided nodal derivatives come from the flux relation, so the
-    interpolant is exact on polynomial flux profiles, unlike estimated
-    derivatives.  The two endpoint cells use the boundary power profile
-    u = u_1 (y/y_1)^kappa instead (u' may be infinite at the endpoints).
-    """
-    pts = panels.pts
-    cells = panels.cell_id
-    n_cells = panels.n_cells
-    out = np.empty(len(pts))
-
-    left_cell = cells == 0
-    right_cell = cells == n_cells - 1
-    if np.any(left_cell):
-        y1 = nodes.y[1]
-        out[left_cell] = max(u_nodes[1], 0.0) * (pts.y[left_cell] / y1) ** kappa_l
-    if np.any(right_cell):
-        y1 = nodes.y[-2]
-        out[right_cell] = max(u_nodes[-2], 0.0) * (pts.y[right_cell] / y1) ** kappa_r
-
-    interior = ~(left_cell | right_cell)
-    if np.any(interior):
-        c = cells[interior]
-        same_side = nodes.side[c] == nodes.side[c + 1]
-        # cell width and local coordinate, in the exact edge-distance
-        # coordinate whenever the cell lies on one side of the center
-        h_x = nodes.x[c + 1] - nodes.x[c]
-        h_y = -(nodes.y[c + 1] - nodes.y[c]) * nodes.side[c]
-        h = np.where(same_side, h_y, h_x)
-        t_x = (pts.x[interior] - nodes.x[c]) / h
-        t_y = -(pts.y[interior] - nodes.y[c]) * nodes.side[c] / h
-        t = np.clip(np.where(same_side, t_y, t_x), 0.0, 1.0)
-        u0 = u_nodes[c]
-        u1 = u_nodes[c + 1]
-        d0 = dR[c]
-        d1 = dL[c + 1]
-        t2 = t * t
-        t3 = t2 * t
-        vals = ((2 * t3 - 3 * t2 + 1) * u0 + (t3 - 2 * t2 + t) * h * d0
-                + (-2 * t3 + 3 * t2) * u1 + (t3 - t2) * h * d1)
-        out[interior] = vals
+    # each cell starts from its node on its half's endpoint side, an
+    # endpoint cell from its tail pseudo-point
+    tail = panels.tail
+    u_tail = panels.w[tail] * phi[tail] * (1.0, -1.0)
+    anchor = np.concatenate([u_nodes[:mid], u_nodes[mid + 1:]])
+    anchor[[0, -1]] = u_tail
+    out = np.empty(phi.size)
+    out[idx[seq]] = (anchor[c] + before)[:, None] + part[seq]
+    out[tail] = u_tail
     return np.maximum(out, 0.0)
-
-
-def _edge_cell_u(panels: PanelSet, phi: np.ndarray, side: int,
-                 n_gauss: int) -> tuple[np.ndarray, np.ndarray]:
-    """u at the points of an endpoint cell integrated from the endpoint, panel
-    by panel: where the mass is infinite the cell can hold a share of
-    u^gamma dmu that the boundary power profile misses by u's relative
-    departure from its power, ~ dist^(a-1)."""
-    cell = 0 if side < 0 else panels.n_cells - 1
-    tail = panels.tail[0 if side < 0 else 1]
-    v = -side * phi  # u' toward the interior
-    idx = np.flatnonzero(panels.cell_id == cell)
-    idx = idx[idx != tail].reshape(-1, n_gauss)
-    h = panels.w[idx[:, 0]] / gauss_rule(n_gauss)[1][0]
-    start = v[tail] * panels.w[tail] \
-        + np.concatenate([[0.0], np.cumsum(np.sum(panels.w[idx] * v[idx], axis=1))[:-1]])
-    vals = start[:, None] + h[:, None] * (v[idx] @ gauss_cumulative(n_gauss).T)
-    return np.append(idx.ravel(), tail), np.append(vals.ravel(), v[tail] * panels.w[tail])
 
 
 def potential(p: float, w: Weight, mu: RadonMeasure,

@@ -17,7 +17,14 @@ from sublap.energy import (
 )
 from sublap import solver
 from sublap.errors import ValidationError
-from sublap.measures import RadonMeasure, TabulatedDensity, dirac, lebesgue, power_measure
+from sublap.measures import (
+    PowerDensity,
+    RadonMeasure,
+    TabulatedDensity,
+    dirac,
+    lebesgue,
+    power_measure,
+)
 from sublap.solver import SolverOptions, potential, solve_dirichlet
 from sublap.sublinear import hardy_sweep, iterate
 from sublap.trace import trace_bracket
@@ -246,16 +253,19 @@ def test_energy_ladder_monotone_levels():
 
 
 def _deep_cut_cases():
-    # power weights with beta >= 0 (beta < p - 1) and finite-mass power
-    # measures; each tail is closed at its own integrand's power, so a cut at
-    # 1e-60 moves nothing but rounding.  The exception: at beta = 0 (u' ~ 1,
-    # cut at 1e-16) the gradient integrand ~ dist^(gamma - 1) departs from
-    # its power by the mass below, ~ dist^(1 - alpha), and the closure errs by
-    # ~ 1e-16^(gamma + 1 - alpha), 1.5e-11 relative at gamma = 0.3, alpha = 0.6
-    for p, beta in ((2.0, 0.0), (2.0, 0.5), (3.0, 0.0), (3.0, 0.5), (3.0, 1.2)):
+    # power weights with beta in (-1, p - 1), negative ones included, and
+    # finite-mass power measures; each tail is closed at its own integrand's
+    # power, so a cut at 1e-60 moves nothing but rounding.  The exceptions:
+    # at beta <= 0 (u' ~ dist^(-beta/(p-1)) -> const or 0, cut at 1e-16) the
+    # gradient integrand ~ dist^(gamma - 1) departs from its power by the mass
+    # below, ~ dist^(1 - alpha), and the closure errs by up to
+    # ~ 1e-16^(gamma + 1 - alpha): at gamma = 0.3, alpha = 0.6 that is
+    # 1.5e-11 relative at beta = 0 and 1.8e-12 at p = 2.766, beta = -0.208
+    for p, beta in ((2.0, 0.0), (2.0, 0.5), (3.0, 0.0), (3.0, 0.5), (3.0, 1.2),
+                    (2.0, -0.5), (3.0, -0.5), (2.766, -0.208)):
         for alpha in (0.0, 0.6):
             for gamma in (0.3, 0.5, 1.0, 2.0):
-                slow = beta == 0.0 and alpha == 0.6 and gamma == 0.3
+                slow = beta in (0.0, -0.208) and alpha == 0.6 and gamma == 0.3
                 yield p, beta, alpha, gamma, 1e-10 if slow else 1e-12
 
 
@@ -270,6 +280,37 @@ def test_energies_do_not_move_with_a_deeper_tail_cut(monkeypatch, p, beta, alpha
     assert rep.e_gamma == pytest.approx(deep.e_gamma, rel=rel, abs=0.0)
     assert rep.grad_energy == pytest.approx(deep.grad_energy, rel=rel, abs=0.0)
     assert rep.identity_gap <= 1e-5
+
+
+def _exact_family_cases():
+    # criterion_2's family: u = (1 - |x|)^A for w = (1 - |x|)^beta and
+    # mu = 2 A^(p-1) delta_0 + coef (1 - |x|)^-(1-m), m = (A-1)(p-1) + beta,
+    # coef = -A^(p-1) m; the energy is finite where A gamma + m > 0
+    for p in (1.5, 2.0, 3.0):
+        for beta in (-0.5, 0.0, 0.5):
+            if not beta < p - 1.0:
+                continue
+            for frac in (0.45, 0.65, 0.85):
+                A = frac * (1.0 - beta / (p - 1.0))
+                for gamma in (0.5, 1.0, 2.0):
+                    if A * gamma + (A - 1.0) * (p - 1.0) + beta > 0.0:
+                        yield p, beta, frac, gamma
+
+
+@pytest.mark.parametrize("p, beta, frac, gamma", list(_exact_family_cases()))
+def test_exact_family_energies_against_closed_forms(p, beta, frac, gamma):
+    # E_gamma = 2 A^(p-1) + 2 coef / (A gamma + m) and gamma int |u'|^p
+    # u^(gamma-1) w dx = 2 gamma A^p / ((A-1) p + A (gamma-1) + beta + 1)
+    A = frac * (1.0 - beta / (p - 1.0))
+    m = (A - 1.0) * (p - 1.0) + beta
+    coef = -A ** (p - 1.0) * m
+    mu = RadonMeasure(atoms=((0.0, 2.0 * A ** (p - 1.0)),),
+                      density=PowerDensity(alpha=1.0 - m, coef=coef))
+    rep = energy(p, power_weight(beta) if beta != 0.0 else W1, mu, gamma)
+    e_exact = 2.0 * A ** (p - 1.0) + 2.0 * coef / (A * gamma + m)
+    grad_exact = 2.0 * gamma * A ** p / ((A - 1.0) * p + A * (gamma - 1.0) + beta + 1.0)
+    assert rep.e_gamma == pytest.approx(e_exact, rel=5e-8, abs=0.0)
+    assert gamma * rep.grad_energy == pytest.approx(grad_exact, rel=5e-8, abs=0.0)
 
 
 def test_infinite_mass_energy_against_closed_form():

@@ -96,7 +96,7 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
 
     def add_tail_point(cell, side, y0, s):
         nonlocal pid
-        s = min(max(s, 0.0), 0.995)
+        s = min(s, 0.995)
         tail.append(sum(a.size for a in px))
         pp = points_from_edge(side, np.asarray([y0]))
         px.append(pp.x)

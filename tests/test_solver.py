@@ -407,6 +407,35 @@ def test_power_family_near_the_edge_of_the_weight_window(p, beta, frac):
     assert res.u.right_exponent == pytest.approx(A, abs=1e-12)
 
 
+def _mirror_gap(res) -> tuple[float, float]:
+    """Largest relative gap of u between mirrored nodes (x[k] == -x[n-1-k])
+    and between the mirrored quadrature points of the two endpoint cells."""
+    x, u = res.u.x, res.u.values
+    k = np.arange(x.size // 2)
+    k = k[x[k] == -x[::-1][k]]
+    nodes = np.max(np.abs(u[k] - u[::-1][k]) / np.maximum(u[k], 1e-300))
+    pts, qu = res.quad.pts, res.quad.u
+    ends = [np.flatnonzero(pts.x < x[1]), np.flatnonzero(pts.x > x[-2])]
+    left, right = (i[np.argsort(pts.y[i], kind="stable")] for i in ends)
+    assert np.array_equal(pts.y[left], pts.y[right])  # the cells are placed in y
+    cells = np.max(np.abs(qu[left] - qu[right]) / np.maximum(qu[left], 1e-300))
+    return float(nodes), float(cells)
+
+
+@pytest.mark.parametrize("p, w, mu", [
+    (2.0, W1, power_measure(0.5)),
+    (1.5,) + _power_family(1.5, -0.5, 0.65)[:2],
+], ids=["power0.5", "family-beta-0.5"])
+def test_u_of_a_symmetric_measure_is_mirror_symmetric(p, w, mu):
+    # each half is integrated from its own endpoint, so u keeps its relative
+    # accuracy near x = +1 as near x = -1 (a sum from -1 lost all of it there
+    # for the family at p = 1.5, beta = -0.5)
+    res = potential(p, w, mu)
+    nodes, cells = _mirror_gap(res)
+    assert nodes <= 1e-12 and cells <= 1e-12
+    assert res.boundary_residual <= 1e-12 * res.u.sup()
+
+
 def test_potential_declares_the_edge_exponents_of_the_limit():
     # u ~ dist^(1 - s), s = (alpha - 1)/(p - 1) = 0.2, not the exponent 1 of a
     # truncated level; the classical flux constant is infinite
@@ -868,17 +897,10 @@ def test_quad_u_filled_on_first_read_equals_the_eager_fill(monkeypatch, p, w, mu
     monkeypatch.setattr(solver, "_panel_structure", recorded)
     res = potential(p, w, mu)
     calls = _count_hermite(monkeypatch)
-    # the eager fill on the panels of the last workspace; without atoms both
-    # one-sided nodal derivatives are u'
+    # the eager fill on the panels of the last workspace
     panels = structures[-1][1]
-    u = res.u
-    eager = solver._hermite_at_points(u.grid, u.values, res.u_prime, res.u_prime,
-                                      u.left_exponent, u.right_exponent, panels)
-    for side in (-1, 1):
-        if mu.sing(side) >= 1.0:
-            idx, vals = solver._edge_cell_u(panels, res.quad.uprime, side,
-                                            DEFAULT_OPTIONS.n_gauss)
-            eager[idx] = vals
+    eager = solver._hermite_at_points(res.u.grid, res.u.values, panels, res.quad.uprime,
+                                      DEFAULT_OPTIONS.n_gauss)
     assert np.array_equal(res.quad.u, eager)
     assert res.quad.u is res.quad.u
     assert len(calls) == 2  # the eager fill and the first read only
