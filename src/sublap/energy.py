@@ -81,7 +81,7 @@ def _tail_powers(res: PotentialResult, gamma: float, least_a: float = -INF) -> l
 def _closed_weights(res: PotentialResult, gamma: float, least_a: float = -INF) -> np.ndarray:
     """The solve's weights with each tail closed at ``_tail_powers``."""
     quad = res.quad
-    return _reclose_tails(quad.w_quad, quad.pts, quad.tail, _tail_powers(res, gamma, least_a))
+    return _reclose_tails(quad.w_quad, quad.pts, _tail_powers(res, gamma, least_a))
 
 
 def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> float:

@@ -128,21 +128,23 @@ def graded_grid(
 
 @dataclass
 class PanelSet:
-    """Composite quadrature structure over a cell partition of [-1, 1].
+    """Composite quadrature structure over a cell partition of [-1, 1], laid
+    out in x order.
 
-    Arrays are flat over all quadrature points; ``cell_id`` maps each point to
-    the grid cell it integrates, ``panel_id`` to its panel.  ``memo`` holds
-    what the solver derives from the structure alone, by name, filled on
-    first use.
+    Arrays are flat over all quadrature points: the left tail pseudo-point
+    first, the right one last, and between them the Gauss panels of
+    ``n_gauss`` points each, cell by cell in x order, so ``a[1:-1].reshape(-1,
+    n_gauss)`` holds one panel per row and ``panel_cell`` (nondecreasing)
+    names the grid cell of each.  The points ascend in x and, at equal x (x
+    ties within float spacing of the endpoints), in y at -1 and against y at
+    +1.  ``memo`` holds what the solver keeps of values at the points, by
+    name, filled on first use.
     """
 
     pts: Points
     w: np.ndarray          # quadrature weights (dx included)
-    cell_id: np.ndarray    # int, per point
-    panel_id: np.ndarray   # int, per point
-    panel_cell: np.ndarray  # int, per panel
+    panel_cell: np.ndarray  # int, per Gauss panel
     n_cells: int
-    tail: np.ndarray       # int, the left and the right tail pseudo-point
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -199,13 +201,13 @@ def build_panels(
     integrand follows the declared power ``tail_s_*`` there (and is
     negligible otherwise); s < 0 (an integrand vanishing at the endpoint)
     is taken as it is.
-    ``PanelSet.tail`` holds the two pseudo-points, so an integrand with
-    another declared power can re-close them.
+    The pseudo-points are the first and the last point, so an integrand
+    with another declared power can re-close them.
 
-    Panels are ordered plain cells first, then the left ladder and its
-    pseudo-panel, the right ladder and its pseudo-panel, then the cells
-    graded toward ``ladder_nodes``; all of them are laid out in one pass
-    over the arrays of panel ends.
+    The layout is x order (see ``PanelSet``): the pseudo-points at the ends
+    and between them the panels cell by cell, where in the right endpoint
+    cell the panels and their points run by descending y; all of them are
+    laid out in one pass over the arrays of panel ends.
     """
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
@@ -220,54 +222,56 @@ def build_panels(
             for c, end in ((idx - 1, 1), (idx, -1)):
                 if 0 < c < n_cells - 1:
                     toward.setdefault(c, end)
-    plain = np.ones(n_cells, dtype=bool)
-    plain[[0, n_cells - 1, *toward]] = False
-    plain = np.flatnonzero(plain)
 
     # ascending ladder edges in y from each endpoint
     ends = [_endpoint_ladder(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_ratio,
                              edge_breaks_left),
             _endpoint_ladder(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right, edge_ratio,
                              edge_breaks_right)]
-    # every Gauss panel as [lo, hi], in x (side 0) or in y from its side
-    ladders = [(ends[0], -1.0, 0), (ends[1], 1.0, n_cells - 1)]
-    ladders += [(_ladder_edges(gx[c], gx[c + 1], end), 0.0, c) for c, end in toward.items()]
-    lo = np.concatenate([gx[plain], *(e[:-1] for e, _, _ in ladders)])
-    hi = np.concatenate([gx[plain + 1], *(e[1:] for e, _, _ in ladders)])
-    side = np.concatenate([np.zeros(plain.size), *(np.full(e.size - 1, sd) for e, sd, _ in ladders)])
-    cell = np.concatenate([plain, *(np.full(e.size - 1, c) for e, _, c in ladders)])
+    # the panels [lo, hi] of each laddered cell, in x (side 0) or in y from
+    # its side, in x order; every other cell is one panel in x
+    ladders = {0: (ends[0][:-1], ends[0][1:], -1.0),
+               n_cells - 1: (ends[1][-2::-1], ends[1][:0:-1], 1.0)}
+    for c, end in toward.items():
+        e = _ladder_edges(gx[c], gx[c + 1], end)
+        ladders[c] = (e[:-1], e[1:], 0.0)
+    lo, hi, side, cell = [], [], [], []
+    plain = 0  # the first cell not laid out yet
+    for c in sorted(ladders):
+        c_lo, c_hi, sd = ladders[c]
+        lo += [gx[plain:c], c_lo]
+        hi += [gx[plain + 1:c + 1], c_hi]
+        side += [np.zeros(c - plain), np.full(c_lo.size, sd)]
+        cell += [np.arange(plain, c), np.full(c_lo.size, c)]
+        plain = c + 1
+    lo, hi, side, cell = map(np.concatenate, (lo, hi, side, cell))
     h = hi - lo
     keep = h > 0.0
-    # the pseudo-panels follow the left and the right ladder
-    n_left = plain.size + ends[0].size - 1
-    at = np.asarray([np.count_nonzero(keep[:n_left]),
-                     np.count_nonzero(keep[:n_left + ends[1].size - 1])])
     lo, h, side, cell = lo[keep], h[keep], side[keep], cell[keep]
 
-    coord = lo[:, None] + t * h[:, None]
+    # the right endpoint cell's points run in descending y
+    down = (side > 0.0)[:, None]
+    coord = lo[:, None] + np.where(down, t[::-1], t) * h[:, None]
     sides = side[:, None]
     on_edge = sides != 0.0
     x = np.where(on_edge, sides * (1.0 - coord), coord)
     y = np.where(on_edge, coord, 1.0 - np.abs(coord))
     sides = np.where(on_edge, sides, np.where(coord >= 0.0, 1.0, -1.0))
-    w = h[:, None] * tw
+    w = h[:, None] * np.where(down, tw[::-1], tw)
 
     y_tail = np.asarray([ends[0][0], ends[1][0]])
     s_tail = np.asarray([-1.0, 1.0])
     w_tail = y_tail / (1.0 - np.minimum([tail_s_left, tail_s_right], 0.995))
-    pos = at * n_gauss
-    panel_cell = np.insert(cell, at, [0, n_cells - 1])
-    counts = np.insert(np.full(cell.size, n_gauss), at, 1)
+
+    def with_tails(a: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        return np.concatenate([tails[:1], a.ravel(), tails[1:]])
+
     return PanelSet(
-        pts=Points(x=np.insert(x.ravel(), pos, s_tail * (1.0 - y_tail)),
-                   side=np.insert(sides.ravel(), pos, s_tail),
-                   y=np.insert(y.ravel(), pos, y_tail)),
-        w=np.insert(w.ravel(), pos, w_tail),
-        cell_id=np.repeat(panel_cell, counts),
-        panel_id=np.repeat(np.arange(panel_cell.size), counts),
-        panel_cell=panel_cell,
+        pts=Points(x=with_tails(x, s_tail * (1.0 - y_tail)), side=with_tails(sides, s_tail),
+                   y=with_tails(y, y_tail)),
+        w=with_tails(w, w_tail),
+        panel_cell=cell,
         n_cells=n_cells,
-        tail=pos + [0, 1],
     )
 
 

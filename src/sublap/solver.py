@@ -36,7 +36,6 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -295,8 +294,7 @@ class SolutionQuad:
     solves whose callers read only the nodal solution do not pay for it."""
 
     pts: Points
-    w_quad: np.ndarray
-    tail: np.ndarray  # the two tail pseudo-points (see ``build_panels``)
+    w_quad: np.ndarray  # the first and last point are the tail pseudo-points
     w_vals: np.ndarray
     flux: np.ndarray
     uprime: np.ndarray
@@ -345,16 +343,24 @@ class PotentialResult:
 # workspace
 # ---------------------------------------------------------------------------
 
-def _master_grid(mu: RadonMeasure, opts: SolverOptions,
-                 extra_nodes: tuple[float, ...] = ()) -> Points:
+def _mandatory_nodes(mu: RadonMeasure, opts: SolverOptions,
+                     extra_nodes: tuple[float, ...]) -> tuple[float, ...]:
+    """The locations ``_master_grid`` makes grid nodes, sorted: atoms,
+    ``extra_nodes``, interior breaks, and truncation / regime edges at
+    distances the grid represents (at least ``opts.y_floor``)."""
     mandatory = tuple(mu.atom_locations.tolist()) + tuple(extra_nodes)
     mandatory += tuple(b for b in mu.interior_breaks() if -1.0 < b < 1.0)
-    # representable truncation / regime edges become grid nodes
     for side in (-1, 1):
         for yb in mu.breakpoints_y(side):
             if yb >= opts.y_floor:
                 mandatory += (-1.0 + yb,) if side < 0 else (1.0 - yb,)
-    return graded_grid(opts.n_nodes, opts.grading_ratio, opts.y_floor, mandatory)
+    return tuple(sorted(mandatory))
+
+
+def _master_grid(mu: RadonMeasure, opts: SolverOptions,
+                 extra_nodes: tuple[float, ...] = ()) -> Points:
+    return graded_grid(opts.n_nodes, opts.grading_ratio, opts.y_floor,
+                       _mandatory_nodes(mu, opts, extra_nodes))
 
 
 # panel structures by ``_structure_key``, least recently used first; every
@@ -400,11 +406,12 @@ class _StructureKey(tuple):
 def _structure_key(mu: RadonMeasure, opts: SolverOptions,
                    extra_nodes: tuple, ladder_nodes: tuple,
                    y_cuts: list, deep_l: tuple, deep_r: tuple):
+    """Everything ``_master_grid`` and ``build_panels`` read: the options,
+    the grid's mandatory nodes, the ladder nodes, the edges below the grid
+    floor with the declared tail powers, and the ladder cuts."""
     try:
         return _StructureKey((
-            opts, extra_nodes, ladder_nodes,
-            tuple(mu.atom_locations.tolist()),
-            tuple(sorted(mu.interior_breaks())),
+            opts, _mandatory_nodes(mu, opts, extra_nodes), ladder_nodes,
             deep_l, deep_r, *y_cuts,
         ))
     except TypeError:
@@ -470,54 +477,13 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     )
     # what the cache shares is read-only
     _freeze(grid.x, grid.side, grid.y, panels.pts.x, panels.pts.side, panels.pts.y,
-            panels.w, panels.cell_id, panels.panel_id, panels.panel_cell, panels.tail)
+            panels.w, panels.panel_cell)
     if key is not None:
         with _PANEL_LOCK:
             _PANEL_CACHE[key] = (grid, panels)
             for stale in list(_PANEL_CACHE)[:-_PANEL_CACHE_SIZE]:
                 _PANEL_CACHE.pop(stale, None)
     return grid, panels
-
-
-def _derived(panels: PanelSet, name: str, build: Callable[[], object]):
-    """What depends on the panel structure alone, built on first use (with
-    its arrays read-only) and kept in ``panels.memo``; a concurrent first
-    use builds an equal one."""
-    got = panels.memo.get(name)
-    if got is None:
-        got = panels.memo[name] = build()
-    return got
-
-
-def _cumulative_layout(grid: Points, panels: PanelSet, n: int) -> tuple:
-    """How ``_Workspace._panel_cumulative`` and the u fill
-    (``_hermite_at_points``) gather and order the panels: the point indices
-    of each Gauss panel, their widths over the rule's first weight, the
-    panels of the right endpoint cell (their cumulative runs toward x = 1),
-    the order by cell (by y inside that cell), the number of panels left of
-    x = 0 and, in that order, the first panel of each cell past the first.
-    The point indices are 32-bit, which halves what the entry keeps of
-    them."""
-    idx = np.delete(np.arange(panels.w.size, dtype=np.int32), panels.tail).reshape(-1, n)
-    pid = panels.panel_id[idx[:, 0]]
-    cell = panels.panel_cell[pid]
-    toward_right = cell == panels.n_cells - 1
-    order = np.lexsort((np.where(toward_right, -pid, pid), cell))
-    cell = cell[order]
-    n_left = int(np.searchsorted(cell, int(np.searchsorted(grid.x, 0.0))))
-    width = (panels.w[idx[:, 0]] / gauss_rule(n)[1][0])[:, None]
-    cell_start = np.searchsorted(cell, np.arange(1, panels.n_cells))
-    _freeze(idx, width, toward_right, order, cell_start)
-    return idx, width, toward_right, order, n_left, cell_start
-
-
-def _x_order(panels: PanelSet) -> np.ndarray:
-    """The panel points in x order, by distance to the endpoint at equal x,
-    as 32-bit indices."""
-    pts = panels.pts
-    order = np.lexsort((-pts.side * pts.y, pts.x)).astype(np.int32)
-    _freeze(order)
-    return order
 
 
 def _weight_at(panels: PanelSet, w: Weight, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -579,32 +545,28 @@ class _Workspace:
 
     def _panel_cumulative(self) -> tuple[np.ndarray, np.ndarray]:
         """Density part of S at the panel points and at the grid nodes, from
-        the panel rule.  Panels are ordered by cell, and by y inside the
-        right endpoint cell, whose panels run toward x = 1 in y (x ties
-        within float spacing of the endpoints).  The tail pseudo-points sit
-        at the ladder bottoms; below them the nodes at x = +-1 add the
-        declared power's closure, dens(y0) y0 / (1 - a)."""
+        the panel rule.  The panels are in x order (``build_panels``), so
+        each one's cumulative runs from its lower end in x, in y where its
+        points descend in y (the Gauss nodes are symmetric).  The tail
+        pseudo-points sit at the ladder bottoms; below them the nodes at
+        x = +-1 add the declared power's closure, dens(y0) y0 / (1 - a)."""
         panels, n = self.panels, self.opts.n_gauss
-        idx, width, toward_right, order, n_left, cell_start = _derived(
-            panels, "cumulative", partial(_cumulative_layout, self.grid, panels, n))
-        f = self.dens[idx]
-        mass = np.sum(panels.w[idx] * f, axis=1)
-        part = width * (f @ gauss_cumulative(n).T)
-        part[toward_right] = mass[toward_right, None] - part[toward_right]
-        mass = mass[order]
-        left_end = np.concatenate([-np.cumsum(mass[:n_left][::-1])[::-1],
-                                   [0.0], np.cumsum(mass[n_left:-1])])
-        start = np.empty(mass.size)  # S at the start of each panel
-        start[order] = left_end
+        cell = panels.panel_cell
+        f = self.dens[1:-1].reshape(-1, n)
+        w = panels.w[1:-1].reshape(-1, n)
+        mass = np.sum(w * f, axis=1)
+        part = (w[:, :1] / gauss_rule(n)[1][0]) * (f @ gauss_cumulative(n).T)
+        n_left = int(np.searchsorted(cell, np.searchsorted(self.grid.x, 0.0)))
+        start = np.concatenate([-np.cumsum(mass[:n_left][::-1])[::-1],
+                                [0.0], np.cumsum(mass[n_left:-1])])
         S = np.empty(len(self.dens))
-        S[idx] = start[:, None] + part
-        tail = panels.tail
-        S[tail] = left_end[0], left_end[-1] + mass[-1]
+        S[1:-1] = (start[:, None] + part).ravel()
+        S[0], S[-1] = start[0], start[-1] + mass[-1]
         S_nodes = np.empty(panels.n_cells + 1)
-        S_nodes[1:-1] = left_end[cell_start]
-        for j, side, i in ((0, -1, tail[0]), (-1, 1, tail[1])):
+        S_nodes[1:-1] = start[np.searchsorted(cell, np.arange(1, panels.n_cells))]
+        for i, side in ((0, -1), (-1, 1)):
             a = self.mu.sing(side)
-            S_nodes[j] = S[i] + side * (self.dens[i] * panels.pts.y[i] / (1.0 - a)
+            S_nodes[i] = S[i] + side * (self.dens[i] * panels.pts.y[i] / (1.0 - a)
                                         if a < 1.0 else INF)
         return S, S_nodes
 
@@ -629,13 +591,14 @@ class _Workspace:
 
     def kink_location(self, ctilde: float) -> float | None:
         """Interior location where the flux crosses zero, or None when the
-        crossing happens across an atom/node or out in an endpoint ladder."""
-        order = _derived(self.panels, "x order", partial(_x_order, self.panels))
-        S_sorted = self.S[order]
-        idx = int(np.searchsorted(S_sorted, ctilde))
-        if idx <= 0 or idx >= order.size:
+        crossing happens across an atom/node or out in an endpoint ladder.
+        The points are in x order (``build_panels``), along which S does not
+        decrease, so the crossing is looked up in S as it is stored."""
+        S, x = self.S, self.panels.pts.x
+        idx = int(np.searchsorted(S, ctilde))
+        if idx <= 0 or idx >= S.size:
             return None
-        a, b = float(self.panels.pts.x[order[idx - 1]]), float(self.panels.pts.x[order[idx]])
+        a, b = float(x[idx - 1]), float(x[idx])
         if b - a <= 1e-14:
             return None
         # a node inside the gap means the crossing sits at that node (panels
@@ -647,9 +610,9 @@ class _Workspace:
 
         # S is smooth in the gap with S' the density: the cubic Hermite from
         # the ends of the gap
-        s_a, s_b = float(S_sorted[idx - 1]), float(S_sorted[idx])
+        s_a, s_b = float(S[idx - 1]), float(S[idx])
         h = b - a
-        d_a, d_b = h * float(self.dens[order[idx - 1]]), h * float(self.dens[order[idx]])
+        d_a, d_b = h * float(self.dens[idx - 1]), h * float(self.dens[idx])
 
         def excess(x: float) -> float:
             t = (x - a) / h
@@ -765,11 +728,12 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         u_left = _piecewise_linear_half(nodes.y[:mid + 1], slope[:mid])
         u_right = _piecewise_linear_half(nodes.y[mid:][::-1], -slope[mid:][::-1])
     else:
+        # u' summed point by point in x order within each panel
         contrib = ws.panels.w * phi
-        panel_int = np.bincount(ws.panels.panel_id, weights=contrib,
-                                minlength=ws.panels.panel_cell.size)
+        panel_int = np.cumsum(contrib[1:-1].reshape(-1, opts.n_gauss), axis=1)[:, -1]
         cell_int = np.bincount(ws.panels.panel_cell, weights=panel_int,
                                minlength=ws.panels.n_cells)
+        cell_int[[0, -1]] += contrib[[0, -1]]  # the tail pseudo-points
         u_left = np.concatenate([[0.0], np.cumsum(cell_int[:mid])])
         u_right = np.concatenate([[0.0], np.cumsum(-cell_int[mid:][::-1])])
     residual = abs(float(u_left[-1] - u_right[-1]))
@@ -784,7 +748,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
 
     panels, n = ws.panels, opts.n_gauss
     quad = SolutionQuad(
-        pts=panels.pts, w_quad=panels.w, tail=panels.tail, w_vals=ws.w_vals,
+        pts=panels.pts, w_quad=panels.w, w_vals=ws.w_vals,
         flux=flux, uprime=phi, dens_vals=ws.dens,
         # the fill is looked up by name on the first read
         fill_u=lambda: _hermite_at_points(nodes, u_nodes, panels, phi, n),
@@ -826,41 +790,40 @@ def _hermite_at_points(nodes: Points, u_nodes: np.ndarray, panels: PanelSet,
     adds the panels before it in its cell and then the Gauss cumulative of
     u' inside itself.  Every sum starts at its half's endpoint, so u keeps
     its relative accuracy near both endpoints, where a sum across the centre
-    would cancel."""
-    idx, width, toward_right, order, n_left, _ = _derived(
-        panels, "cumulative", partial(_cumulative_layout, nodes, panels, n))
-    cell = panels.cell_id[idx[:, 0]]
+    would cancel.  The panels are in x order (``build_panels``), so the
+    right half's run toward its endpoint, and each is integrated from its
+    upper end."""
+    cell = panels.panel_cell
     mid = int(np.searchsorted(nodes.x, 0.0))
-    right = cell >= mid
+    n_left = int(np.searchsorted(cell, mid))
+    w = panels.w[1:-1].reshape(-1, n)
     # u' away from the endpoint of each half
-    v = phi[idx]
-    v[right] *= -1.0
-    mass = np.sum(panels.w[idx] * v, axis=1)
-    # the right half's panels in x run toward its endpoint: integrate them
-    # from their upper end (the Gauss nodes are symmetric)
-    flip = right & ~toward_right
-    v[flip] = v[flip, ::-1]
-    part = width * (v @ gauss_cumulative(n).T)
-    part[flip] = part[flip, ::-1]
+    v = phi[1:-1].reshape(-1, n) * np.where(cell < mid, 1.0, -1.0)[:, None]
+    mass = np.sum(w * v, axis=1)
+    # the right half's panels from their upper end (the Gauss nodes are
+    # symmetric)
+    v[n_left:] = v[n_left:, ::-1]
+    part = (w[:, :1] / gauss_rule(n)[1][0]) * (v @ gauss_cumulative(n).T)
+    part[n_left:] = part[n_left:, ::-1]
 
-    # the panels of each half from its endpoint, and the mass of those
-    # before each one in its cell
-    seq = np.concatenate([order[:n_left], order[n_left:][::-1]])
-    m, c = mass[seq], cell[seq]
+    # the mass of the panels before each one in its cell, counted from its
+    # half's endpoint
+    m = np.concatenate([mass[:n_left], mass[n_left:][::-1]])
+    c = np.concatenate([cell[:n_left], cell[n_left:][::-1]])
     before = np.concatenate([[0.0], np.cumsum(m[:n_left - 1]),
                              [0.0], np.cumsum(m[n_left:-1])])
     first = np.concatenate([[True], c[1:] != c[:-1]])
     before -= before[np.maximum.accumulate(np.where(first, np.arange(c.size), 0))]
+    before[n_left:] = before[n_left:][::-1]
 
     # each cell starts from its node on its half's endpoint side, an
     # endpoint cell from its tail pseudo-point
-    tail = panels.tail
-    u_tail = panels.w[tail] * phi[tail] * (1.0, -1.0)
+    u_tail = panels.w[[0, -1]] * phi[[0, -1]] * (1.0, -1.0)
     anchor = np.concatenate([u_nodes[:mid], u_nodes[mid + 1:]])
     anchor[[0, -1]] = u_tail
     out = np.empty(phi.size)
-    out[idx[seq]] = (anchor[c] + before)[:, None] + part[seq]
-    out[tail] = u_tail
+    out[1:-1] = ((anchor[cell] + before)[:, None] + part).ravel()
+    out[[0, -1]] = u_tail
     return np.maximum(out, 0.0)
 
 
@@ -923,7 +886,7 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
         key = None
     slot = panels.memo.get("measure")
     if key is None or slot is None or slot[0] != key:
-        slot = (key, _reclose_tails(panels.w, panels.pts, panels.tail, closed),
+        slot = (key, _reclose_tails(panels.w, panels.pts, closed),
                 mu.density.values(panels.pts))
         _freeze(*slot[1:])
         if key is not None:
@@ -931,11 +894,12 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
     return panels.pts, slot[1], slot[2]
 
 
-def _reclose_tails(w_quad: np.ndarray, pts: Points, tail: np.ndarray, sigmas) -> np.ndarray:
-    """Weights with the tail pseudo-point of each side closed exactly for an
-    integrand ~ y^(-sigma) (sigma < 1) below it: y0 / (1 - sigma)."""
+def _reclose_tails(w_quad: np.ndarray, pts: Points, sigmas) -> np.ndarray:
+    """Weights with the tail pseudo-point of each side (the first and the
+    last point) closed exactly for an integrand ~ y^(-sigma) (sigma < 1)
+    below it: y0 / (1 - sigma)."""
     w = w_quad.copy()
-    w[tail] = pts.y[tail] / (1.0 - np.asarray(sigmas, dtype=float))
+    w[[0, -1]] = pts.y[[0, -1]] / (1.0 - np.asarray(sigmas, dtype=float))
     return w
 
 

@@ -46,8 +46,9 @@ def _split(edges, breaks):
 def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-32,
                             edge_ratio=0.25, edge_breaks_left=None, edge_breaks_right=None,
                             ladder_nodes=(), tail_s_left=0.0, tail_s_right=0.0):
-    """One closure call per panel: plain cells, the left ladder and its tail
-    pseudo-point, the right ladder and its pseudo-point, the kink ladders."""
+    """One closure call per panel, cell by cell in x order, between the left
+    and the right tail pseudo-point; the right endpoint cell's panels and
+    their points by descending y."""
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
     t, tw = gauss_rule(n_gauss)
@@ -61,84 +62,62 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
             if 0 < idx < n_cells - 1 and special.get(idx) is None:
                 special[idx] = "ladder_lo"
 
-    plain = np.asarray([c for c in range(n_cells) if c not in special], dtype=np.int64)
-    a_p, b_p = gx[plain], gx[plain + 1]
-    h_p = b_p - a_p
-    pp = points_from_x((a_p[:, None] + t[None, :] * h_p[:, None]).ravel())
-    px, ps, py = [pp.x], [pp.side], [pp.y]
-    pw = [(h_p[:, None] * tw[None, :]).ravel()]
-    cell_ids = [np.repeat(plain, n_gauss)]
-    panel_ids = [np.repeat(np.arange(plain.size, dtype=np.int64), n_gauss)]
-    panel_cell = list(plain)
-    pid = plain.size
-    tail = []
+    px, ps, py, pw, panel_cell = [], [], [], [], []
+
+    def add(pp, w):
+        px.append(pp.x)
+        ps.append(pp.side)
+        py.append(pp.y)
+        pw.append(w)
 
     def add_panel(cell, a_x, b_x, a_y=None, b_y=None, side=0):
-        nonlocal pid
         if side == 0:
             h = b_x - a_x
             if h <= 0.0:
                 return
-            pp = points_from_x(a_x + t * h)
+            add(points_from_x(a_x + t * h), tw * h)
         else:
             h = b_y - a_y
             if h <= 0.0:
                 return
-            pp = points_from_edge(side, a_y + t * h)
-        px.append(pp.x)
-        ps.append(pp.side)
-        py.append(pp.y)
-        pw.append(tw * h)
-        cell_ids.append(np.full(n_gauss, cell, dtype=np.int64))
-        panel_ids.append(np.full(n_gauss, pid, dtype=np.int64))
+            if side > 0:  # by descending y
+                add(points_from_edge(side, (a_y + t * h)[::-1]), (tw * h)[::-1])
+            else:
+                add(points_from_edge(side, a_y + t * h), tw * h)
         panel_cell.append(cell)
-        pid += 1
 
-    def add_tail_point(cell, side, y0, s):
-        nonlocal pid
-        s = min(s, 0.995)
-        tail.append(sum(a.size for a in px))
+    def tail_point(side, y0, s):
         pp = points_from_edge(side, np.asarray([y0]))
-        px.append(pp.x)
-        ps.append(pp.side)
-        py.append(pp.y)
-        pw.append(np.asarray([y0 / (1.0 - s)]))
-        cell_ids.append(np.asarray([cell], dtype=np.int64))
-        panel_ids.append(np.asarray([pid], dtype=np.int64))
-        panel_cell.append(cell)
-        pid += 1
+        return pp, np.asarray([y0 / (1.0 - min(s, 0.995))])
 
-    for c, kind in special.items():
-        a, b = gx[c], gx[c + 1]
+    def edges_from(y_hi, y_cut, breaks):
+        edges = _reference_endpoint_edges(y_hi, min(y_cut, y_hi / 4.0), edge_ratio)[::-1]
+        return edges if breaks is None else _split(edges, breaks)
+
+    left = edges_from(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_breaks_left)
+    right = edges_from(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right, edge_breaks_right)
+    add(*tail_point(-1, left[0], tail_s_left))
+    for c in range(n_cells):
+        kind = special.get(c)
         if kind == "left":
-            y_hi = gy[1] if gs[1] < 0 else 1.0 + gx[1]
-            edges = _reference_endpoint_edges(y_hi, min(y_cut_left, y_hi / 4.0), edge_ratio)[::-1]
-            if edge_breaks_left is not None:
-                edges = _split(edges, edge_breaks_left)
-            for j in range(len(edges) - 1):
-                add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=-1)
-            add_tail_point(c, -1, edges[0], tail_s_left)
+            for j in range(len(left) - 1):
+                add_panel(c, None, None, a_y=left[j], b_y=left[j + 1], side=-1)
         elif kind == "right":
-            y_hi = gy[-2] if gs[-2] > 0 else 1.0 - gx[-2]
-            edges = _reference_endpoint_edges(y_hi, min(y_cut_right, y_hi / 4.0), edge_ratio)[::-1]
-            if edge_breaks_right is not None:
-                edges = _split(edges, edge_breaks_right)
-            for j in range(len(edges) - 1):
-                add_panel(c, None, None, a_y=edges[j], b_y=edges[j + 1], side=1)
-            add_tail_point(c, 1, edges[0], tail_s_right)
+            for j in reversed(range(len(right) - 1)):
+                add_panel(c, None, None, a_y=right[j], b_y=right[j + 1], side=1)
+        elif kind is None:
+            add_panel(c, gx[c], gx[c + 1])
         else:
             toward = +1 if kind == "ladder_hi" else -1
-            for lo_e, hi_e in _reference_ladder_edges(a, b, toward):
+            for lo_e, hi_e in _reference_ladder_edges(gx[c], gx[c + 1], toward):
                 add_panel(c, lo_e, hi_e)
+    add(*tail_point(1, right[0], tail_s_right))
 
     return PanelSet(
         pts=Points(x=np.concatenate(px), side=np.concatenate(ps), y=np.concatenate(py)),
         w=np.concatenate(pw),
-        cell_id=np.concatenate(cell_ids),
-        panel_id=np.concatenate(panel_ids),
         panel_cell=np.asarray(panel_cell, dtype=np.int64),
         n_cells=n_cells,
-        tail=np.asarray(tail, dtype=np.int64),
     )
 
 
@@ -175,6 +154,34 @@ def test_build_panels_matches_the_per_panel_loop(seed):
     ref = _reference_build_panels(grid, **kwargs)
     for name in ("x", "side", "y"):
         assert np.array_equal(getattr(got.pts, name), getattr(ref.pts, name))
-    for name in ("w", "cell_id", "panel_id", "panel_cell", "tail"):
+    for name in ("w", "panel_cell"):
         assert np.array_equal(getattr(got, name), getattr(ref, name))
     assert got.n_cells == ref.n_cells
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_panels_are_laid_out_in_x_order(seed):
+    # the contract the solver's consumers read the arrays by: x order, ties
+    # in x (within float spacing of an endpoint) by y toward that endpoint,
+    # the tail pseudo-points first and last, one panel per row in between
+    grid, kwargs = _panel_case(seed)
+    n = kwargs["n_gauss"]
+    panels = build_panels(grid, **kwargs)
+    x, side, y = panels.pts.x, panels.pts.side, panels.pts.y
+    tie = np.diff(x) == 0.0
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.array_equal(side[1:][tie], side[:-1][tie])
+    # at equal x, y ascends at -1 and descends at +1
+    assert np.all(side[1:][tie] * np.diff(y)[tie] <= 0.0)
+    # the pseudo-points: each ladder's bottom, first and last
+    assert (side[0], side[-1]) == (-1.0, 1.0)
+    assert y[0] < np.min(y[1:-1][side[1:-1] < 0.0])
+    assert y[-1] < np.min(y[1:-1][side[1:-1] > 0.0])
+    for i, s in ((0, kwargs["tail_s_left"]), (-1, kwargs["tail_s_right"])):
+        assert panels.w[i] == y[i] / (1.0 - min(s, 0.995))
+    # one Gauss panel per row, each inside its cell, the cells in order
+    cell = panels.panel_cell
+    assert panels.w.size == 2 + n * cell.size
+    assert np.all(np.diff(cell) >= 0) and cell[0] == 0 and cell[-1] == panels.n_cells - 1
+    rows = x[1:-1].reshape(-1, n)
+    assert np.all(rows >= grid.x[cell][:, None]) and np.all(rows <= grid.x[cell + 1][:, None])

@@ -633,8 +633,8 @@ def test_the_panel_structure_does_not_read_the_mass(mu):
 
 def test_cached_structures_give_the_results_of_fresh_builds():
     # the second solve and measure quadrature reuse the structure and what
-    # is derived from it (cumulative layout, point order, weight and density
-    # values, the interval lookup of the pushforward's points)
+    # is kept with it (weight and density values, the interval lookup of the
+    # pushforward's points)
     sigma = dirac(0.2).add(power_measure(0.6, 0.8))
     u = solve_dirichlet(2.4, power_weight(0.3), sigma).u
     cases = [(2.4, power_weight(0.3), sigma.pushforward(u.power_factor(0.5))),
@@ -652,6 +652,58 @@ def test_cached_structures_give_the_results_of_fresh_builds():
     for (pts, wq, dens), case in zip(quads, cases[1:]):
         pts2, wq2, dens2 = solver.measure_quadrature(case[2])
         assert pts2 is pts and wq2 is wq and dens2 is dens
+
+
+@pytest.mark.parametrize("k", [41, 42, 43])
+def test_a_solve_does_not_depend_on_the_structures_cached_before(k):
+    # 2^-40 .. 2^-43 lie between the grid floor (1e-13) and the 1e-12 below
+    # which a window edge is no interior break: each truncation edge is a
+    # grid node, so each truncation has a grid of its own
+    mu = manufactured_measure(3.0, 0.5).truncate(k)
+    solver._PANEL_CACHE.clear()
+    fresh = solve_dirichlet(2.0, W1, mu)
+    solver._PANEL_CACHE.clear()
+    solve_dirichlet(2.0, W1, manufactured_measure(3.0, 0.5).truncate(40))
+    after = solve_dirichlet(2.0, W1, mu)
+    assert after.flux_constant == fresh.flux_constant
+    assert np.array_equal(after.u.x, fresh.u.x)
+    assert np.array_equal(after.u.values, fresh.u.values)
+
+
+def _workspace_cases():
+    rng = np.random.default_rng(16)
+    cases = [(2.0, W1, lebesgue().add(dirac(0.6, 0.3))),
+             (3.0, power_weight(0.4), power_measure(0.5, 0.7).add(dirac(0.6, 0.3))),
+             (3.0, W1, manufactured_measure(3.0, 0.5)),
+             (2.4, power_weight(0.3), _stress_measure(3)),
+             (2.0, W1, power_measure(1.2)),
+             (2.4, power_weight(0.3),
+              RadonMeasure(density=TabulatedDensity((-1.0, 0.2, 1.0), (0.5, 2.0, 0.1))))]
+    for _ in range(6):
+        atoms = tuple((float(x), float(m)) for x, m in
+                      zip(rng.uniform(-0.9, 0.9, 2), rng.uniform(0.1, 2.0, 2)))
+        mu = RadonMeasure(atoms=atoms).add(
+            power_measure(float(rng.uniform(0.0, 0.9)), float(rng.uniform(0.1, 2.0))))
+        cases.append((float(rng.uniform(1.6, 3.2)), power_weight(float(rng.uniform(0.0, 0.5))),
+                      mu))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_S_does_not_decrease_in_storage_order(case):
+    # kink_location looks the flux zero up in S as it is stored, which
+    # relies on build_panels' x order; a re-solve's structure too
+    p, w, mu = _workspace_cases()[case]
+    ws = solver._Workspace(p, w, mu, DEFAULT_OPTIONS)
+    c = ws.solve_constant()[0]
+    x_star = ws.kink_location(c)
+    workspaces = [ws]
+    if x_star is not None:
+        workspaces.append(solver._Workspace(p, w, mu, DEFAULT_OPTIONS, extra_nodes=(x_star,),
+                                            ladder_nodes=(x_star,)))
+    for ws in workspaces:
+        assert np.all(np.diff(ws.S) >= 0.0)
+        assert np.all(np.diff(ws.panels.pts.x) >= 0.0)
 
 
 def test_what_the_cache_shares_is_read_only():
