@@ -137,8 +137,8 @@ class PanelSet:
     n_gauss)`` holds one panel per row and ``panel_cell`` (nondecreasing)
     names the grid cell of each.  The points ascend in x and, at equal x (x
     ties within float spacing of the endpoints), in y at -1 and against y at
-    +1.  ``memo`` holds what the solver keeps of values at the points, by
-    name, filled on first use.
+    +1.  ``memo`` holds what the solver keeps of values at the points and of
+    the layout, by name, filled on first use.
     """
 
     pts: Points
@@ -168,9 +168,9 @@ def _split_edges_at(edges: np.ndarray, breaks) -> np.ndarray:
     return np.unique(np.concatenate([edges, b[(b > edges[0]) & (b < edges[-1])]]))
 
 
-def _endpoint_ladder(y_hi: float, y_cut: float, ratio: float, breaks) -> np.ndarray:
+def _endpoint_ladder(y_hi: float, y_cut: float, breaks) -> np.ndarray:
     """Ascending panel edges in y of an endpoint cell reaching y_hi."""
-    edges = endpoint_panel_edges(y_hi, min(y_cut, y_hi / 4.0), ratio)[::-1]
+    edges = endpoint_panel_edges(y_hi, min(y_cut, y_hi / 4.0))[::-1]
     return edges if breaks is None else _split_edges_at(edges, breaks)
 
 
@@ -179,7 +179,6 @@ def build_panels(
     n_gauss: int = 12,
     y_cut_left: float = 1e-32,
     y_cut_right: float = 1e-32,
-    edge_ratio: float = 0.25,
     edge_breaks_left: np.ndarray | None = None,
     edge_breaks_right: np.ndarray | None = None,
     ladder_nodes: tuple[float, ...] = (),
@@ -224,9 +223,8 @@ def build_panels(
                     toward.setdefault(c, end)
 
     # ascending ladder edges in y from each endpoint
-    ends = [_endpoint_ladder(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_ratio,
-                             edge_breaks_left),
-            _endpoint_ladder(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right, edge_ratio,
+    ends = [_endpoint_ladder(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_breaks_left),
+            _endpoint_ladder(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right,
                              edge_breaks_right)]
     # the panels [lo, hi] of each laddered cell, in x (side 0) or in y from
     # its side, in x order; every other cell is one panel in x
@@ -294,17 +292,18 @@ def concat_points(*parts: Points) -> Points:
 
 def graded_cumulative(f, pts: Points, joins: Points | None = None,
                       sing: tuple[float, float] = (0.0, 0.0), y_resolved: bool = True,
-                      anchor: float = 0.0, n_gauss: int = 10,
-                      rel_tol: float = 1e-10, corners: tuple[float, ...] = ()) -> np.ndarray:
+                      anchor: float = 0.0, rel_tol: float = 1e-10,
+                      corners: tuple[float, ...] = ()) -> np.ndarray:
     """Signed integral of a vectorized f(Points) from ``anchor`` to each point.
 
-    A composite Gauss rule between consecutive sorted points, which are
-    joined by ``joins`` (atoms, kinks), x = 0, the nodes of ``graded_grid()``,
-    a dyadic ladder in y toward each endpoint and a dyadic ladder in |x - c|
-    down to 2^-40 on both sides of each of the ``corners`` c (declared
-    breaks, where f may behave like a power of |x - c|), cut to the span of
-    the points and the anchor.  Pieces past |x| = 1/2 are integrated in the
-    distance y to their endpoint, the others in x.
+    A composite 10-point Gauss rule between consecutive sorted points, which
+    are joined by ``joins`` (atoms, kinks), x = 0, the nodes of
+    ``graded_grid()``, a dyadic ladder in y toward each endpoint and a
+    dyadic ladder in |x - c| down to 2^-40 on both sides of each of the
+    ``corners`` c (declared breaks, where f may behave like a power of
+    |x - c|), cut to the span of the points and the anchor.  Pieces past
+    |x| = 1/2 are integrated in the distance y to their endpoint, the others
+    in x.
     A point at x = +-1 is taken at the ladder bottom y0 and closed below at
     the declared power f ~ dist^(-a), a = ``sing`` on that side: f(y0) y0 /
     (1 - a), or +-inf for a >= 1.  y0 is 1e-9 where f reads x (x stops
@@ -336,7 +335,7 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
     lo, hi = int(rank[:n_out + 1].min()), int(rank[:n_out + 1].max())
     xs, sides, ys = (getattr(every, k)[order[lo:hi + 1]] for k in ("x", "side", "y"))
 
-    # one evaluation of both rules, n_gauss nodes and then the 16 check
+    # one evaluation of both rules, the 10 nodes and then the 16 check
     # nodes, on the pieces of nonzero length (joins repeat grid nodes); in
     # y where the piece reaches past |x| = 1/2 on one side (y = 1 - |x| is
     # exact there), else in x
@@ -345,7 +344,7 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
     h = np.where(in_y, ys[1:], xs[1:]) - u_l
     live = np.flatnonzero(h)
     in_y = in_y[live]
-    (t, tw), (tc, twc) = gauss_rule(n_gauss), gauss_rule(16)
+    (t, tw), (tc, twc) = gauss_rule(10), gauss_rule(16)
     nodes = u_l[live] + np.concatenate([t, tc])[:, None] * h[live]
     side_n = np.where(in_y, sides[live], np.where(nodes >= 0.0, 1.0, -1.0))
     vals = np.asarray(f(Points(x=np.where(in_y, side_n * (1.0 - nodes), nodes).ravel(),
@@ -354,7 +353,7 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
                       dtype=float).reshape(nodes.shape)
     i0 = int(rank[n_out]) - lo
     S = []
-    for rule, part in ((tw, vals[:n_gauss]), (twc, vals[n_gauss:])):
+    for rule, part in ((tw, vals[:10]), (twc, vals[10:])):
         inc = np.zeros(h.size)
         inc[live] = np.abs(h[live]) * (rule @ part)
         S_sorted = np.concatenate([-np.cumsum(inc[:i0][::-1])[::-1], [0.0], np.cumsum(inc[i0:])])
@@ -362,7 +361,7 @@ def graded_cumulative(f, pts: Points, joins: Points | None = None,
     err, scale = np.abs(S[0] - S[1]), float(np.sum(np.abs(inc)))
     if not np.all(err <= rel_tol * scale):
         raise QuadratureError(
-            f"quadrature.graded_cumulative: {n_gauss}- and 16-point rules disagree by "
+            "quadrature.graded_cumulative: 10- and 16-point rules disagree by "
             f"{float(np.nanmax(err)) / max(scale, 1e-300):.3e} relative")
     out = S[0]
     if edge.size:

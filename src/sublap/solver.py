@@ -17,9 +17,9 @@ by the panel rule; the root bracket is (min S, max S), and the root is found
 by safeguarded Newton steps on G and its derivative, both from one pass over
 the same arrays.  The classical c is read from S at x = -1.
 
-u is integrated by the same panel rule, each half from its endpoint toward
-the centre node, at the nodes and at the quadrature points alike, so it
-keeps its relative accuracy near both endpoints; the two halves meet at
+u is integrated by the same panel rule in the same kind of run
+(``_panel_bounds``), each half from its endpoint toward the centre node, so
+it keeps its relative accuracy near both endpoints; the two halves meet at
 x = 0, where their mismatch is the solve's ``boundary_residual``.
 
 The same single solve covers infinite mass near an endpoint: S is finite at
@@ -31,6 +31,7 @@ truncations of mu to [-1 + 2^-k, 1 - 2^-k].
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import namedtuple
@@ -289,9 +290,10 @@ class SolutionQuad:
     """Quadrature view of a solve: panel points with weights, weight values,
     flux, u' and u, ready for energy integrals.
 
-    ``u`` is filled on first read by ``fill_u`` (``_hermite_at_points`` on
-    the arrays it reads: u' integrated by the panel rule from the nodes), so
-    solves whose callers read only the nodal solution do not pay for it."""
+    ``u`` is filled on first read by ``fill_u`` (``_hermite_at_points``:
+    the solve's panel run of u' from the endpoints, carried into every
+    panel), so solves whose callers read only the nodal solution do not pay
+    for it."""
 
     pts: Points
     w_quad: np.ndarray  # the first and last point are the tail pseudo-points
@@ -512,10 +514,10 @@ class _Workspace:
     """Panelized quadrature state for one Dirichlet solve.
 
     The density is evaluated once, at the panel points (``dens``).  Without
-    a closed cumulative, S comes from the same values: within each panel the
-    cumulative Gauss rule, across panels prefix sums outward from the node
-    at x = 0 (``_panel_cumulative``).  ``S_nodes`` is the density part of S
-    at the grid nodes, +-inf at an endpoint of infinite mass."""
+    a closed cumulative, S comes from the same values by the panel run
+    outward from the node ``mid`` at x = 0 (``_panel_cumulative``).
+    ``S_nodes`` is the density part of S at the grid nodes, +-inf at an
+    endpoint of infinite mass."""
 
     def __init__(self, p: float, w: Weight, mu: RadonMeasure, opts: SolverOptions,
                  extra_nodes: tuple[float, ...] = (),
@@ -530,6 +532,18 @@ class _Workspace:
             w.family == "custom" or not mu.density.y_resolved,
             tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1)))
         pts = self.panels.pts
+        # per structure, each node's place in a panel run (``_panel_bounds``):
+        # node i is the lower end of cell i's first panel, one place further
+        # in the right half, which repeats x = 0 (the node ``mid``)
+        layout = self.panels.memo.get("nodes")
+        if layout is None:
+            mid = int(np.searchsorted(self.grid.x, 0.0))  # x = 0 is always a node
+            at = np.searchsorted(self.panels.panel_cell, np.arange(self.panels.n_cells + 1))
+            layout = (mid, int(at[mid]), at)
+            at[mid + 1:] += 1
+            _freeze(at)
+            self.panels.memo["nodes"] = layout
+        self.mid, self.n_left, self.at_nodes = layout
         self.w_vals, self.w_fac = _weight_at(self.panels, w, p)
         self.dens = mu.density.values(pts)
         S = mu.density.cum0_many(pts)
@@ -544,30 +558,17 @@ class _Workspace:
         self.bracket = (float(np.min(self.S)), float(np.max(self.S)))
 
     def _panel_cumulative(self) -> tuple[np.ndarray, np.ndarray]:
-        """Density part of S at the panel points and at the grid nodes, from
-        the panel rule.  The panels are in x order (``build_panels``), so
-        each one's cumulative runs from its lower end in x, in y where its
-        points descend in y (the Gauss nodes are symmetric).  The tail
-        pseudo-points sit at the ladder bottoms; below them the nodes at
-        x = +-1 add the declared power's closure, dens(y0) y0 / (1 - a)."""
-        panels, n = self.panels, self.opts.n_gauss
-        cell = panels.panel_cell
-        f = self.dens[1:-1].reshape(-1, n)
-        w = panels.w[1:-1].reshape(-1, n)
-        mass = np.sum(w * f, axis=1)
-        part = (w[:, :1] / gauss_rule(n)[1][0]) * (f @ gauss_cumulative(n).T)
-        n_left = int(np.searchsorted(cell, np.searchsorted(self.grid.x, 0.0)))
-        start = np.concatenate([-np.cumsum(mass[:n_left][::-1])[::-1],
-                                [0.0], np.cumsum(mass[n_left:-1])])
-        S = np.empty(len(self.dens))
-        S[1:-1] = (start[:, None] + part).ravel()
-        S[0], S[-1] = start[0], start[-1] + mass[-1]
-        S_nodes = np.empty(panels.n_cells + 1)
-        S_nodes[1:-1] = start[np.searchsorted(cell, np.arange(1, panels.n_cells))]
+        """Density part of S at the panel points and at the grid nodes: the
+        panel run of the density outward from x = 0.  The tail pseudo-points
+        sit at the ladder bottoms; below them the nodes at x = +-1 add the
+        declared power's closure, dens(y0) y0 / (1 - a)."""
+        w, f, n = self.panels.w, self.dens, self.opts.n_gauss
+        bounds = _panel_bounds(w, f, n, self.n_left, True)
+        S = _panel_fill(bounds, w, f, n, self.n_left, True)
+        S_nodes = bounds[self.at_nodes]
         for i, side in ((0, -1), (-1, 1)):
             a = self.mu.sing(side)
-            S_nodes[i] = S[i] + side * (self.dens[i] * panels.pts.y[i] / (1.0 - a)
-                                        if a < 1.0 else INF)
+            S_nodes[i] += side * (f[i] * self.panels.pts.y[i] / (1.0 - a) if a < 1.0 else INF)
         return S, S_nodes
 
     # -- flux machinery ------------------------------------------------------
@@ -693,9 +694,9 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     and ``boundary_residual`` is the mismatch of the two halves at x = 0.
     Pure-atom measures with a constant weight have a flux that is constant
     between atoms, so u is piecewise linear and each half is summed in closed
-    form (``_piecewise_linear_half``); every other solve sums the per-cell
-    quadrature of u'.  A sum from one endpoint would keep only the absolute
-    accuracy of u near the other.
+    form (``_piecewise_linear_half``); every other solve reads it from the
+    panel run of u' (``_panel_bounds``).  A sum from one endpoint would keep
+    only the absolute accuracy of u near the other.
     """
     p, w, mu, opts = ws.p, ws.w, ws.mu, ws.opts
     e = ws.exponent
@@ -720,25 +721,23 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         w_nodes = w.values(nodes)
         uprime_nodes = np.sign(flux_nodes) * np.abs(flux_nodes) ** e * w_nodes ** (-e)
 
-    mid = int(np.searchsorted(nodes.x, 0.0))  # x = 0 is always a node
+    panels, n, n_left, mid = ws.panels, opts.n_gauss, ws.n_left, ws.mid
     if mu.density.is_zero and w.family == "constant":
         # cell i carries the flux just right of node i
         flux_right = ctilde - (ws.S_nodes + atom_cum_right)
         slope = (np.sign(flux_right) * np.abs(flux_right) ** e * w_nodes ** (-e))[:-1]
         u_left = _piecewise_linear_half(nodes.y[:mid + 1], slope[:mid])
         u_right = _piecewise_linear_half(nodes.y[mid:][::-1], -slope[mid:][::-1])
+        u_nodes = np.concatenate([u_left, u_right[-2::-1]])
+        at_zero = (u_left[-1], u_right[-1])
+        bounds = None  # the fill builds the run when it is read
     else:
-        # u' summed point by point in x order within each panel
-        contrib = ws.panels.w * phi
-        panel_int = np.cumsum(contrib[1:-1].reshape(-1, opts.n_gauss), axis=1)[:, -1]
-        cell_int = np.bincount(ws.panels.panel_cell, weights=panel_int,
-                               minlength=ws.panels.n_cells)
-        cell_int[[0, -1]] += contrib[[0, -1]]  # the tail pseudo-points
-        u_left = np.concatenate([[0.0], np.cumsum(cell_int[:mid])])
-        u_right = np.concatenate([[0.0], np.cumsum(-cell_int[mid:][::-1])])
-    residual = abs(float(u_left[-1] - u_right[-1]))
-    u_nodes = np.concatenate([u_left[:-1], [0.5 * (u_left[-1] + u_right[-1])],
-                              u_right[-2::-1]])
+        bounds = _panel_bounds(panels.w, phi, n, n_left, False)
+        u_nodes = bounds[ws.at_nodes]
+        u_nodes[[0, -1]] = 0.0
+        at_zero = bounds[[n_left, n_left + 1]]
+    residual = abs(float(at_zero[0] - at_zero[1]))
+    u_nodes[mid] = 0.5 * (at_zero[0] + at_zero[1])
     u_nodes = np.maximum(u_nodes, 0.0)
 
     # boundary exponents of the limit: u ~ dist^(1 - s)
@@ -746,12 +745,11 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
                      left_exponent=1.0 - _edge_singularity(p, w, mu, -1),
                      right_exponent=1.0 - _edge_singularity(p, w, mu, 1))
 
-    panels, n = ws.panels, opts.n_gauss
     quad = SolutionQuad(
         pts=panels.pts, w_quad=panels.w, w_vals=ws.w_vals,
         flux=flux, uprime=phi, dens_vals=ws.dens,
         # the fill is looked up by name on the first read
-        fill_u=lambda: _hermite_at_points(nodes, u_nodes, panels, phi, n),
+        fill_u=lambda: _hermite_at_points(panels, phi, n, n_left, bounds),
     )
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
@@ -779,52 +777,59 @@ def _piecewise_linear_half(d: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return u
 
 
-def _hermite_at_points(nodes: Points, u_nodes: np.ndarray, panels: PanelSet,
-                       phi: np.ndarray, n: int) -> np.ndarray:
-    """u at the quadrature points by the solve's own panel rule (perfbench
-    traces it by this name).
+def _panel_bounds(w: np.ndarray, f: np.ndarray, n: int, n_left: int,
+                  outward: bool) -> np.ndarray:
+    """The running integral of f dx at every Gauss panel end, each half of
+    [-1, 1] run on its own: ``outward`` from 0 at x = 0, else inward from
+    the tail pseudo-points' parts below the ladder bottoms, w f at -1 and
+    -w f at +1, which keeps u's relative accuracy near both endpoints.
+    ``w`` and ``f`` are flat over a ``PanelSet``'s points, ``n`` per panel
+    and ``n_left`` panels left of x = 0.  The result lists the left half's
+    panel ends in x order, then the right half's: x = 0 comes twice."""
+    # panel masses summed pairwise (numpy's sum) for S, point by point in x
+    # order for u': a change of either order moves results by a rounding
+    wf = w[1:-1].reshape(-1, n) * f[1:-1].reshape(-1, n)
+    mass = np.sum(wf, axis=1) if outward else functools.reduce(np.add, wf.T)
+    ends = (0.0, 0.0) if outward else (w[0] * f[0], -w[-1] * f[-1])
+    halves = []
+    for m, start, back in ((mass[:n_left], ends[0], outward),
+                           (mass[n_left:], ends[1], not outward)):
+        # a run against x adds the panels' masses negated, from the last one
+        run = np.cumsum(np.concatenate([[start], -m[::-1] if back else m]))
+        halves.append(run[::-1] if back else run)
+    return np.concatenate(halves)
 
-    Like the nodal u, each half is integrated from its endpoint: a panel
-    starts from the node of its cell on that side (in an endpoint cell from
-    the tail pseudo-point, whose weight closes the integral of u' below it),
-    adds the panels before it in its cell and then the Gauss cumulative of
-    u' inside itself.  Every sum starts at its half's endpoint, so u keeps
-    its relative accuracy near both endpoints, where a sum across the centre
-    would cancel.  The panels are in x order (``build_panels``), so the
-    right half's run toward its endpoint, and each is integrated from its
-    upper end."""
-    cell = panels.panel_cell
-    mid = int(np.searchsorted(nodes.x, 0.0))
-    n_left = int(np.searchsorted(cell, mid))
-    w = panels.w[1:-1].reshape(-1, n)
-    # u' away from the endpoint of each half
-    v = phi[1:-1].reshape(-1, n) * np.where(cell < mid, 1.0, -1.0)[:, None]
-    mass = np.sum(w * v, axis=1)
-    # the right half's panels from their upper end (the Gauss nodes are
-    # symmetric)
-    v[n_left:] = v[n_left:, ::-1]
-    part = (w[:, :1] / gauss_rule(n)[1][0]) * (v @ gauss_cumulative(n).T)
-    part[n_left:] = part[n_left:, ::-1]
 
-    # the mass of the panels before each one in its cell, counted from its
-    # half's endpoint
-    m = np.concatenate([mass[:n_left], mass[n_left:][::-1]])
-    c = np.concatenate([cell[:n_left], cell[n_left:][::-1]])
-    before = np.concatenate([[0.0], np.cumsum(m[:n_left - 1]),
-                             [0.0], np.cumsum(m[n_left:-1])])
-    first = np.concatenate([[True], c[1:] != c[:-1]])
-    before -= before[np.maximum.accumulate(np.where(first, np.arange(c.size), 0))]
-    before[n_left:] = before[n_left:][::-1]
+def _panel_fill(bounds: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
+                n_left: int, outward: bool) -> np.ndarray:
+    """The run of ``_panel_bounds`` at every point: a panel's value at its
+    lower end plus the Gauss cumulative of f from there, in the right half
+    of an inward run its value at the upper end less the cumulative to
+    there (the panels are in x order, the Gauss nodes symmetric).  The tail
+    pseudo-points take the values at the ladder bottoms."""
+    wp, fp = w[1:-1].reshape(-1, n), f[1:-1].reshape(-1, n)
+    h = wp[:, :1] / gauss_rule(n)[1][0]  # the panel lengths
+    C = gauss_cumulative(n)
+    out = np.empty(f.size)
+    out[0], out[-1] = bounds[0], bounds[-1]
+    body = out[1:-1].reshape(-1, n)
+    if outward:
+        lower = np.concatenate([bounds[:n_left], bounds[n_left + 1:-1]])
+        body[:] = lower[:, None] + h * (fp @ C.T)
+    else:
+        body[:n_left] = bounds[:n_left, None] + h[:n_left] * (fp[:n_left] @ C.T)
+        body[n_left:] = bounds[n_left + 2:, None] - h[n_left:] * (fp[n_left:] @ C[::-1, ::-1].T)
+    return out
 
-    # each cell starts from its node on its half's endpoint side, an
-    # endpoint cell from its tail pseudo-point
-    u_tail = panels.w[[0, -1]] * phi[[0, -1]] * (1.0, -1.0)
-    anchor = np.concatenate([u_nodes[:mid], u_nodes[mid + 1:]])
-    anchor[[0, -1]] = u_tail
-    out = np.empty(phi.size)
-    out[1:-1] = ((anchor[cell] + before)[:, None] + part).ravel()
-    out[[0, -1]] = u_tail
-    return np.maximum(out, 0.0)
+
+def _hermite_at_points(panels: PanelSet, phi: np.ndarray, n: int, n_left: int,
+                       bounds: np.ndarray | None) -> np.ndarray:
+    """u at the quadrature points: the panel run of u' from the endpoints
+    (``bounds``; built here when the nodal u was summed in closed form)
+    carried into every panel.  perfbench traces the fill by this name."""
+    if bounds is None:
+        bounds = _panel_bounds(panels.w, phi, n, n_left, False)
+    return np.maximum(_panel_fill(bounds, panels.w, phi, n, n_left, False), 0.0)
 
 
 def potential(p: float, w: Weight, mu: RadonMeasure,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .energy import energy_ladder, measure_integral
+from .energy import _gradient_energy, energy_ladder, measure_integral
 from .measures import RadonMeasure
 from .params import envelope_constant
 from .quadrature import graded_cumulative, points_from_x
@@ -94,13 +94,8 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
     if res.u.sup() <= 0.0:
         return 0.0
     rho = (p - 1.0) / (p - 1.0 - q)
-    quad = res.quad
-    e = 1.0 / (p - 1.0)
-    pp = p / (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        upow = np.where(quad.u > 0.0, quad.u ** ((rho - 1.0) * p), 0.0)
-        grad_int = rho ** p * upow * np.abs(quad.flux) ** pp * quad.w_vals ** (-e)
-    den_p = float(np.dot(quad.w_quad, grad_int))
+    # |(u^rho)'|^p = rho^p |u'|^p u^((rho - 1) p)
+    den_p = rho ** p * _gradient_energy(res, (rho - 1.0) * p + 1.0)
     if den_p <= 0.0:
         return 0.0
     f = res.u.power_factor(rho * (1.0 + q))

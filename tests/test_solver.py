@@ -949,13 +949,29 @@ def test_quad_u_filled_on_first_read_equals_the_eager_fill(monkeypatch, p, w, mu
     monkeypatch.setattr(solver, "_panel_structure", recorded)
     res = potential(p, w, mu)
     calls = _count_hermite(monkeypatch)
-    # the eager fill on the panels of the last workspace
-    panels = structures[-1][1]
-    eager = solver._hermite_at_points(res.u.grid, res.u.values, panels, res.quad.uprime,
-                                      DEFAULT_OPTIONS.n_gauss)
+    # the eager fill on the panels of the last workspace, its run built anew
+    grid, panels = structures[-1]
+    n_left = int(np.searchsorted(panels.panel_cell, np.searchsorted(grid.x, 0.0)))
+    eager = solver._hermite_at_points(panels, res.quad.uprime, DEFAULT_OPTIONS.n_gauss,
+                                      n_left, None)
     assert np.array_equal(res.quad.u, eager)
     assert res.quad.u is res.quad.u
     assert len(calls) == 2  # the eager fill and the first read only
+
+
+def test_quad_u_matches_the_closed_form_at_every_panel_point():
+    # -u'' = 1 on (-1, 1): u = y - y^2/2 in the distance y to the nearer
+    # endpoint, at the interior points and the tail pseudo-points alike
+    res = potential(2.0, W1, lebesgue())
+    pts, grid = res.quad.pts, res.u.grid
+    exact = pts.y - 0.5 * pts.y ** 2
+    err = np.abs(res.quad.u - exact)
+    # the endpoint ladders lie below the innermost node of their side
+    ladder = pts.y < np.where(pts.side < 0.0, grid.y[1], grid.y[-2])
+    assert ladder[[0, -1]].all() and 0 < ladder.sum() < ladder.size
+    assert np.all(err[ladder] <= 1e-14 * exact[ladder])
+    # interior points near +-1 carry the rounding of x in y
+    assert np.max(err[~ladder]) <= 1e-15
 
 
 def test_solves_and_iterations_skip_the_hermite_fill(monkeypatch):
