@@ -69,33 +69,36 @@ class EnergyValue(NamedTuple):
     diverged: bool
 
 
-def _tail_powers(res: PotentialResult, gamma: float, least_a: float = -INF) -> list:
+def _tail_powers(res: PotentialResult, gamma: float, mu: RadonMeasure,
+                 least_a: float = -INF) -> list:
     """sigma per side with u^gamma dmu ~ dist^(-sigma): a - gamma kappa, mu ~
-    dist^(-a) and u ~ dist^kappa.  With ``least_a`` = 1 it is the power of
-    |u'|^p u^(gamma-1) w dx, whose flux tends to a constant where mu has
-    finite mass."""
-    mu, u = res.measure, res.u.power_factor(gamma)
+    dist^(-a) and u ~ dist^kappa, u the solve ``res``.  With ``least_a`` = 1
+    it is the power of |u'|^p u^(gamma-1) w dx, whose flux tends to a
+    constant where mu has finite mass."""
+    u = res.u.power_factor(gamma)
     return [max(mu.sing(side), least_a) - u.edge_exponent(side) for side in (-1, 1)]
 
 
-def _closed_weights(res: PotentialResult, gamma: float, least_a: float = -INF) -> np.ndarray:
-    """The solve's weights with each tail closed at ``_tail_powers``."""
-    quad = res.quad
-    return _reclose_tails(quad.w_quad, quad.pts, _tail_powers(res, gamma, least_a))
-
-
-def _level_energy(res: PotentialResult, mu_k: RadonMeasure, gamma: float) -> float:
-    """E_gamma of a solved measure, from the solve's own quadrature."""
+def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float:
+    """integral of u^gamma dmu on the solve ``res`` of mu or of a multiple g
+    mu: ``quad.u`` against mu's density at the solve's points, each tail
+    closed at the power of u^gamma dmu, and the atoms at u there (the nodal
+    u where g > 0); +inf when a tail power is 1 or more."""
+    sigmas = _tail_powers(res, gamma, mu)
+    if any(s >= 1.0 for s in sigmas):
+        return INF
     quad = res.quad
     total = 0.0
-    if quad is not None:
+    if quad is not None and not mu.density.is_zero:
+        # not ==, which raises on a pushforward's grid function
+        dens = quad.dens_vals if mu is res.measure else mu.density.values(quad.pts)
         with np.errstate(invalid="ignore"):
             vals = np.where(quad.u > 0.0, quad.u ** gamma, 0.0 if gamma > 0.0 else 1.0)
-        total += float(np.dot(_closed_weights(res, gamma), vals * quad.dens_vals))
-    locs = mu_k.atom_locations
+        total += float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), vals * dens))
+    locs = mu.atom_locations
     if locs.size:
         u_at = res.u.values_at(points_from_x(locs))
-        total += float(np.dot(mu_k.atom_masses, u_at ** gamma))
+        total += float(np.dot(mu.atom_masses, u_at ** gamma))
     return total
 
 
@@ -109,8 +112,7 @@ def energy_ladder(p: float, w: Weight, mu: RadonMeasure, gamma: float,
     res = potential(p, w, mu, options, cap=INF)
     if res.diverged:
         return EnergyValue(INF, None, True)
-    infinite = any(s >= 1.0 for s in _tail_powers(res, gamma))
-    value = INF if infinite else _level_energy(res, mu, gamma)
+    value = _level_energy(res, mu, gamma)
     diverged = value > cap
     return EnergyValue(INF if diverged else value, res, diverged)
 
@@ -141,7 +143,8 @@ def _gradient_energy(res: PotentialResult, gamma: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.abs(quad.flux) ** pp * quad.w_vals ** (-e)
         factor = np.where(quad.u > 0.0, quad.u ** (gamma - 1.0), 0.0)
-    return float(np.dot(_closed_weights(res, gamma, 1.0), integrand * factor))
+    sigmas = _tail_powers(res, gamma, res.measure, 1.0)
+    return float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), integrand * factor))
 
 
 def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,

@@ -882,21 +882,9 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
         closed.append(a - kappa)
     _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
                                  not mu.density.y_resolved, tuple(tail_s))
-    # the weights and the density values, kept on the structure for the last
-    # hashable density (pushforwards of grid functions are not)
-    key = (mu.density, tuple(closed))
-    try:
-        hash(key)
-    except TypeError:
-        key = None
-    slot = panels.memo.get("measure")
-    if key is None or slot is None or slot[0] != key:
-        slot = (key, _reclose_tails(panels.w, panels.pts, closed),
-                mu.density.values(panels.pts))
-        _freeze(*slot[1:])
-        if key is not None:
-            panels.memo["measure"] = slot
-    return panels.pts, slot[1], slot[2]
+    wq, dens = _reclose_tails(panels.w, panels.pts, closed), mu.density.values(panels.pts)
+    _freeze(wq, dens)
+    return panels.pts, wq, dens
 
 
 def _reclose_tails(w_quad: np.ndarray, pts: Points, sigmas) -> np.ndarray:

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .energy import energy_ladder, measure_integral, sup_norm_energy, _gradient_energy
+from .energy import (energy_ladder, measure_integral, sup_norm_energy, _gradient_energy,
+                     _level_energy)
 from .measures import PowerDensity, RadonMeasure, WindowedDensity, power_measure
 from .params import energy_constant, envelope_constant, hardy_threshold
 from .quadrature import gauss_rule, graded_grid, points_from_edge
@@ -62,11 +63,12 @@ class Envelope:
 class IterationTrace:
     """What ``iterate`` did.
 
-    ``scales`` holds one factor per step: the c that step's solve was
-    multiplied by, 1.0 where it was not scaled.  ``last_solution`` is the
-    unscaled solve of the last step, so once a step is taken and its solve
-    did not diverge, ``solution`` is ``scales[-1]`` times its u;
-    ``finite_energy_check`` pairs the two.
+    ``norms`` holds each iterate's L^(gamma+q)(sigma) norm.  ``scales`` holds
+    one factor per step: the c that step's solve was multiplied by, 1.0
+    where it was not scaled.  ``last_solution`` is the unscaled solve of the
+    last step, so once a step is taken and its solve did not diverge,
+    ``solution`` is ``scales[-1]`` times its u; ``finite_energy_check``
+    integrates on that solve.
     """
 
     iterates: list
@@ -131,15 +133,11 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
     return Envelope(u=_power_grid_function(res, c_v, rho), diverged=False, base=res)
 
 
-def _norm_against(sigma: RadonMeasure, u: GridFunction, expo: float,
-                  options: SolverOptions, cap: float) -> float:
-    """The L^expo(sigma) norm of u, +inf past ``cap``; the cap bounds the
-    norm itself, as cap^expo may not be a float."""
-    f = u.power_factor(expo)
-    val, _ = measure_integral(f.values, sigma, options, cap=INF,
-                              exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+def _norm(coef: float, integral: float, expo: float, cap: float) -> float:
+    """The L^expo norm coef * integral^(1/expo) of coef u, +inf past ``cap``;
+    neither cap^expo nor coef^expo (the envelope constant's) need be a float."""
     with np.errstate(over="ignore"):
-        nrm = float(np.float64(val) ** (1.0 / expo))
+        nrm = coef * float(np.float64(integral) ** (1.0 / expo))
     return nrm if nrm <= cap else INF
 
 
@@ -158,6 +156,10 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     solution (see the module docstring) and lose the slowest error mode of
     the plain step.  A custom ``start`` takes the plain step u_{i+1} =
     T(u_i).
+
+    Each norm is integrated on the solve that made its iterate
+    (``energy._level_energy``), the envelope's on the solve of sigma; a
+    custom ``start`` has none and is integrated by ``measure_integral``.
 
     Stops when the sup-grid relative change drops below ``tol`` (then verifies
     the fixed-point residual with one extra application) or when the norms
@@ -186,8 +188,15 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
                          tuple(sigma.atom_locations.tolist()))
     cur_vals = u_cur.values_at(master)
 
+    if start is None:  # c_V u^rho, u the solve of sigma
+        rho = (p - 1.0) / (p - 1.0 - q)
+        norms = [_norm(envelope_constant(p, q), _level_energy(env.base, sigma, rho * expo),
+                       expo, cap)]
+    else:
+        f = start.power_factor(expo)
+        norms = [_norm(1.0, measure_integral(f.values, sigma, options, cap=INF, exponents=(
+            f.edge_exponent(-1), f.edge_exponent(1)))[0], expo, cap)]
     iterates = [u_cur]
-    norms = [_norm_against(sigma, u_cur, expo, options, cap)]
     monotone = True
     converged = False
     diverged = not np.isfinite(norms[0])
@@ -226,7 +235,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
                                       right_exponent=u_next.right_exponent)
                 next_vals = c * next_vals
         scales.append(c)
-        nrm = _norm_against(sigma, u_next, expo, options, cap)
+        nrm = _norm(c, _level_energy(res, sigma, expo), expo, cap)
         norms.append(nrm)
         if keep_iterates:
             iterates.append(u_next)
@@ -336,10 +345,9 @@ def finite_energy_check(p: float, w: Weight, sigma: RadonMeasure, q: float,
     if not trace.converged:
         return {"pass": False, "converged": False}
     # the solution is scales[-1] times the last solve, and |(c u)'|^p = c^p |u'|^p
-    grad_p = trace.scales[-1] ** p * _gradient_energy(trace.last_solution, 1.0)
-    f = trace.solution.power_factor(1.0 + q)
-    rhs_int, _ = measure_integral(f.values, sigma, options,
-                                  exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    c = trace.scales[-1]
+    grad_p = c ** p * _gradient_energy(trace.last_solution, 1.0)
+    rhs_int = c ** (1.0 + q) * _level_energy(trace.last_solution, sigma, 1.0 + q)
     c_V = envelope_constant(p, q)
     lower_ok = c_V ** (1.0 + q) * e_val <= grad_p * (1.0 + tol)
     upper_ok = grad_p <= e_val * (1.0 + tol)

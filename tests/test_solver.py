@@ -633,7 +633,7 @@ def test_the_panel_structure_does_not_read_the_mass(mu):
 
 def test_cached_structures_give_the_results_of_fresh_builds():
     # the second solve and measure quadrature reuse the structure and what
-    # is kept with it (weight and density values, the interval lookup of the
+    # is kept with it (weight values, the interval lookup of the
     # pushforward's points)
     sigma = dirac(0.2).add(power_measure(0.6, 0.8))
     u = solve_dirichlet(2.4, power_weight(0.3), sigma).u
@@ -651,7 +651,7 @@ def test_cached_structures_give_the_results_of_fresh_builds():
         assert np.array_equal(a.quad.w_vals, b.quad.w_vals)
     for (pts, wq, dens), case in zip(quads, cases[1:]):
         pts2, wq2, dens2 = solver.measure_quadrature(case[2])
-        assert pts2 is pts and wq2 is wq and dens2 is dens
+        assert pts2 is pts and np.array_equal(wq2, wq) and np.array_equal(dens2, dens)
 
 
 @pytest.mark.parametrize("k", [41, 42, 43])

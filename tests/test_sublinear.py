@@ -1,9 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from sublap import sublinear
+from sublap import solver, sublinear
 from sublap.acceptance import _chain_instances
 from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, manufactured_measure, power_measure
@@ -85,6 +86,46 @@ def test_iterate_recovers_manufactured_solution():
     assert tr.converged
     exact = 1.0 - tr.solution.x ** 2
     assert np.max(np.abs(tr.solution.values - exact)) < 1e-5
+
+
+def test_manufactured_norm_is_the_hand_integral():
+    # int u*^(3/2) d sigma = 4 for u* = 1 - x^2, so the minimal solution's
+    # L^(3/2)(sigma) norm is 4^(2/3)
+    tr = iterate(3.0, W1, manufactured_measure(3.0, 0.5), 0.5, keep_iterates=False)
+    assert tr.norms[-1] == pytest.approx(4.0 ** (2.0 / 3.0), rel=3e-7)
+
+
+def test_envelope_norm_is_converged_in_the_grid():
+    # the envelope norm integrates (W sigma)^(rho (gamma + q)) on the solve of
+    # sigma, read at its own panel points
+    sigma = power_measure(1.3).add(dirac(0.2))
+    norms = [iterate(2.0, W1, sigma, 0.5, max_steps=0, options=opts).norms[0]
+             for opts in (DEFAULT_OPTIONS, SolverOptions(n_nodes=8192))]
+    assert norms[0] == pytest.approx(norms[1], rel=1e-10)
+
+
+def test_envelope_norm_does_not_underflow():
+    # c_V = 1e-200 at (p, q) = (2, 0.99) and c_V^(gamma + q) underflows to 0:
+    # the norm is c_V times the root of the integral of (W sigma)^(rho (gamma + q));
+    # 4.3128654e-70 is the value on the 8192-node grid
+    assert envelope_constant(2.0, 0.99) ** 1.99 == 0.0
+    tr = iterate(2.0, W1, power_measure(1.95).add(dirac(0.2, 0.5)), 0.99, max_steps=0)
+    assert tr.norms[0] == pytest.approx(4.3128654e-70, rel=1e-6, abs=0.0)
+
+
+def test_iterate_and_the_weak_form_integrate_on_their_solves(monkeypatch):
+    # every norm and the weak-form integral come from the solve that made the
+    # iterate, not from a second quadrature of sigma
+    def second_quadrature(*args, **kwargs):
+        raise AssertionError("measure_quadrature called")
+
+    monkeypatch.setattr(solver, "measure_quadrature", second_quadrature)
+    monkeypatch.setattr(importlib.import_module("sublap.energy"), "measure_quadrature",
+                        second_quadrature)
+    rep = finite_energy_check(2.0, W1, dirac(0.2).add(power_measure(0.5)), 0.5)
+    assert rep["pass"]
+    tr = iterate(2.4, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8)), 0.5)
+    assert tr.converged and all(0.0 < n < math.inf for n in tr.norms)
 
 
 def _plain_iterate(p, w, sigma, q, tol=1e-8, max_steps=200, options=DEFAULT_OPTIONS,
@@ -368,6 +409,12 @@ def test_finite_energy_manufactured_hand_integrals():
     assert rep["grad_norm_p"] == pytest.approx(4.0, rel=1e-5)
     assert rep["weak_form_integral"] == pytest.approx(4.0, rel=1e-5)
     assert rep["identity_gap"] < 1e-5
+
+
+def test_finite_energy_manufactured_identity_gap():
+    # criterion_4's instance
+    rep = finite_energy_check(3.0, W1, manufactured_measure(3.0, 0.5), 0.5)
+    assert rep["identity_gap"] <= 3e-7
 
 
 def test_finite_energy_dirac_sandwich():
