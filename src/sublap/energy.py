@@ -37,6 +37,7 @@ from .solver import (  # noqa: F401  (perfbench/tracing.py wraps energy.solve_di
     measure_quadrature,
     potential,
     _reclose_tails,
+    solution_values,
     solve_dirichlet,
 )
 from .weights import Weight
@@ -75,15 +76,15 @@ def _tail_powers(res: PotentialResult, gamma: float, mu: RadonMeasure,
     dist^(-a) and u ~ dist^kappa, u the solve ``res``.  With ``least_a`` = 1
     it is the power of |u'|^p u^(gamma-1) w dx, whose flux tends to a
     constant where mu has finite mass."""
-    u = res.u.power_factor(gamma)
-    return [max(mu.sing(side), least_a) - u.edge_exponent(side) for side in (-1, 1)]
+    return [max(mu.sing(side), least_a) - gamma * res.u._edge_kappa(side) for side in (-1, 1)]
 
 
 def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float:
     """integral of u^gamma dmu on the solve ``res`` of mu or of a multiple g
     mu: ``quad.u`` against mu's density at the solve's points, each tail
-    closed at the power of u^gamma dmu, and the atoms at u there (the nodal
-    u where g > 0); +inf when a tail power is 1 or more."""
+    closed at the power of u^gamma dmu, and the atoms at u there
+    (``solution_values``: the nodal u where g > 0); +inf when a tail power
+    is 1 or more."""
     sigmas = _tail_powers(res, gamma, mu)
     if any(s >= 1.0 for s in sigmas):
         return INF
@@ -97,7 +98,7 @@ def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float
         total += float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), vals * dens))
     locs = mu.atom_locations
     if locs.size:
-        u_at = res.u.values_at(points_from_x(locs))
+        u_at = solution_values(res.u, quad, points_from_x(locs))
         total += float(np.dot(mu.atom_masses, u_at ** gamma))
     return total
 
@@ -195,8 +196,8 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
     sup_global = res.u.sup()
     cands = []
     locs = mu.atom_locations
-    if locs.size:
-        cands.append(float(np.max(res.u.values_at(points_from_x(locs)))))
+    if locs.size:  # atoms are nodes: the nodal u
+        cands.append(float(np.max(solution_values(res.u, res.quad, points_from_x(locs)))))
     quad = res.quad
     if quad is not None:
         mask = quad.dens_vals > 0.0

@@ -41,6 +41,16 @@ def gauss_cumulative(n: int) -> np.ndarray:
     return 0.5 * anti @ np.linalg.inv(leg.legvander(x, n - 1))
 
 
+@lru_cache(maxsize=8)
+def gauss_antiderivative(n: int) -> np.ndarray:
+    """Matrix A with ``A @ f`` the Legendre coefficients, in 2 s - 1, of the
+    integral over [0, s] of the polynomial through the values f at the nodes
+    of ``gauss_rule(n)``."""
+    leg = np.polynomial.legendre
+    x = 2.0 * gauss_rule(n)[0] - 1.0
+    return 0.5 * leg.legint(np.linalg.inv(leg.legvander(x, n - 1)), lbnd=-1.0)
+
+
 @dataclass(frozen=True)
 class Points:
     """Vectorized point set with endpoint-distance bookkeeping."""
@@ -48,9 +58,6 @@ class Points:
     x: np.ndarray
     side: np.ndarray  # -1: distance measured from -1, +1: from +1
     y: np.ndarray     # exact distance to that endpoint
-    # (grid, lookup): ``GridFunction.values_at``'s interval lookup of these
-    # points in one grid, kept when the arrays of both are read-only
-    located: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.x.size

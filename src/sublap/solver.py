@@ -35,7 +35,6 @@ import functools
 import math
 import threading
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +46,7 @@ from .quadrature import (
     Points,
     bracketed_root,
     build_panels,
+    gauss_antiderivative,
     gauss_cumulative,
     gauss_rule,
     graded_grid,
@@ -136,8 +136,9 @@ class GridFunction:
     The PCHIP is sublap's own (``_pchip_coefficients``): scipy's formulas in
     scipy's order of operations, so its values and ``derivative`` are
     bit-identical to ``scipy.interpolate.PchipInterpolator(x, values,
-    extrapolate=False)`` (values outside the nodes read 0).  The
-    coefficients are computed on the first evaluation and kept.
+    extrapolate=False)`` (values outside the nodes read 0), computed on the
+    first evaluation and kept.  The iteration reads its iterates from their
+    solves instead (``solution_values``).
 
     ``left_exponent`` / ``right_exponent`` declare the boundary power profile
     u ~ C * dist^kappa, used to extend evaluation below the innermost node and
@@ -209,48 +210,28 @@ class GridFunction:
             return 0.0
         return float(np.log(v1 / v0) / np.log(y1 / y0))
 
-    def _locate(self, pts: Points) -> tuple:
-        """Where each point falls: its PCHIP interval, the mask of points
-        inside [x_0, x_n] (None when all are), and per side the points
-        between the endpoint and the innermost node with their distance
-        relative to that node's.  Kept on ``pts`` for one grid when the
-        arrays of both are read-only."""
-        grid = self.grid
-        slot = pts.located
-        if slot is not None and slot[0] is grid:
-            return slot[1]
-        i, inside = self._interval(pts.x)
-        # y < 0 lies beyond [-1, 1], where u reads 0
-        y_min = (grid.y[1], grid.y[-2])
-        near = np.flatnonzero(pts.y < max(y_min))
-        near = near[pts.y[near] >= 0.0]
-        deep = []
-        for at, y_m in ((near[pts.side[near] < 0.0], y_min[0]),
-                        (near[pts.side[near] > 0.0], y_min[1])):
-            at = at[pts.y[at] < y_m]
-            deep.append((at, pts.y[at] / y_m))
-        found = (i, None if inside.all() else inside, tuple(deep))
-        if _read_only(pts) and _read_only(grid):
-            # 32-bit indices halve what the slot keeps
-            object.__setattr__(pts, "located", (grid, (i.astype(np.int32),) + found[1:]))
-        return found
+    def _edge_profile(self, pts: Points, out: np.ndarray) -> np.ndarray:
+        """``out`` with the points between each endpoint and its innermost
+        node set to the boundary power profile (y < 0 lies beyond [-1, 1])."""
+        for side, node in ((-1, 1), (1, -2)):
+            y_m = self.grid.y[node]
+            at = np.flatnonzero(pts.y < y_m)
+            at = at[(pts.side[at] == side) & (pts.y[at] >= 0.0)]
+            if at.size:
+                out[at] = max(self.values[node], 0.0) * (pts.y[at] / y_m) ** self._edge_kappa(side)
+        return out
 
     def values_at(self, pts: Points) -> np.ndarray:
         """u at the points: the PCHIP, the boundary power profile below the
         innermost nodes, 0 outside [-1, 1]."""
         if not self.finite:
             raise ValidationError("solver.GridFunction: cannot interpolate non-finite values")
-        i, inside, deep = self._locate(pts)
+        i, inside = self._interval(pts.x)
         c = np.take(self._coefficients(), i, axis=1)
         s = pts.x - self.grid.x[i]
         s2 = s * s
         out = c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-        if inside is not None:
-            out = np.where(inside, out, 0.0)
-        for side, node, (at, ratio) in zip((-1, 1), (1, -2), deep):
-            if at.size:
-                out[at] = max(self.values[node], 0.0) * ratio ** self._edge_kappa(side)
-        return out
+        return self._edge_profile(pts, np.where(inside, out, 0.0))
 
     def __call__(self, x) -> np.ndarray:
         return self.values_at(points_from_x(np.atleast_1d(np.asarray(x, dtype=float))))
@@ -261,16 +242,22 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class GridPowerFactor:
-    """u^q as a pushforward factor (boundary exponent q * kappa)."""
+    """(coef u^rho)^q as a pushforward factor, boundary exponent q (rho
+    kappa): u read by ``solution_values``, from the solve with nodal u
+    ``gridfn`` and quadrature view ``quad``, or by the PCHIP.  It holds no
+    ``PotentialResult``, whose measure would chain each solve to the last."""
 
     gridfn: GridFunction
     q: float
+    quad: SolutionQuad | None = None
+    coef: float = 1.0
+    rho: float = 1.0
 
     def values(self, pts: Points) -> np.ndarray:
-        return self.gridfn.values_at(pts) ** self.q
+        return (self.coef * solution_values(self.gridfn, self.quad, pts) ** self.rho) ** self.q
 
     def edge_exponent(self, side: int) -> float:
-        return self.q * self.gridfn._edge_kappa(side)
+        return self.q * (self.rho * self.gridfn._edge_kappa(side))
 
     def kinks(self) -> tuple[float, ...]:
         return tuple(self.gridfn.x[1:-1])
@@ -290,10 +277,11 @@ class SolutionQuad:
     """Quadrature view of a solve: panel points with weights, weight values,
     flux, u' and u, ready for energy integrals.
 
-    ``u`` is filled on first read by ``fill_u`` (``_hermite_at_points``:
-    the solve's panel run of u' from the endpoints, carried into every
-    panel), so solves whose callers read only the nodal solution do not pay
-    for it."""
+    ``u`` is filled on first read (``_hermite_at_points``: the solve's
+    panel run of u' from the endpoints, carried into every panel), so solves
+    whose callers read only the nodal solution do not pay for it.
+    ``bounds``, that run at the panel ends (None where the nodal u was
+    summed in closed form), lets ``solution_values`` read u anywhere."""
 
     pts: Points
     w_quad: np.ndarray  # the first and last point are the tail pseudo-points
@@ -301,15 +289,20 @@ class SolutionQuad:
     flux: np.ndarray
     uprime: np.ndarray
     dens_vals: np.ndarray  # density of the solved measure at the points
-    fill_u: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    panels: PanelSet = field(repr=False, compare=False)
+    n_gauss: int
+    n_left: int  # Gauss panels left of x = 0
+    bounds: np.ndarray | None = field(repr=False, compare=False)
     _u: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def u(self) -> np.ndarray:
         u = self._u
         if u is None:
-            # a concurrent first read fills an equal array
-            u = self._u = self.fill_u()
+            # a concurrent first read fills an equal array; the fill is
+            # looked up by name
+            u = self._u = _hermite_at_points(self.panels, self.uprime, self.n_gauss,
+                                             self.n_left, self.bounds)
         return u
 
 
@@ -339,6 +332,67 @@ class PotentialResult:
     @property
     def ladder_converged(self) -> bool:
         return not self.diverged
+
+
+def solution_values(u: GridFunction, quad: SolutionQuad | None, pts: Points) -> np.ndarray:
+    """u at the points, read from the solve with nodal ``u`` and quadrature
+    view ``quad``: ``quad.u`` at the solve's points and at the head and tail
+    that ``pts`` shares with them (structures of one measure are in x order
+    and differ only in the cells refined at a flux zero); elsewhere the nodal
+    u at nodes (atoms are nodes), ``_panel_rule`` in the interior cells, the
+    boundary power profile in the endpoint cells, 0 outside [-1, 1].  Without
+    ``quad`` (a user's grid function, a solve of the zero measure), the PCHIP."""
+    if quad is None:
+        return u.values_at(pts)
+    own = quad.pts
+    if pts is own:
+        return quad.u
+    n = min(own.x.size, pts.x.size)
+    head, tail = (n if same.all() else int(np.argmin(same)) for same in (
+        (own.x[:n] == pts.x[:n]) & (own.y[:n] == pts.y[:n]),
+        (own.x[::-1][:n] == pts.x[::-1][:n]) & (own.y[::-1][:n] == pts.y[::-1][:n])))
+    end = pts.x.size - min(tail, n - head)
+    out = np.empty(pts.x.size)
+    if head or end < pts.x.size:  # an atom-only solve never fills quad.u
+        out[:head], out[end:] = quad.u[:head], quad.u[own.x.size - pts.x.size + end:]
+    x = pts.x[head:end]
+    vals = u._edge_profile(Points(x=x, side=pts.side[head:end], y=pts.y[head:end]),
+                           np.zeros(x.size))
+    nodes = u.grid.x
+    g = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+    at = (nodes[g] == x) & (np.abs(x) < 1.0)  # x = +-1 may lie off the ends in y
+    vals[at] = u.values[g[at]]
+    inner = np.flatnonzero(~at & (x > nodes[1]) & (x < nodes[-2]))
+    if inner.size:
+        vals[inner] = _panel_rule(quad, x[inner])
+    out[head:end] = vals
+    return out
+
+
+def _panel_rule(quad: SolutionQuad, x: np.ndarray) -> np.ndarray:
+    """u at points x inside the Gauss panels: the panel run at the panel's
+    lower end plus h times the integral of the interpolant of u' through the
+    panel's values, in the right half the run at its upper end less h times
+    the integral to there, as ``_panel_fill`` reads it at the Gauss points."""
+    n, n_left = quad.n_gauss, quad.n_left
+    run = quad.bounds if quad.bounds is not None \
+        else _panel_bounds(quad.w_quad, quad.uprime, n, n_left, False)
+    t, tw = gauss_rule(n)
+    h = quad.w_quad[1:-1:n] / tw[0]  # the panel lengths
+    lo = quad.pts.x[1:-1:n] - t[0] * h  # and lower ends
+    # the panel of the first point at or past x, or the one before it
+    i = (np.searchsorted(quad.pts.x, x) - 1) // n
+    i -= x < lo[i]
+    left = i < n_left
+    s = (x - lo[i]) / h[i]
+    # per panel the Legendre coefficients of the integral of u' from its
+    # lower end, in the right half from its upper end: the integral over
+    # [s, 1] is the one over [0, 1 - s] of the reversed values
+    f = quad.uprime[1:-1].reshape(-1, n)
+    coef = (np.concatenate([f[:n_left], f[n_left:, ::-1]]) @ gauss_antiderivative(n).T)[i].T
+    part = h[i] * np.polynomial.legendre.legval(np.where(left, 2.0 * s - 1.0, 1.0 - 2.0 * s),
+                                                coef, tensor=False)
+    return np.maximum(np.where(left, run[i] + part, run[i + 2] - part), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +435,6 @@ def panel_cache_info() -> PanelCacheInfo:
     with _PANEL_LOCK:
         return PanelCacheInfo(_panel_counts["hits"], _panel_counts["misses"],
                               len(_PANEL_CACHE), _PANEL_CACHE_SIZE)
-
-
-def _read_only(pts: Points) -> bool:
-    return not (pts.x.flags.writeable or pts.side.flags.writeable or pts.y.flags.writeable)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -600,20 +650,31 @@ class _Workspace:
         if idx <= 0 or idx >= S.size:
             return None
         a, b = float(x[idx - 1]), float(x[idx])
-        if b - a <= 1e-14:
+        # no gap, or inside an endpoint ladder: contribution negligible
+        if b - a <= 1e-14 or abs(a) > 0.999 or abs(b) > 0.999:
             return None
-        # a node inside the gap means the crossing sits at that node (panels
-        # end at nodes, atoms are nodes): no refinement needed there
-        if np.any((self.grid.x > a) & (self.grid.x < b)):
-            return None
-        if abs(a) > 0.999 or abs(b) > 0.999:
-            return None  # inside an endpoint ladder: contribution negligible
-
-        # S is smooth in the gap with S' the density: the cubic Hermite from
-        # the ends of the gap
         s_a, s_b = float(S[idx - 1]), float(S[idx])
+        d_a, d_b = float(self.dens[idx - 1]), float(self.dens[idx])
+        # panels end at nodes: a node inside the gap is an atom, across which
+        # the crossing sits, or a plain node, on one side of which it lies
+        j = int(np.searchsorted(self.grid.x, a, side="right"))
+        node = float(self.grid.x[j])
+        if node < b:
+            if any(node == loc for loc, _ in self.mu.atoms):
+                return None
+            s_n = float(self.S_nodes[j] + self.mu.atom_cum_center(self.grid.x[j:j + 1])[0])
+            if abs(ctilde - s_n) <= self.opts.bracket_tol:
+                return None
+            d_n = float(self.mu.density.values(points_from_x(self.grid.x[j:j + 1]))[0])
+            if ctilde < s_n:
+                b, s_b, d_b = node, s_n, d_n
+            else:
+                a, s_a, d_a = node, s_n, d_n
+
+        # S is smooth in [a, b] with S' the density: the cubic Hermite from
+        # its ends
         h = b - a
-        d_a, d_b = h * float(self.dens[idx - 1]), h * float(self.dens[idx])
+        d_a, d_b = h * d_a, h * d_b
 
         def excess(x: float) -> float:
             t = (x - a) / h
@@ -747,9 +808,8 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
 
     quad = SolutionQuad(
         pts=panels.pts, w_quad=panels.w, w_vals=ws.w_vals,
-        flux=flux, uprime=phi, dens_vals=ws.dens,
-        # the fill is looked up by name on the first read
-        fill_u=lambda: _hermite_at_points(panels, phi, n, n_left, bounds),
+        flux=flux, uprime=phi, dens_vals=ws.dens, panels=panels,
+        n_gauss=n, n_left=n_left, bounds=bounds,
     )
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,

@@ -39,12 +39,14 @@ from .energy import (energy_ladder, measure_integral, sup_norm_energy, _gradient
                      _level_energy)
 from .measures import PowerDensity, RadonMeasure, WindowedDensity, power_measure
 from .params import energy_constant, envelope_constant, hardy_threshold
-from .quadrature import gauss_rule, graded_grid, points_from_edge
+from .quadrature import Points, gauss_rule, points_from_edge
 from .solver import (
     DEFAULT_OPTIONS,
     GridFunction,
+    GridPowerFactor,
     PotentialResult,
     SolverOptions,
+    _master_grid,
     potential,
 )
 from .weights import Weight
@@ -141,6 +143,13 @@ def _norm(coef: float, integral: float, expo: float, cap: float) -> float:
     return nrm if nrm <= cap else INF
 
 
+def _at_nodes(u: GridFunction, grid: Points) -> np.ndarray:
+    """u at the nodes of ``grid``: the nodal values where they are nodes of
+    u's grid too (``values_at`` reads them there), else the PCHIP."""
+    i = np.minimum(np.searchsorted(u.x, grid.x), u.x.size - 1)
+    return u.values[i] if np.array_equal(u.x[i], grid.x) else u.values_at(grid)
+
+
 def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1.0,
             tol: float = 1e-8, max_steps: int = 200,
             options: SolverOptions = DEFAULT_OPTIONS,
@@ -157,9 +166,13 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     the plain step.  A custom ``start`` takes the plain step u_{i+1} =
     T(u_i).
 
-    Each norm is integrated on the solve that made its iterate
-    (``energy._level_energy``), the envelope's on the solve of sigma; a
-    custom ``start`` has none and is integrated by ``measure_integral``.
+    Each iterate is read from the solve that made it, the envelope from the
+    solve of sigma: each step pushes sigma forward by (c u)^q, (c_V
+    u_sigma^rho)^q first, read by ``solver.solution_values``, and each norm
+    is integrated there (``energy._level_energy``).  A custom ``start`` has
+    no solve: the first step reads it by its PCHIP, and ``measure_integral``
+    integrates it.  The stopping test reads the nodal values at the nodes of
+    sigma's master grid, which every step's grid holds.
 
     Stops when the sup-grid relative change drops below ``tol`` (then verifies
     the fixed-point residual with one extra application) or when the norms
@@ -183,20 +196,21 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     if start is None and not np.any(env.u.values > 0.0):
         raise ValidationError(
             f"sublinear.iterate: the lower envelope underflows to zero (p={p}, q={q})")
-    u_cur = env.u if start is None else start
-    master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
-                         tuple(sigma.atom_locations.tolist()))
-    cur_vals = u_cur.values_at(master)
-
+    # a subset of every step's grid: a flux zero's node stays 1e-13 from nodes
+    master = _master_grid(sigma, options)
     if start is None:  # c_V u^rho, u the solve of sigma
         rho = (p - 1.0) / (p - 1.0 - q)
-        norms = [_norm(envelope_constant(p, q), _level_energy(env.base, sigma, rho * expo),
-                       expo, cap)]
+        c_v = envelope_constant(p, q)
+        factor = GridPowerFactor(env.base.u, q, env.base.quad, c_v, rho)
+        cur_vals = _at_nodes(env.u, master)
+        norms = [_norm(c_v, _level_energy(env.base, sigma, rho * expo), expo, cap)]
     else:
+        factor = start.power_factor(q)
+        cur_vals = start.values_at(master)
         f = start.power_factor(expo)
         norms = [_norm(1.0, measure_integral(f.values, sigma, options, cap=INF, exponents=(
             f.edge_exponent(-1), f.edge_exponent(1)))[0], expo, cap)]
-    iterates = [u_cur]
+    iterates = [env.u if start is None else start]
     monotone = True
     converged = False
     diverged = not np.isfinite(norms[0])
@@ -207,15 +221,14 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
 
     while not diverged and steps < max_steps:
         steps += 1
-        sigma_i = sigma.pushforward(u_cur.power_factor(q))
-        res = potential(p, w, sigma_i, options)
+        res = potential(p, w, sigma.pushforward(factor), options)
         if res.diverged:
             diverged = True
             last_res = res
             scales.append(1.0)
             break
         u_next = res.u
-        next_vals = u_next.values_at(master)
+        next_vals = _at_nodes(u_next, master)
         drop = float(np.max(cur_vals - next_vals))
         slack = 1e-9 * (1.0 + float(np.max(next_vals)))
         if drop > slack:
@@ -235,6 +248,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
                                       right_exponent=u_next.right_exponent)
                 next_vals = c * next_vals
         scales.append(c)
+        factor = GridPowerFactor(res.u, q, res.quad, c)
         nrm = _norm(c, _level_energy(res, sigma, expo), expo, cap)
         norms.append(nrm)
         if keep_iterates:
@@ -244,22 +258,20 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
         last_res = res
         if not np.isfinite(nrm) or nrm > cap:
             diverged = True
-            u_cur, cur_vals = u_next, next_vals
             break
         scale = max(float(np.max(next_vals)), 1e-300)
         change = float(np.max(np.abs(next_vals - cur_vals))) / scale
-        u_cur, cur_vals = u_next, next_vals
+        cur_vals = next_vals
         if change < tol:
             converged = True
             break
 
     if converged:
-        sigma_f = sigma.pushforward(u_cur.power_factor(q))
-        res_f = potential(p, w, sigma_f, options)
+        res_f = potential(p, w, sigma.pushforward(factor), options)
         if res_f.diverged:
             residual = INF
         else:
-            f_vals = res_f.u.values_at(master)
+            f_vals = _at_nodes(res_f.u, master)
             residual = float(np.max(np.abs(f_vals - cur_vals))) \
                 / max(float(np.max(cur_vals)), 1e-300)
     return IterationTrace(iterates=iterates, norms=norms, monotone=monotone,

@@ -128,16 +128,36 @@ def test_iterate_and_the_weak_form_integrate_on_their_solves(monkeypatch):
     assert tr.converged and all(0.0 < n < math.inf for n in tr.norms)
 
 
+@pytest.mark.parametrize("p, q, w, sigma", [
+    (2.4, 0.5, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8))),
+    (3.0, 0.5, W1, manufactured_measure(3.0, 0.5)),
+    (2.14, 0.74, W1, RadonMeasure(atoms=((-0.6, 1.25), (0.4, 0.5)))),
+], ids=["roadmap", "manufactured", "atoms"])
+def test_the_default_iteration_reads_no_pchip(monkeypatch, p, q, w, sigma):
+    # each iterate is read from the solve that made it, the master grid's
+    # values gathered from its nodes
+    def pchip(*args):
+        raise AssertionError("PCHIP coefficients computed")
+
+    monkeypatch.setattr(solver, "_pchip_coefficients", pchip)
+    tr = iterate(p, w, sigma, q)
+    assert tr.converged and tr.monotone
+
+
 def _plain_iterate(p, w, sigma, q, tol=1e-8, max_steps=200, options=DEFAULT_OPTIONS,
                    start=None):
     """The unscaled iteration u -> W(u^q sigma) with ``iterate``'s stopping
-    rule, the reference for its scaled steps: (last iterate, steps)."""
+    rule, the reference for its scaled steps: (last iterate, steps).  After
+    the first step it pushes forward through the solve reader, as
+    ``iterate`` does."""
     u = lower_envelope(p, w, sigma, q, options).u if start is None else start
     master = graded_grid(options.n_nodes, options.grading_ratio, options.y_floor,
                          tuple(sigma.atom_locations.tolist()))
     vals = u.values_at(master)
+    factor = u.power_factor(q)
     for steps in range(1, max_steps + 1):
-        u = potential(p, w, sigma.pushforward(u.power_factor(q)), options).u
+        res = potential(p, w, sigma.pushforward(factor), options)
+        u, factor = res.u, solver.GridPowerFactor(res.u, q, res.quad)
         nxt = u.values_at(master)
         change = float(np.max(np.abs(nxt - vals))) / max(float(np.max(nxt)), 1e-300)
         vals = nxt
@@ -415,6 +435,16 @@ def test_finite_energy_manufactured_identity_gap():
     # criterion_4's instance
     rep = finite_energy_check(3.0, W1, manufactured_measure(3.0, 0.5), 0.5)
     assert rep["identity_gap"] <= 3e-7
+
+
+def test_manufactured_iteration_is_exact_to_the_quadrature():
+    # criterion_4's instance, u* = 1 - x^2: read from its solves, the
+    # iteration keeps no interpolation error (1.5e-7 through a PCHIP)
+    sigma = manufactured_measure(3.0, 0.5)
+    rep = finite_energy_check(3.0, W1, sigma, 0.5)
+    u = iterate(3.0, W1, sigma, 0.5, keep_iterates=False).solution
+    assert rep["identity_gap"] <= 1e-9
+    assert np.max(np.abs(u.values - (1.0 - u.x ** 2))) <= 1e-9
 
 
 def test_finite_energy_dirac_sandwich():
