@@ -130,15 +130,15 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 
 @dataclass
 class GridFunction:
-    """Sampled function on a graded grid with a monotone piecewise-cubic
-    interpolation contract (PCHIP between nodes).
+    """Sampled function on a graded grid, read between nodes by a PCHIP.
 
     The PCHIP is sublap's own (``_pchip_coefficients``): scipy's formulas in
     scipy's order of operations, so its values and ``derivative`` are
     bit-identical to ``scipy.interpolate.PchipInterpolator(x, values,
     extrapolate=False)`` (values outside the nodes read 0), computed on the
-    first evaluation and kept.  The iteration reads its iterates from their
-    solves instead (``solution_values``).
+    first evaluation and kept.  It serves grid functions with no solve (a
+    custom ``start``, ``family`` members, ``Envelope.u``, zero-measure
+    results); the library reads a solve's u by ``solution_values``.
 
     ``left_exponent`` / ``right_exponent`` declare the boundary power profile
     u ~ C * dist^kappa, used to extend evaluation below the innermost node and
@@ -243,9 +243,10 @@ class GridFunction:
 @dataclass(frozen=True)
 class GridPowerFactor:
     """(coef u^rho)^q as a pushforward factor, boundary exponent q (rho
-    kappa): u read by ``solution_values``, from the solve with nodal u
-    ``gridfn`` and quadrature view ``quad``, or by the PCHIP.  It holds no
-    ``PotentialResult``, whose measure would chain each solve to the last."""
+    kappa): u read by ``solution_values`` from the solve with nodal u
+    ``gridfn`` and quadrature view ``quad``; without ``quad`` (no solve), by
+    the PCHIP.  It holds no ``PotentialResult``, whose measure would chain
+    each solve to the last."""
 
     gridfn: GridFunction
     q: float
@@ -962,7 +963,7 @@ def check_comparison(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
     """Comparison principle report: potential(mu) <= potential(nu) + tol.
 
     The caller asserts mu <= nu as measures; the report also checks the
-    ordering of the CDFs on the grid.
+    ordering of the CDFs at 101 fixed points in [-0.999, 0.999].
     """
     res_mu = potential(p, w, mu, options)
     res_nu = potential(p, w, nu, options)
@@ -970,8 +971,7 @@ def check_comparison(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
         return {"pass": bool(res_mu.diverged <= res_nu.diverged),
                 "max_violation": INF if res_mu.diverged and not res_nu.diverged else 0.0,
                 "cdf_ordered": None}
-    xs = res_nu.u.grid
-    v_mu = res_mu.u.values_at(xs)
+    v_mu = solution_values(res_mu.u, res_mu.quad, res_nu.u.grid)
     v_nu = res_nu.u.values
     violation = float(np.max(v_mu - v_nu))
     scale = max(res_nu.u.sup(), 1.0)

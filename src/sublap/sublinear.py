@@ -48,6 +48,7 @@ from .solver import (
     SolverOptions,
     _master_grid,
     potential,
+    solution_values,
 )
 from .weights import Weight
 
@@ -291,11 +292,11 @@ def iterated_inequality_check(p: float, w: Weight, sigma: RadonMeasure, beta: fl
         return {"pass": True, "max_violation": 0.0, "diverged": True}
     u = res.u
     lhs = u.values ** beta
-    factor = u.power_factor((beta - 1.0) * (p - 1.0))
+    factor = GridPowerFactor(u, (beta - 1.0) * (p - 1.0), res.quad)
     res2 = potential(p, w, sigma.pushforward(factor), options)
     if res2.diverged:
         return {"pass": True, "max_violation": 0.0, "diverged": True}
-    rhs = beta * res2.u.values_at(u.grid)
+    rhs = beta * solution_values(res2.u, res2.quad, u.grid)
     scale = max(float(np.max(lhs)), 1e-300)
     violation = float(np.max(lhs - rhs)) / scale
     return {"pass": bool(violation <= tol), "max_violation": violation,
@@ -498,16 +499,16 @@ def _shell_energies(res: PotentialResult, gamma: float,
                     levels: range = range(30, 36)) -> np.ndarray:
     """Energy of the solved density in the shells 2^-(k+1) <= dist <= 2^-k,
     k in ``levels``, i.e. the increments of the energy with its tail cut at
-    2^-k: one Gauss panel each over the interpolated u, above the grid's
-    innermost node, so no declared edge exponent enters.  They shrink by
-    about 2^(sigma - 1) per shell when u^gamma dmu ~ dist^(-sigma)."""
+    2^-k: one Gauss panel each over u read from the solve (``solution_values``)
+    above the grid's innermost node, so no declared edge exponent enters.
+    They shrink by about 2^(sigma - 1) per shell when u^gamma dmu ~ dist^(-sigma)."""
     t, tw = gauss_rule(12)
     lo = 2.0 ** -(np.asarray(levels, dtype=float) + 1.0)
     ys = lo[:, None] * (1.0 + t[None, :])
     shells = np.zeros(lo.size)
     for side in (-1, 1):
         pts = points_from_edge(side, ys.ravel())
-        vals = res.u.values_at(pts) ** gamma * res.measure.density.values(pts)
+        vals = solution_values(res.u, res.quad, pts) ** gamma * res.measure.density.values(pts)
         shells += lo * (vals.reshape(ys.shape) @ tw)
     return shells
 

@@ -7,10 +7,10 @@ With theta = (1+q)p/(p-1-q) and E the energy at the sandwich exponent
     [ (1+q)^((1+q)/(p-1-q)) c_V^(1+q) E ]^(1/theta) <= C_T <= E^(1/theta),
 
 and the two ends coincide at q = 0.  Rayleigh quotients of explicit
-zero-boundary test functions (powers of truncated potentials, hat functions
-on atoms) give independent certified lower bounds that must land inside the
-bracket.  The ``schedule`` keyword of ``trace_bracket`` configured the
-truncation ladder of earlier versions; it is accepted and ignored.
+zero-boundary test functions (powers of truncated potentials read from their
+solves, hats on atoms on one shared quadrature of sigma) give certified lower
+bounds inside the bracket.  The ``schedule`` keyword of ``trace_bracket``
+configured the earlier truncation ladder; it is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .energy import _gradient_energy, energy_ladder, measure_integral
+from .energy import _gradient_energy, _integrator, energy_ladder, measure_integral
 from .measures import RadonMeasure
 from .params import envelope_constant
 from .quadrature import graded_cumulative, points_from_x
-from .solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, solve_dirichlet
+from .solver import DEFAULT_OPTIONS, GridFunction, GridPowerFactor, SolverOptions, solve_dirichlet
 from .weights import Weight
 
 INF = math.inf
@@ -76,15 +76,11 @@ class HatFunction:
         return (w.ball_weight(self.center, self.halfwidth) / self.halfwidth ** p) ** (1.0 / p)
 
 
-def _quotient_hat(p: float, w: Weight, sigma: RadonMeasure, q: float,
-                  hat: HatFunction, options: SolverOptions) -> float:
-    # a hat vanishes at least linearly at an endpoint of its support
-    num, div = measure_integral(lambda pts: hat(pts.x) ** (1.0 + q), sigma, options,
-                                exponents=(1.0 + q, 1.0 + q))
+def _quotient_hat(p: float, w: Weight, q: float, hat: HatFunction, integral) -> float:
+    num, div = integral(lambda pts: hat(pts.x) ** (1.0 + q))
     if div or num <= 0.0:
         return 0.0
-    den = hat.grad_norm_p(p, w)
-    return num ** (1.0 / (1.0 + q)) / den
+    return num ** (1.0 / (1.0 + q)) / hat.grad_norm_p(p, w)
 
 
 def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float,
@@ -98,7 +94,7 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
     den_p = rho ** p * _gradient_energy(res, (rho - 1.0) * p + 1.0)
     if den_p <= 0.0:
         return 0.0
-    f = res.u.power_factor(rho * (1.0 + q))
+    f = GridPowerFactor(res.u, rho * (1.0 + q), res.quad)
     num, div = measure_integral(f.values, sigma, options,
                                 exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     if div:
@@ -143,11 +139,12 @@ def rayleigh_lower(p: float, w: Weight, sigma: RadonMeasure, q: float,
         val = _quotient_potential_power(p, w, sigma, q, level, options)
         candidates.append((f"potential_power_k{level}", val))
 
+    # one quadrature of sigma for all hats; a hat vanishes at least linearly at +-1
+    hats = _integrator(sigma, options, None, (1.0 + q, 1.0 + q)) if sigma.atoms else None
     for (c, _m) in sigma.atoms:
         h_max = min(1.0 - c, 1.0 + c)
         hs = h_max * np.exp(np.linspace(np.log(0.02), 0.0, hat_scan))
-        vals = [_quotient_hat(p, w, sigma, q, HatFunction(c, float(h)), options)
-                for h in hs]
+        vals = [_quotient_hat(p, w, q, HatFunction(c, float(h)), hats) for h in hs]
         i_best = int(np.argmax(vals))
         lo = hs[max(0, i_best - 1)]
         hi = hs[min(len(hs) - 1, i_best + 1)]
@@ -157,15 +154,15 @@ def rayleigh_lower(p: float, w: Weight, sigma: RadonMeasure, q: float,
         for _ in range(16):
             h1 = b - gr * (b - a)
             h2 = a + gr * (b - a)
-            v1 = _quotient_hat(p, w, sigma, q, HatFunction(c, h1), options)
-            v2 = _quotient_hat(p, w, sigma, q, HatFunction(c, h2), options)
+            v1 = _quotient_hat(p, w, q, HatFunction(c, h1), hats)
+            v2 = _quotient_hat(p, w, q, HatFunction(c, h2), hats)
             if v1 < v2:
                 a = h1
             else:
                 b = h2
         h_best = 0.5 * (a + b)
         candidates.append(
-            (f"hat_at_{c:g}", _quotient_hat(p, w, sigma, q, HatFunction(c, h_best), options))
+            (f"hat_at_{c:g}", _quotient_hat(p, w, q, HatFunction(c, h_best), hats))
         )
 
     for i, member in enumerate(family):

@@ -25,7 +25,7 @@ from sublap.measures import (
     lebesgue,
     power_measure,
 )
-from sublap.solver import SolverOptions, potential, solve_dirichlet
+from sublap.solver import GridPowerFactor, SolverOptions, potential, solve_dirichlet
 from sublap.sublinear import hardy_sweep, iterate
 from sublap.trace import trace_bracket
 from sublap.weights import constant_weight, power_weight
@@ -166,7 +166,8 @@ def test_mee_bound_reuses_the_energy_solve_of_mu(monkeypatch):
     rep = mee_bound(2.5, W1, mu, nu, gamma=1.0, q=0.5)
     assert solved == [mu, nu]
     # the bound from a separate solve of mu
-    f = potential(2.5, W1, mu).u.power_factor(1.5)
+    res = potential(2.5, W1, mu)
+    f = GridPowerFactor(res.u, 1.5, res.quad)
     lhs = measure_integral(f.values, nu, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     assert rep["lhs"] == lhs[0] and rep["pass"] and not rep["diverged"]
     # sup W mu = 1/4 is past the cap where E_1(mu) = 1/8 and E_1(nu) are not:
@@ -175,6 +176,44 @@ def test_mee_bound_reuses_the_energy_solve_of_mu(monkeypatch):
     opts = SolverOptions(divergence_cap=0.2)
     assert potential(2.0, W1, half, opts).diverged
     assert mee_bound(2.0, W1, half, half, gamma=1.0, q=0.0, options=opts)["diverged"]
+
+
+# the reference solves: an 8192-node grid, read by the solve's own rule; on these
+# cases it agrees with a 16384-node one to 2e-15 (lhs) and 4e-15 of sup u (the reads)
+REF = SolverOptions(n_nodes=8192)
+
+
+@pytest.mark.parametrize("nu", [power_measure(0.5), lebesgue().window(0.0, 0.63)],
+                         ids=["power", "jump_at_0.37"])
+def test_mee_bound_reads_mu_from_its_solve(nu):
+    # the PCHIP read of W mu put lhs 6.1e-6 (power) and 8.9e-6 (jump) high
+    mu = lebesgue(0.5).add(dirac(0.3))
+    ref = potential(2.5, W1, mu, REF)
+    f = GridPowerFactor(ref.u, 1.5, ref.quad)
+    lhs_ref = measure_integral(f.values, nu, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    assert mee_bound(2.5, W1, mu, nu, gamma=1.0, q=0.5)["lhs"] \
+        == pytest.approx(lhs_ref[0], rel=1e-7, abs=0.0)
+
+
+def test_mee_bound_reads_mu_next_to_an_atom(monkeypatch):
+    # W mu in the cell right of the atom at 0.2, read at nu's quadrature points:
+    # the PCHIP missed by 1.34e-3 of sup u at x = 0.2048
+    module = importlib.import_module("sublap.energy")
+    integrands = []
+
+    def recording(fn, *args, **kwargs):
+        integrands.append(fn)
+        return measure_integral(fn, *args, **kwargs)
+
+    monkeypatch.setattr(module, "measure_integral", recording)
+    p, w, mu, nu = 2.4, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8)), \
+        power_measure(0.3)
+    mee_bound(p, w, mu, nu, gamma=1.0, q=0.5)
+    pts = solver.measure_quadrature(nu)[0]
+    ref = potential(p, w, mu, REF)
+    u_ref = solver.solution_values(ref.u, ref.quad, pts)
+    err = np.abs(integrands[0](pts) ** (1.0 / 1.5) - u_ref)
+    assert np.max(err) <= 1e-12 * ref.u.sup()
 
 
 def test_mee_rejects_bad_q():

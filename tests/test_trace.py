@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,10 +7,10 @@ from scipy.interpolate import PchipInterpolator
 
 from sublap.errors import ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, power_measure
-from sublap.energy import measure_integral
+from sublap.energy import _gradient_energy, measure_integral
 from sublap.params import envelope_constant
 from sublap.quadrature import gauss_rule, points_from_edge, points_from_x
-from sublap.solver import solve_dirichlet
+from sublap.solver import GridPowerFactor, SolverOptions, measure_quadrature, solve_dirichlet
 from sublap.trace import HatFunction, rayleigh_lower, trace_bracket
 from sublap.weights import constant_weight, power_weight
 
@@ -117,6 +118,55 @@ def test_rayleigh_grid_function_member_matches_a_node_split_reference(p, w, rel)
     num = measure_integral(lambda pts: u(pts.x) ** 1.5, mu)[0]
     assert dict(rep["candidates"])["user_0"] == pytest.approx(num ** (1 / 1.5) / den ** (1 / p),
                                                                rel=rel)
+
+
+SIGMA = dirac(0.2).add(power_measure(0.6, 0.8))
+
+
+@pytest.mark.parametrize("level", [4, 24])
+def test_potential_power_quotient_reads_its_solve(level):
+    # the numerator used to read W sigma_k by its PCHIP, which misses next to
+    # the atom: the "certified" lower bound came out 7.3e-6 relative too high.
+    # Reference: the same quotient on an 8192-node solve
+    p, w, q = 2.4, power_weight(0.3), 0.5
+    rho = (p - 1.0) / (p - 1.0 - q)
+    ref = solve_dirichlet(p, w, SIGMA.truncate(level), SolverOptions(n_nodes=8192))
+    f = GridPowerFactor(ref.u, rho * (1.0 + q), ref.quad)
+    num = measure_integral(f.values, SIGMA, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
+    den_p = rho ** p * _gradient_energy(ref, (rho - 1.0) * p + 1.0)
+    rep = rayleigh_lower(p, w, SIGMA, q, levels=(level,))
+    assert dict(rep["candidates"])[f"potential_power_k{level}"] \
+        == pytest.approx(num[0] ** (1.0 / (1.0 + q)) / den_p ** (1.0 / p), rel=0.0, abs=1e-11)
+
+
+def test_deep_potential_power_quotient_meets_the_bracket_lower_end():
+    # (W sigma_k)^rho tends to the bracket's lower end as k grows: its numerator
+    # tends to the energy and its gradient norm to the energy identity's other
+    # side.  At k = 24 lebesgue's truncation is below rounding; the PCHIP read
+    # of W sigma_k put the quotient 8.4e-7 relative below that end
+    tb = trace_bracket(2.0, W1, lebesgue(), 0.5)
+    rep = rayleigh_lower(2.0, W1, lebesgue(), 0.5, levels=(24,))
+    assert dict(rep["candidates"])["potential_power_k24"] \
+        == pytest.approx(tb.lower, rel=1e-12, abs=0.0)
+
+
+def test_rayleigh_lower_builds_one_quadrature_of_sigma_for_all_hats(monkeypatch):
+    module = importlib.import_module("sublap.energy")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return measure_quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(module, "measure_quadrature", counting)
+    sigma = SIGMA.add(dirac(-0.5, 0.3))
+    rep = rayleigh_lower(2.4, power_weight(0.3), sigma, 0.5)
+    # one per potential-power level and one for the 2 x 45 hats
+    assert len(calls) == 1 + 4
+    # the values of a fresh quadrature per hat, to the bit
+    cands = dict(rep["candidates"])
+    assert cands["hat_at_-0.5"] == 0.4926638066024854
+    assert cands["hat_at_0.2"] == 1.0121292930115968
 
 
 def test_hat_function_norms():
