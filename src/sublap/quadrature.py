@@ -15,6 +15,7 @@ log(1/target)/(1-s).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -94,11 +95,16 @@ def _graded_base(n_nodes: int, ratio: float, y_floor: float) -> tuple[float, ...
         xs.add(-1.0 + y)
         xs.add(1.0 - y)
     nodes = sorted(xs)
+    # the largest gap first, the leftmost of equal ones
+    gaps = [(a - b, a, b) for a, b in zip(nodes, nodes[1:])]
+    heapq.heapify(gaps)
     while len(nodes) < n_nodes:
-        gaps = np.diff(np.asarray(nodes))
-        i = int(np.argmax(gaps))
-        nodes.insert(i + 1, nodes[i] + gaps[i] / 2.0)
-    return tuple(nodes)
+        _, a, b = heapq.heappop(gaps)
+        m = a + (b - a) / 2.0
+        nodes.append(m)
+        heapq.heappush(gaps, (a - m, a, m))
+        heapq.heappush(gaps, (m - b, m, b))
+    return tuple(sorted(nodes))
 
 
 def graded_grid(
@@ -144,8 +150,9 @@ class PanelSet:
     n_gauss)`` holds one panel per row and ``panel_cell`` (nondecreasing)
     names the grid cell of each.  The points ascend in x and, at equal x (x
     ties within float spacing of the endpoints), in y at -1 and against y at
-    +1.  ``memo`` holds what the solver keeps of values at the points and of
-    the layout, by name, filled on first use.
+    +1.  ``memo`` holds what the solver keeps with the structure, by name:
+    the grid nodes' places in a panel run, set when it is built, and the
+    weight values at the points, filled on first use.
     """
 
     pts: Points

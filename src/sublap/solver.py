@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -411,7 +410,7 @@ def _mandatory_nodes(mu: RadonMeasure, opts: SolverOptions,
         for yb in mu.breakpoints_y(side):
             if yb >= opts.y_floor:
                 mandatory += (-1.0 + yb,) if side < 0 else (1.0 - yb,)
-    return tuple(sorted(mandatory))
+    return tuple(sorted(map(float, mandatory)))
 
 
 def _master_grid(mu: RadonMeasure, opts: SolverOptions,
@@ -420,22 +419,16 @@ def _master_grid(mu: RadonMeasure, opts: SolverOptions,
                        _mandatory_nodes(mu, opts, extra_nodes))
 
 
-# panel structures by ``_structure_key``, least recently used first; every
-# read and write holds ``_PANEL_LOCK``, and a structure is built outside it
-_PANEL_CACHE: dict = {}
 _PANEL_CACHE_SIZE = 64
-_PANEL_LOCK = threading.Lock()
-_panel_counts = {"hits": 0, "misses": 0}
 
 PanelCacheInfo = namedtuple("PanelCacheInfo", "hits misses size maxsize")
 
 
 def panel_cache_info() -> PanelCacheInfo:
-    """Hits and misses of the panel-structure cache since import, its size
-    and its bound, like ``functools.lru_cache``'s ``cache_info``."""
-    with _PANEL_LOCK:
-        return PanelCacheInfo(_panel_counts["hits"], _panel_counts["misses"],
-                              len(_PANEL_CACHE), _PANEL_CACHE_SIZE)
+    """Hits and misses of the panel-structure cache since its last clear,
+    its size and its bound, from ``functools.lru_cache``'s ``cache_info``."""
+    info = _PANEL_CACHE.cache_info()
+    return PanelCacheInfo(info.hits, info.misses, info.currsize, info.maxsize)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -443,32 +436,39 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-class _StructureKey(tuple):
-    """A cache key hashed once: a hit hashes it three times (the lookup and
-    the recency refresh), a miss twice."""
+def _build_structure(opts: SolverOptions, mandatory: tuple[float, ...], ladder_nodes: tuple,
+                     y_cuts: tuple, deep: tuple, tail_s: tuple) -> tuple[Points, PanelSet]:
+    """The graded grid on the ``mandatory`` nodes and its panels, read-only,
+    from everything ``graded_grid`` and ``build_panels`` read.  Its
+    ``memo["nodes"]`` holds each node's place in a panel run
+    (``_panel_bounds``): node i is the lower end of cell i's first panel,
+    one place further in the right half, which repeats x = 0 (the node
+    ``mid``)."""
+    grid = graded_grid(opts.n_nodes, opts.grading_ratio, opts.y_floor, mandatory)
+    panels = build_panels(
+        grid,
+        n_gauss=opts.n_gauss,
+        y_cut_left=y_cuts[0],
+        y_cut_right=y_cuts[1],
+        edge_breaks_left=np.asarray(deep[0]),
+        edge_breaks_right=np.asarray(deep[1]),
+        ladder_nodes=ladder_nodes,
+        tail_s_left=tail_s[0],
+        tail_s_right=tail_s[1],
+    )
+    mid = int(np.searchsorted(grid.x, 0.0))  # x = 0 is always a node
+    at = np.searchsorted(panels.panel_cell, np.arange(panels.n_cells + 1))
+    panels.memo["nodes"] = (mid, int(at[mid]), at)
+    at[mid + 1:] += 1
+    _freeze(grid.x, grid.side, grid.y, panels.pts.x, panels.pts.side, panels.pts.y,
+            panels.w, panels.panel_cell, at)
+    return grid, panels
 
-    def __new__(cls, items):
-        key = super().__new__(cls, items)
-        key._hash = tuple.__hash__(key)
-        return key
 
-    def __hash__(self):
-        return self._hash
-
-
-def _structure_key(mu: RadonMeasure, opts: SolverOptions,
-                   extra_nodes: tuple, ladder_nodes: tuple,
-                   y_cuts: list, deep_l: tuple, deep_r: tuple):
-    """Everything ``_master_grid`` and ``build_panels`` read: the options,
-    the grid's mandatory nodes, the ladder nodes, the edges below the grid
-    floor with the declared tail powers, and the ladder cuts."""
-    try:
-        return _StructureKey((
-            opts, _mandatory_nodes(mu, opts, extra_nodes), ladder_nodes,
-            deep_l, deep_r, *y_cuts,
-        ))
-    except TypeError:
-        return None
+# the panel structures, least recently used out first; ``clear()`` empties
+# it under the name of the dict it replaced, which callers outside use
+_PANEL_CACHE = functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)(_build_structure)
+_PANEL_CACHE.clear = _PANEL_CACHE.cache_clear
 
 
 # the endpoint ladders stop where the tail of an integrand following its
@@ -502,41 +502,8 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
         if deep[-1]:
             y_cut = min(y_cut, deep[-1][0] / 16.0)
         y_cuts.append(10.0 ** np.floor(np.log10(max(y_cut, 1e-280))))
-    key = _structure_key(mu, opts, extra_nodes, ladder_nodes,
-                         y_cuts, deep[0] + tail_s, deep[1] + tail_s)
-    with _PANEL_LOCK:
-        # one lookup: an outside clear() between a membership test and the
-        # read would raise KeyError
-        cached = None if key is None else _PANEL_CACHE.get(key)
-        if cached is None:
-            _panel_counts["misses"] += 1
-        else:
-            _panel_counts["hits"] += 1
-            _PANEL_CACHE.pop(key, None)
-            _PANEL_CACHE[key] = cached
-    if cached is not None:
-        return cached
-    grid = _master_grid(mu, opts, extra_nodes)
-    panels = build_panels(
-        grid,
-        n_gauss=opts.n_gauss,
-        y_cut_left=y_cuts[0],
-        y_cut_right=y_cuts[1],
-        edge_breaks_left=np.asarray(deep[0]),
-        edge_breaks_right=np.asarray(deep[1]),
-        ladder_nodes=ladder_nodes,
-        tail_s_left=tail_s[0],
-        tail_s_right=tail_s[1],
-    )
-    # what the cache shares is read-only
-    _freeze(grid.x, grid.side, grid.y, panels.pts.x, panels.pts.side, panels.pts.y,
-            panels.w, panels.panel_cell)
-    if key is not None:
-        with _PANEL_LOCK:
-            _PANEL_CACHE[key] = (grid, panels)
-            for stale in list(_PANEL_CACHE)[:-_PANEL_CACHE_SIZE]:
-                _PANEL_CACHE.pop(stale, None)
-    return grid, panels
+    return _PANEL_CACHE(opts, _mandatory_nodes(mu, opts, extra_nodes), ladder_nodes,
+                        tuple(y_cuts), tuple(deep), tail_s)
 
 
 def _weight_at(panels: PanelSet, w: Weight, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -583,18 +550,7 @@ class _Workspace:
             w.family == "custom" or not mu.density.y_resolved,
             tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1)))
         pts = self.panels.pts
-        # per structure, each node's place in a panel run (``_panel_bounds``):
-        # node i is the lower end of cell i's first panel, one place further
-        # in the right half, which repeats x = 0 (the node ``mid``)
-        layout = self.panels.memo.get("nodes")
-        if layout is None:
-            mid = int(np.searchsorted(self.grid.x, 0.0))  # x = 0 is always a node
-            at = np.searchsorted(self.panels.panel_cell, np.arange(self.panels.n_cells + 1))
-            layout = (mid, int(at[mid]), at)
-            at[mid + 1:] += 1
-            _freeze(at)
-            self.panels.memo["nodes"] = layout
-        self.mid, self.n_left, self.at_nodes = layout
+        self.mid, self.n_left, self.at_nodes = self.panels.memo["nodes"]
         self.w_vals, self.w_fac = _weight_at(self.panels, w, p)
         self.dens = mu.density.values(pts)
         S = mu.density.cum0_many(pts)

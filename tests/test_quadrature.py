@@ -4,6 +4,7 @@ import pytest
 from sublap.quadrature import (
     PanelSet,
     Points,
+    _graded_base,
     build_panels,
     gauss_rule,
     graded_grid,
@@ -185,3 +186,26 @@ def test_panels_are_laid_out_in_x_order(seed):
     assert np.all(np.diff(cell) >= 0) and cell[0] == 0 and cell[-1] == panels.n_cells - 1
     rows = x[1:-1].reshape(-1, n)
     assert np.all(rows >= grid.x[cell][:, None]) and np.all(rows <= grid.x[cell + 1][:, None])
+
+
+# -- the graded base: repeated largest-gap bisection ------------------------------
+
+def _reference_graded_base(n_nodes, ratio, y_floor):
+    # the list bisection the heap replaced: the first of the largest gaps
+    ys = [1.0]
+    while ys[-1] * ratio >= y_floor:
+        ys.append(ys[-1] * ratio)
+    nodes = sorted({-1.0, 1.0, *(-1.0 + y for y in ys), *(1.0 - y for y in ys)})
+    while len(nodes) < n_nodes:
+        gaps = np.diff(np.asarray(nodes))
+        i = int(np.argmax(gaps))
+        nodes.insert(i + 1, nodes[i] + gaps[i] / 2.0)
+    return tuple(nodes)
+
+
+@pytest.mark.parametrize("n_nodes, ratio, y_floor", [
+    (8, 0.85, 1e-13), (192, 0.85, 1e-13), (512, 0.85, 1e-13), (700, 0.85, 1e-13),
+    (4096, 0.85, 1e-13), (300, 0.5, 1e-3), (1000, 0.93, 1e-8),
+])
+def test_graded_base_bisects_the_leftmost_largest_gap(n_nodes, ratio, y_floor):
+    assert _graded_base(n_nodes, ratio, y_floor) == _reference_graded_base(n_nodes, ratio, y_floor)

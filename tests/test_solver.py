@@ -527,32 +527,6 @@ def test_monotone_limit_drop_beyond_slack_raises():
 
 # -- panel cache ------------------------------------------------------------------
 
-def test_panel_cache_lookup_survives_concurrent_clear(monkeypatch):
-    class ClearedAfterMembershipTest(dict):
-        # another thread's clear() landing right after each read of the
-        # cache: a membership test, a lookup or the pop that refreshes an
-        # entry's recency
-        def __contains__(self, key):
-            found = super().__contains__(key)
-            self.clear()
-            return found
-
-        def get(self, key, default=None):
-            found = super().get(key, default)
-            self.clear()
-            return found
-
-        def pop(self, key, *default):
-            found = super().pop(key, *default)
-            self.clear()
-            return found
-
-    monkeypatch.setattr(solver, "_PANEL_CACHE", ClearedAfterMembershipTest())
-    first = solve_dirichlet(2.0, W1, dirac(0.0))
-    second = solve_dirichlet(2.0, W1, dirac(0.0))
-    assert np.array_equal(first.u.values, second.u.values)
-
-
 def _stress_measure(k: int) -> RadonMeasure:
     # an atom off the center and a density without a closed cumulative: the
     # panel rule's cumulative, a flux sign change and its re-solve
@@ -600,7 +574,54 @@ def test_panel_cache_evictions_racing_lookups_keep_results_and_bound():
     assert mismatches == []
     assert len(sizes) == n_threads * n_measures
     assert max(sizes) <= solver._PANEL_CACHE_SIZE == 64
-    assert len(solver._PANEL_CACHE) <= 64
+    assert solver.panel_cache_info().size <= 64
+
+
+def test_panel_cache_lookup_survives_concurrent_clear():
+    # one thread empties the cache in a loop while four solve: lookups,
+    # builds and insertions race the clears, and every result equals the
+    # serial one bit for bit
+    w = power_weight(0.3)
+    measures = [_stress_measure(k) for k in range(8)]
+    serial = [solve_dirichlet(2.4, w, mu) for mu in measures]
+    n_threads, clears, errors, mismatches = 4, [0], [], []
+    done = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(n_threads + 1, timeout=60.0)
+
+        def clear():
+            start.wait()
+            while not done.is_set():
+                solver._PANEL_CACHE.clear()
+                clears[0] += 1
+
+        def run(t):
+            start.wait()
+            try:
+                for k in np.random.default_rng(t).permutation(2 * len(measures)) % len(measures):
+                    res, ref = solve_dirichlet(2.4, w, measures[k]), serial[k]
+                    if not (np.array_equal(res.u.values, ref.u.values)
+                            and res.flux_anchor == ref.flux_anchor):
+                        mismatches.append(int(k))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        clearer = threading.Thread(target=clear)
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(n_threads)]
+        for t in [clearer, *threads]:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+            assert not t.is_alive()
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    clearer.join(timeout=60.0)
+    assert not clearer.is_alive()
+    assert errors == [] and mismatches == []
+    assert clears[0] > 0
 
 
 def test_repeated_iteration_makes_no_panel_cache_miss():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from sublap.measures import dirac, lebesgue, power_measure, RadonMeasure
+from sublap.quadrature import points_from_x
+from sublap.solver import SolverOptions, solution_values, solve_dirichlet
 from sublap.weights import constant_weight, power_weight
-from sublap.wolff import DEFAULT_RADIUS, ratio_report, wolff_truncated
+from sublap.wolff import DEFAULT_RADIUS, ratio_report, wolff_curve, wolff_truncated
 
 W1 = constant_weight()
 
@@ -104,6 +106,22 @@ def test_ratio_report_dirac_band_from_closed_forms():
     ratios = u / wv
     assert rep["ratio_min"] == pytest.approx(float(np.min(ratios)), rel=1e-8)
     assert rep["ratio_max"] == pytest.approx(float(np.max(ratios)), rel=1e-8)
+
+
+@pytest.mark.parametrize("p, w, mu", [
+    (2.0, W1, dirac(0.1, 0.5).add(power_measure(0.3))),
+    (2.5, power_weight(0.3), lebesgue(0.5).add(dirac(0.3))),
+], ids=["dirac+power", "lebesgue+dirac"])
+def test_ratio_report_reads_u_from_its_solve(p, w, mu):
+    # u at the samples by the solve's own rule, against an 8192-node solve
+    # (a PCHIP read of the nodal u misses by about 4e-6 of sup u here)
+    rep = ratio_report(p, w, mu)
+    ref = solve_dirichlet(p, w, mu, SolverOptions(n_nodes=8192))
+    xs = np.linspace(-0.75, 0.75, 41)
+    u = solution_values(ref.u, ref.quad, points_from_x(xs))
+    ratios = u / wolff_curve(p, w, mu, xs, DEFAULT_RADIUS)
+    assert rep["ratio_min"] == pytest.approx(float(np.min(ratios)), rel=1e-12, abs=0.0)
+    assert rep["ratio_max"] == pytest.approx(float(np.max(ratios)), rel=1e-12, abs=0.0)
 
 
 def test_ratio_report_zero_measure_empty():
