@@ -50,7 +50,7 @@ from .solver import (
     potential,
     solution_values,
 )
-from .weights import Weight
+from .weights import Weight, constant_weight, power_weight
 
 INF = math.inf
 
@@ -114,12 +114,12 @@ def _validate_sub_natural(p: float, q: float, sigma: RadonMeasure,
 
 
 def _power_grid_function(base: PotentialResult, coef: float, rho: float) -> GridFunction:
-    """coef * (base potential)^rho as a grid function with scaled edge exponents."""
+    """coef * (base potential)^rho as a grid function with scaled edge
+    exponents (a solve declares both)."""
     u = base.u
-    vals = coef * u.values ** rho
-    kl = None if u.left_exponent is None else rho * u.left_exponent
-    kr = None if u.right_exponent is None else rho * u.right_exponent
-    return GridFunction(grid=u.grid, values=vals, left_exponent=kl, right_exponent=kr)
+    return GridFunction(grid=u.grid, values=coef * u.values ** rho,
+                        left_exponent=rho * u.left_exponent,
+                        right_exponent=rho * u.right_exponent)
 
 
 def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
@@ -129,8 +129,7 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
     _validate_sub_natural(p, q, sigma, require_nonzero=False)
     res = potential(p, w, sigma, options)
     if res.diverged:
-        gf = GridFunction(grid=res.u.grid, values=np.full(res.u.x.size, INF))
-        return Envelope(u=gf, diverged=True, base=res)
+        return Envelope(u=res.u, diverged=True, base=res)
     rho = (p - 1.0) / (p - 1.0 - q)
     c_v = envelope_constant(p, q)
     return Envelope(u=_power_grid_function(res, c_v, rho), diverged=False, base=res)
@@ -461,9 +460,7 @@ def hardy_sweep(p: float, beta: float, q: float, alpha_grid,
     if not (-1.0 < beta < p - 1.0):
         raise ValidationError("sublinear.hardy_sweep: beta outside (-1, p - 1)")
     alpha_star = hardy_threshold(p, q, beta)
-    w = Weight(family="power", beta=beta,
-               edge_exponent_left=beta, edge_exponent_right=beta) \
-        if beta != 0.0 else Weight(family="constant")
+    w = power_weight(beta) if beta != 0.0 else constant_weight()
     ghat = (1.0 + q) * (p - 1.0) / (p - 1.0 - q)
     rows = []
     for alpha in alpha_grid:

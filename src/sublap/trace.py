@@ -87,8 +87,6 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
                               level: int, options: SolverOptions) -> float:
     """Test function (W sigma_k)^((p-1)/(p-1-q)) with analytic gradient norm."""
     res = solve_dirichlet(p, w, sigma.truncate(level), options)
-    if res.u.sup() <= 0.0:
-        return 0.0
     rho = (p - 1.0) / (p - 1.0 - q)
     # |(u^rho)'|^p = rho^p |u'|^p u^((rho - 1) p)
     den_p = rho ** p * _gradient_energy(res, (rho - 1.0) * p + 1.0)

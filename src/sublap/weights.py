@@ -51,8 +51,6 @@ class Weight:
         if self.family == "constant":
             return np.full(len(pts), self.value)
         if self.family == "power":
-            if self.beta == 0.0:
-                return np.ones(len(pts))
             return pts.y ** self.beta
         vals = np.asarray(self.func(pts.x), dtype=float)
         # positivity is required on the open interval only; a custom weight

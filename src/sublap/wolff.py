@@ -81,8 +81,6 @@ def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = 
         raise ValidationError("wolff.wolff_truncated: need R > 0")
     if not (-1.0 < x < 1.0):
         raise ValidationError("wolff.wolff_truncated: need x inside (-1, 1)")
-    if mu.is_zero:
-        return WolffSample(x=x, R=R, value=0.0)
     e = 1.0 / (p - 1.0)
 
     # +inf detection: the largest ball swallowing an endpoint with infinite mass

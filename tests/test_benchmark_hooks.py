@@ -8,7 +8,10 @@ make a layer read 0 without an error, so the names are checked here.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from sublap import solver
 from sublap.measures import dirac
@@ -22,6 +25,39 @@ def _tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _workloads():
+    """``perfbench/workloads.py``, read only; its dataclasses look their
+    module up in ``sys.modules`` while it executes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's worst reference error per workload at this code; its
+# max_ref_err bound lets a change worsen it by a quarter
+WORST_REFERENCE_ERROR = {"solve_wolff_mix": 1.1102230246251565e-16,
+                         "ladder_iterate_mix": 1.3956991118391215e-10}
+
+
+@pytest.mark.parametrize("seed", [10101, 90217])
+@pytest.mark.parametrize("name", sorted(WORST_REFERENCE_ERROR))
+def test_the_first_block_of_each_workload_passes_its_checks(name, seed):
+    workloads = _workloads()
+    lib = workloads.Lib()
+    errs, failed = [0.0], []
+    for op in next(workloads.blocks(workloads.WORKLOADS[name], seed, lib)):
+        ok, err = op.check(op.call())
+        if not ok:
+            failed.append(op.desc)
+        if err is not None:
+            errs.append(float(err))
+    assert failed == []
+    assert max(errs) <= 1.25 * WORST_REFERENCE_ERROR[name]
 
 
 def test_every_wrapped_function_exists():

@@ -34,6 +34,15 @@ def test_solve_writes_green_function(tmp_path):
     assert "flux_constant = 0.5" in report
 
 
+def test_solve_of_the_zero_measure_under_a_power_weight(tmp_path):
+    # w(+-1) = 0 and the flux is 0 there: every column of the end rows is 0
+    cfg = dict(DIRAC_CFG, weight={"family": "power", "beta": 0.5}, measure={})
+    out = tmp_path / "out"
+    assert main(["--config", write_config(tmp_path, cfg), "--out", str(out), "solve"]) == 0
+    rows = (out / "solution.csv").read_text().splitlines()
+    assert rows[1] == "-1.0,0.0,0.0,0.0" and rows[-1] == "1.0,0.0,0.0,0.0"
+
+
 def test_solve_reports_no_truncation_levels(tmp_path):
     # finite and infinite mass alike are one solve
     out = tmp_path / "finite"

@@ -48,6 +48,29 @@ def test_gradient_energy_of_dirac_green_function_is_exact():
     assert _gradient_energy(solve_dirichlet(2.0, W1, D0), 1.0) == 0.5
 
 
+def _atom_gradient_energy(res, gamma):
+    """integral |u'|^p u^(gamma-1) w dx of a pure-atom solve under a constant
+    weight in closed form: on each run of cells with one slope c, u is
+    linear and the integral is w |c|^(p-1) |u_end^gamma - u_start^gamma| / gamma."""
+    slope = res.u_prime[1:]  # cell i carries the flux just left of node i + 1
+    u = res.u.values
+    starts = np.flatnonzero(np.concatenate([[True], slope[1:] != slope[:-1]]))
+    ends = np.append(starts[1:], slope.size)
+    runs = np.abs(slope[starts]) ** (res.p - 1.0) * np.abs(u[ends] ** gamma - u[starts] ** gamma)
+    return float(res.weight.value * np.sum(runs) / gamma)
+
+
+@pytest.mark.parametrize("mu", [D0, RadonMeasure(atoms=((-0.6, 1.25), (0.4, 0.5)))],
+                         ids=["dirac", "two_atoms"])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_gradient_energy_of_atoms_matches_the_closed_form(p, gamma, mu):
+    # the solve's quadrature, read where u is piecewise linear
+    res = solve_dirichlet(p, W1, mu)
+    assert _gradient_energy(res, gamma) == pytest.approx(_atom_gradient_energy(res, gamma),
+                                                         rel=1e-15, abs=0.0)
+
+
 def test_dirac_energy_gamma_two():
     rep = energy(2.0, W1, D0, 2.0)
     assert rep.e_gamma == pytest.approx(0.25, rel=1e-12)

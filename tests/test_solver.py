@@ -8,6 +8,13 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from sublap import solver
+from sublap.energy import (
+    energy,
+    mee_bound,
+    quasi_additivity_check,
+    sup_norm_energy,
+    triple_norm,
+)
 from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import (
     CustomDensity,
@@ -28,8 +35,18 @@ from sublap.solver import (
     potential,
     solve_dirichlet,
 )
-from sublap.sublinear import iterate
+from sublap.sublinear import (
+    bounded_solution_check,
+    finite_energy_check,
+    hardy_sweep,
+    iterate,
+    iterated_inequality_check,
+    lower_envelope,
+    verify_equivalence,
+)
+from sublap.trace import rayleigh_lower, trace_bracket
 from sublap.weights import Weight, constant_weight, power_weight
+from sublap.wolff import ratio_report
 
 W1 = constant_weight()
 LEVELS = tuple(range(1, 41))
@@ -369,6 +386,15 @@ def test_potential_divergence_detected():
     res = potential(2.0, W1, power_measure(2.0))
     assert res.diverged
     assert np.all(np.isinf(res.u.values))
+
+
+@pytest.mark.parametrize("solve", [solve_dirichlet, potential], ids=["solve", "potential"])
+def test_the_zero_measure_is_an_ordinary_solve(solve):
+    res = solve(2.0, power_weight(0.5), RadonMeasure())
+    assert not res.diverged and res.quad is not None and res.flux_constant == 0.0
+    assert np.all(res.u.values == 0.0) and np.all(res.quad.u == 0.0)
+    # w vanishes at +-1, where the flux is 0: u' is 0 there, not 0 * inf
+    assert np.all(res.u_prime == 0.0)
 
 
 def test_potential_monotone_in_truncation_level():
@@ -1076,3 +1102,39 @@ def test_concurrent_first_reads_of_the_lazy_caches_agree():
                 assert np.array_equal(u, ref_u)
     finally:
         sys.setswitchinterval(interval)
+
+
+SIGMA = dirac(0.2).add(power_measure(0.6, 0.8))
+READER_CALLS = {
+    "energy": lambda w, s: energy(2.4, w, s, 1.0),
+    "triple_norm": lambda w, s: triple_norm(2.4, w, s, 1.0),
+    "sup_norm_energy": lambda w, s: sup_norm_energy(2.4, w, s),
+    "mee_bound": lambda w, s: mee_bound(2.4, w, s, SIGMA, 1.0, 0.5),
+    "quasi_additivity_check": lambda w, s: quasi_additivity_check(2.4, w, s, SIGMA, 1.0),
+    "lower_envelope": lambda w, s: lower_envelope(2.4, w, s, 0.5),
+    "iterate": lambda w, s: iterate(2.4, w, s, 0.5),
+    "iterated_inequality_check": lambda w, s: iterated_inequality_check(2.4, w, s, 1.5),
+    "verify_equivalence": lambda w, s: verify_equivalence(2.4, w, s, 0.5),
+    "finite_energy_check": lambda w, s: finite_energy_check(2.4, w, s, 0.5),
+    "bounded_solution_check": lambda w, s: bounded_solution_check(2.4, w, s, 0.5),
+    "hardy_sweep": lambda w, s: hardy_sweep(2.4, 0.3, 0.5, (0.6,)),
+    "trace_bracket": lambda w, s: trace_bracket(2.4, w, s, 0.5),
+    "rayleigh_lower": lambda w, s: rayleigh_lower(2.4, w, s, 0.5),
+    "ratio_report": lambda w, s: ratio_report(2.4, w, s),
+    "check_comparison": lambda w, s: check_comparison(2.4, w, s, SIGMA),
+}
+
+
+@pytest.mark.parametrize("sigma", [SIGMA, RadonMeasure()], ids=["sigma", "zero"])
+@pytest.mark.parametrize("name", sorted(READER_CALLS))
+def test_no_reader_of_a_solve_builds_a_pchip(monkeypatch, name, sigma):
+    # every finite solve has a quadrature view and is read by its own rule;
+    # the zero measure may only be refused as an input
+    def pchip(*args):
+        raise AssertionError("PCHIP coefficients computed")
+
+    monkeypatch.setattr(solver, "_pchip_coefficients", pchip)
+    try:
+        READER_CALLS[name](power_weight(0.3), sigma)
+    except ValidationError:
+        assert sigma.is_zero
