@@ -32,13 +32,11 @@ from .params import energy_constant
 from .quadrature import points_from_x
 from .solver import (  # noqa: F401  (perfbench/tracing.py wraps energy.solve_dirichlet)
     DEFAULT_OPTIONS,
-    GridPowerFactor,
     PotentialResult,
     SolverOptions,
     measure_quadrature,
     potential,
     _reclose_tails,
-    solution_values,
     solve_dirichlet,
 )
 from .weights import Weight
@@ -83,8 +81,8 @@ def _tail_powers(res: PotentialResult, gamma: float, mu: RadonMeasure,
 def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float:
     """integral of u^gamma dmu on the solve ``res`` of mu or of a multiple g
     mu: ``quad.u`` against mu's density at the solve's points, each tail
-    closed at the power of u^gamma dmu, and the atoms at u there
-    (``solution_values``: the nodal u where g > 0); +inf when a tail power
+    closed at the power of u^gamma dmu, and the atoms at u there (the
+    solve's read: the nodal u where g > 0); +inf when a tail power
     is 1 or more.  Not for another measure nu, whose breaks the solve's panels
     miss: ``mee_bound``'s u^1.5 dnu (mu = lebesgue(0.5) + dirac(0.3), p = 2.5)
     would err by 2.9e-5 for nu = power_measure(0.5).truncate(3) and 2.4e-4 for
@@ -102,7 +100,7 @@ def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float
         total += float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), vals * dens))
     locs = mu.atom_locations
     if locs.size:
-        u_at = solution_values(res.u, quad, points_from_x(locs))
+        u_at = res.u.values_at(points_from_x(locs))
         total += float(np.dot(mu.atom_masses, u_at ** gamma))
     return total
 
@@ -187,7 +185,7 @@ def sup_norm_energy(p: float, w: Weight, mu: RadonMeasure,
     cands = []
     locs = mu.atom_locations
     if locs.size:  # atoms are nodes: the nodal u
-        cands.append(float(np.max(solution_values(res.u, res.quad, points_from_x(locs)))))
+        cands.append(float(np.max(res.u.values_at(points_from_x(locs)))))
     mask = res.quad.dens_vals > 0.0
     if np.any(mask):
         cands.append(float(np.max(res.quad.u[mask])))
@@ -249,7 +247,7 @@ def mee_bound(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
             or lim_mu.solution.u.sup() > options.divergence_cap:
         return {"lhs": INF, "rhs": INF, "pass": True, "margin": 0.0,
                 "diverged": True}
-    f = GridPowerFactor(lim_mu.solution.u, gamma + q, lim_mu.solution.quad)
+    f = lim_mu.solution.u.power_factor(gamma + q)
     lhs, lhs_div = measure_integral(f.values, nu, options,
                                        exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     e_mu, e_nu = lim_mu.value, lim_nu.value

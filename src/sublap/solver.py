@@ -129,15 +129,15 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 
 @dataclass
 class GridFunction:
-    """Sampled function on a graded grid, read between nodes by a PCHIP.
+    """Sampled function on a graded grid.
 
-    The PCHIP is sublap's own (``_pchip_coefficients``): scipy's formulas in
-    scipy's order of operations, so its values and ``derivative`` are
-    bit-identical to ``scipy.interpolate.PchipInterpolator(x, values,
-    extrapolate=False)`` (values outside the nodes read 0), computed on the
-    first evaluation and kept.  It serves grid functions with no solve (a
-    custom ``start``, ``family`` members, ``Envelope.u``); the library reads
-    a solve's u by ``solution_values``.
+    A solve's u (``_assemble``) reads itself by the solve's own rule
+    (``_solve_values``), a ``scaled`` copy c u^r as c * (u's read) ** r.
+    Any other grid function (a custom ``start``, ``family`` members) is read
+    by a PCHIP, sublap's own (``_pchip_coefficients``), bit-identical to
+    ``scipy.interpolate.PchipInterpolator(x, values, extrapolate=False)``
+    (0 outside the nodes), computed on the first evaluation and kept.
+    ``derivative`` is that PCHIP's for every grid function, a solve's too.
 
     ``left_exponent`` / ``right_exponent`` declare the boundary power profile
     u ~ C * dist^kappa, used to extend evaluation below the innermost node and
@@ -149,6 +149,10 @@ class GridFunction:
     left_exponent: float | None = None
     right_exponent: float | None = None
     _coef: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # how the function is read when it is not by the PCHIP, set by its
+    # maker: the solve that made it, or (base, c, r) for c base^r
+    _quad: SolutionQuad | None = field(default=None, init=False, repr=False, compare=False)
+    _scale: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid.x.size != self.values.size:
@@ -221,8 +225,14 @@ class GridFunction:
         return out
 
     def values_at(self, pts: Points) -> np.ndarray:
-        """u at the points: the PCHIP, the boundary power profile below the
-        innermost nodes, 0 outside [-1, 1]."""
+        """u at the points: by the solve's rule, as c * (the base's read) ** r
+        for a ``scaled`` copy, else the PCHIP, the boundary power profile
+        below the innermost nodes and 0 outside [-1, 1]."""
+        if self._scale is not None:
+            base, c, r = self._scale
+            return c * base.values_at(pts) ** r
+        if self._quad is not None:
+            return self._solve_values(pts)
         if not self.finite:
             raise ValidationError("solver.GridFunction: cannot interpolate non-finite values")
         i, inside = self._interval(pts.x)
@@ -232,8 +242,49 @@ class GridFunction:
         out = c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
         return self._edge_profile(pts, np.where(inside, out, 0.0))
 
+    def _solve_values(self, pts: Points) -> np.ndarray:
+        """u at the points, read from its solve's quadrature view: ``quad.u``
+        at the solve's points and at the head and tail that ``pts`` shares
+        with them (structures of one measure are in x order and differ only
+        in the cells refined at a flux zero); elsewhere the nodal u at nodes
+        (atoms are nodes), ``_panel_rule`` in the interior cells, the boundary
+        power profile in the endpoint cells, 0 outside [-1, 1]."""
+        quad = self._quad
+        own = quad.pts
+        if pts is own:
+            return quad.u
+        head = _shared_run(own.x, own.y, pts.x, pts.y)
+        tail = _shared_run(own.x[::-1], own.y[::-1], pts.x[::-1], pts.y[::-1])
+        end = pts.x.size - min(tail, min(own.x.size, pts.x.size) - head)
+        x, y = pts.x[head:end], pts.y[head:end]
+        nodes = self.grid.x
+        g = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
+        # x = +-1 is an endpoint only at y = 0: a tail point's x rounds to it
+        at = (nodes[g] == x) & ((np.abs(x) < 1.0) | (y == 0.0))
+        if x.size == pts.x.size and at.all():  # nodes only, by index
+            return self.values[g]
+        out = np.empty(pts.x.size)
+        if head or end < pts.x.size:  # an atom-only solve never fills quad.u
+            out[:head], out[end:] = quad.u[:head], quad.u[own.x.size - pts.x.size + end:]
+        vals = self._edge_profile(Points(x=x, side=pts.side[head:end], y=y), np.zeros(x.size))
+        vals[at] = self.values[g[at]]
+        inner = np.flatnonzero(~at & (x > nodes[1]) & (x < nodes[-2]))
+        if inner.size:
+            vals[inner] = _panel_rule(quad, x[inner])
+        out[head:end] = vals
+        return out
+
     def __call__(self, x) -> np.ndarray:
         return self.values_at(points_from_x(np.atleast_1d(np.asarray(x, dtype=float))))
+
+    def scaled(self, c: float, r: float) -> "GridFunction":
+        """c u^r on u's grid, read as c * (u's read) ** r, with r times u's
+        edge exponents."""
+        out = GridFunction(grid=self.grid, values=c * self.values ** r,
+                           left_exponent=r * self._edge_kappa(-1),
+                           right_exponent=r * self._edge_kappa(1))
+        out._scale = (self, c, r)
+        return out
 
     def power_factor(self, q: float) -> "GridPowerFactor":
         return GridPowerFactor(self, q)
@@ -241,23 +292,18 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class GridPowerFactor:
-    """(coef u^rho)^q as a pushforward factor, boundary exponent q (rho
-    kappa): u read by ``solution_values`` from the solve with nodal u
-    ``gridfn`` and quadrature view ``quad``; without ``quad`` (a grid
-    function with no solve), by the PCHIP.  It holds no ``PotentialResult``,
-    whose measure would chain each solve to the last."""
+    """u^q as a pushforward factor, boundary exponent q kappa, u read by its
+    ``values_at``.  It holds no ``PotentialResult``, whose measure would
+    chain each solve to the last (a solve's u holds no measure)."""
 
     gridfn: GridFunction
     q: float
-    quad: SolutionQuad | None = None
-    coef: float = 1.0
-    rho: float = 1.0
 
     def values(self, pts: Points) -> np.ndarray:
-        return (self.coef * solution_values(self.gridfn, self.quad, pts) ** self.rho) ** self.q
+        return self.gridfn.values_at(pts) ** self.q
 
     def edge_exponent(self, side: int) -> float:
-        return self.q * (self.rho * self.gridfn._edge_kappa(side))
+        return self.q * self.gridfn._edge_kappa(side)
 
     def kinks(self) -> tuple[float, ...]:
         return tuple(self.gridfn.x[1:-1])
@@ -276,7 +322,7 @@ class SolutionQuad:
     panel run of u' from the endpoints, carried into every panel), so solves
     whose callers read only the nodal solution do not pay for it.
     ``bounds``, that run at the panel ends (None where the nodal u was
-    summed in closed form), lets ``solution_values`` read u anywhere."""
+    summed in closed form), lets a solve's u read itself anywhere."""
 
     pts: Points
     w_quad: np.ndarray  # the first and last point are the tail pseudo-points
@@ -295,9 +341,11 @@ class SolutionQuad:
         u = self._u
         if u is None:
             # a concurrent first read fills an equal array; the fill is
-            # looked up by name
-            u = self._u = _hermite_at_points(self.panels, self.uprime, self.n_gauss,
-                                             self.n_left, self.bounds)
+            # looked up by name.  Read-only: the solve's u returns it itself
+            u = _hermite_at_points(self.panels, self.uprime, self.n_gauss, self.n_left,
+                                   self.bounds)
+            _freeze(u)
+            self._u = u
         return u
 
 
@@ -329,39 +377,13 @@ class PotentialResult:
         return not self.diverged
 
 
-def solution_values(u: GridFunction, quad: SolutionQuad | None, pts: Points) -> np.ndarray:
-    """u at the points, read from the solve with nodal ``u`` and quadrature
-    view ``quad``: ``quad.u`` at the solve's points and at the head and tail
-    that ``pts`` shares with them (structures of one measure are in x order
-    and differ only in the cells refined at a flux zero); elsewhere the nodal
-    u at nodes (atoms are nodes), ``_panel_rule`` in the interior cells, the
-    boundary power profile in the endpoint cells, 0 outside [-1, 1].  Without
-    ``quad`` (a user's grid function, which has no solve), the PCHIP."""
-    if quad is None:
-        return u.values_at(pts)
-    own = quad.pts
-    if pts is own:
-        return quad.u
-    n = min(own.x.size, pts.x.size)
-    head, tail = (n if same.all() else int(np.argmin(same)) for same in (
-        (own.x[:n] == pts.x[:n]) & (own.y[:n] == pts.y[:n]),
-        (own.x[::-1][:n] == pts.x[::-1][:n]) & (own.y[::-1][:n] == pts.y[::-1][:n])))
-    end = pts.x.size - min(tail, n - head)
-    out = np.empty(pts.x.size)
-    if head or end < pts.x.size:  # an atom-only solve never fills quad.u
-        out[:head], out[end:] = quad.u[:head], quad.u[own.x.size - pts.x.size + end:]
-    x = pts.x[head:end]
-    vals = u._edge_profile(Points(x=x, side=pts.side[head:end], y=pts.y[head:end]),
-                           np.zeros(x.size))
-    nodes = u.grid.x
-    g = np.minimum(np.searchsorted(nodes, x), nodes.size - 1)
-    at = (nodes[g] == x) & (np.abs(x) < 1.0)  # x = +-1 may lie off the ends in y
-    vals[at] = u.values[g[at]]
-    inner = np.flatnonzero(~at & (x > nodes[1]) & (x < nodes[-2]))
-    if inner.size:
-        vals[inner] = _panel_rule(quad, x[inner])
-    out[head:end] = vals
-    return out
+def _shared_run(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray) -> int:
+    """How many leading points (x, y) two lists of points share."""
+    n = min(ax.size, bx.size)
+    if not n or ax[0] != bx[0] or ay[0] != by[0]:
+        return 0
+    same = (ax[:n] == bx[:n]) & (ay[:n] == by[:n])
+    return n if same.all() else int(np.argmin(same))
 
 
 def _panel_rule(quad: SolutionQuad, x: np.ndarray) -> np.ndarray:
@@ -751,16 +773,16 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     u_nodes[mid] = 0.5 * (at_zero[0] + at_zero[1])
     u_nodes = np.maximum(u_nodes, 0.0)
 
-    # boundary exponents of the limit: u ~ dist^(1 - s)
-    u = GridFunction(grid=nodes, values=u_nodes,
-                     left_exponent=1.0 - _edge_singularity(p, w, mu, -1),
-                     right_exponent=1.0 - _edge_singularity(p, w, mu, 1))
-
     quad = SolutionQuad(
         pts=panels.pts, w_quad=panels.w, w_vals=ws.w_vals,
         flux=flux, uprime=phi, dens_vals=ws.dens, panels=panels,
         n_gauss=n, n_left=n_left, bounds=bounds,
     )
+    # boundary exponents of the limit: u ~ dist^(1 - s)
+    u = GridFunction(grid=nodes, values=u_nodes,
+                     left_exponent=1.0 - _edge_singularity(p, w, mu, -1),
+                     right_exponent=1.0 - _edge_singularity(p, w, mu, 1))
+    u._quad = quad
     return PotentialResult(
         u=u, flux_constant=float(flux_nodes[0]), flux_anchor=ctilde,
         boundary_residual=residual, diverged=False, root_iterations=evals,
@@ -919,7 +941,7 @@ def check_comparison(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,
         return {"pass": bool(res_mu.diverged <= res_nu.diverged),
                 "max_violation": INF if res_mu.diverged and not res_nu.diverged else 0.0,
                 "cdf_ordered": None}
-    v_mu = solution_values(res_mu.u, res_mu.quad, res_nu.u.grid)
+    v_mu = res_mu.u.values_at(res_nu.u.grid)
     v_nu = res_nu.u.values
     violation = float(np.max(v_mu - v_nu))
     scale = max(res_nu.u.sup(), 1.0)

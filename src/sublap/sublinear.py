@@ -39,16 +39,14 @@ from .energy import (energy_ladder, measure_integral, sup_norm_energy, _gradient
                      _level_energy)
 from .measures import PowerDensity, RadonMeasure, WindowedDensity, power_measure
 from .params import energy_constant, envelope_constant, hardy_threshold
-from .quadrature import Points, gauss_rule, points_from_edge
+from .quadrature import gauss_rule, points_from_edge
 from .solver import (
     DEFAULT_OPTIONS,
     GridFunction,
-    GridPowerFactor,
     PotentialResult,
     SolverOptions,
     _master_grid,
     potential,
-    solution_values,
 )
 from .weights import Weight, constant_weight, power_weight
 
@@ -113,15 +111,6 @@ def _validate_sub_natural(p: float, q: float, sigma: RadonMeasure,
         raise ValidationError("sublinear: sigma must be a nonzero measure")
 
 
-def _power_grid_function(base: PotentialResult, coef: float, rho: float) -> GridFunction:
-    """coef * (base potential)^rho as a grid function with scaled edge
-    exponents (a solve declares both)."""
-    u = base.u
-    return GridFunction(grid=u.grid, values=coef * u.values ** rho,
-                        left_exponent=rho * u.left_exponent,
-                        right_exponent=rho * u.right_exponent)
-
-
 def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
                    options: SolverOptions = DEFAULT_OPTIONS,
                    schedule=None) -> Envelope:
@@ -132,7 +121,7 @@ def lower_envelope(p: float, w: Weight, sigma: RadonMeasure, q: float,
         return Envelope(u=res.u, diverged=True, base=res)
     rho = (p - 1.0) / (p - 1.0 - q)
     c_v = envelope_constant(p, q)
-    return Envelope(u=_power_grid_function(res, c_v, rho), diverged=False, base=res)
+    return Envelope(u=res.u.scaled(c_v, rho), diverged=False, base=res)
 
 
 def _norm(coef: float, integral: float, expo: float, cap: float) -> float:
@@ -141,13 +130,6 @@ def _norm(coef: float, integral: float, expo: float, cap: float) -> float:
     with np.errstate(over="ignore"):
         nrm = coef * float(np.float64(integral) ** (1.0 / expo))
     return nrm if nrm <= cap else INF
-
-
-def _at_nodes(u: GridFunction, grid: Points) -> np.ndarray:
-    """u at the nodes of ``grid``: the nodal values where they are nodes of
-    u's grid too (``values_at`` reads them there), else the PCHIP."""
-    i = np.minimum(np.searchsorted(u.x, grid.x), u.x.size - 1)
-    return u.values[i] if np.array_equal(u.x[i], grid.x) else u.values_at(grid)
 
 
 def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1.0,
@@ -166,13 +148,13 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
     the plain step.  A custom ``start`` takes the plain step u_{i+1} =
     T(u_i).
 
-    Each iterate is read from the solve that made it, the envelope from the
-    solve of sigma: each step pushes sigma forward by (c u)^q, (c_V
-    u_sigma^rho)^q first, read by ``solver.solution_values``, and each norm
-    is integrated there (``energy._level_energy``).  A custom ``start`` has
-    no solve: the first step reads it by its PCHIP, and ``measure_integral``
-    integrates it.  The stopping test reads the nodal values at the nodes of
-    sigma's master grid, which every step's grid holds.
+    Each iterate reads itself from the solve that made it (``values_at``),
+    the envelope from the solve of sigma: each step pushes sigma forward by
+    (c u)^q, (c_V u_sigma^rho)^q first, and each norm is integrated on that
+    solve (``energy._level_energy``).  A custom ``start`` has no solve: the
+    first step reads it by its PCHIP, and ``measure_integral`` integrates
+    it.  The stopping test reads the nodal values at the nodes of sigma's
+    master grid, which every step's grid holds.
 
     Stops when the sup-grid relative change drops below ``tol`` (then verifies
     the fixed-point residual with one extra application) or when the norms
@@ -198,19 +180,16 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
             f"sublinear.iterate: the lower envelope underflows to zero (p={p}, q={q})")
     # a subset of every step's grid: a flux zero's node stays 1e-13 from nodes
     master = _master_grid(sigma, options)
+    iterates = [env.u if start is None else start]
+    factor, cur_vals = iterates[0].power_factor(q), iterates[0].values_at(master)
     if start is None:  # c_V u^rho, u the solve of sigma
         rho = (p - 1.0) / (p - 1.0 - q)
-        c_v = envelope_constant(p, q)
-        factor = GridPowerFactor(env.base.u, q, env.base.quad, c_v, rho)
-        cur_vals = _at_nodes(env.u, master)
-        norms = [_norm(c_v, _level_energy(env.base, sigma, rho * expo), expo, cap)]
+        norms = [_norm(envelope_constant(p, q), _level_energy(env.base, sigma, rho * expo),
+                       expo, cap)]
     else:
-        factor = start.power_factor(q)
-        cur_vals = start.values_at(master)
         f = start.power_factor(expo)
         norms = [_norm(1.0, measure_integral(f.values, sigma, options, cap=INF, exponents=(
             f.edge_exponent(-1), f.edge_exponent(1)))[0], expo, cap)]
-    iterates = [env.u if start is None else start]
     monotone = True
     converged = False
     diverged = not np.isfinite(norms[0])
@@ -228,7 +207,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
             scales.append(1.0)
             break
         u_next = res.u
-        next_vals = _at_nodes(u_next, master)
+        next_vals = u_next.values_at(master)
         drop = float(np.max(cur_vals - next_vals))
         slack = 1e-9 * (1.0 + float(np.max(next_vals)))
         if drop > slack:
@@ -243,12 +222,10 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
             m = float(np.min(next_vals[pos] / cur_vals[pos])) if pos.any() else 1.0
             if m > 1.0:
                 c = m ** (r / (1.0 - r))
-                u_next = GridFunction(grid=u_next.grid, values=c * u_next.values,
-                                      left_exponent=u_next.left_exponent,
-                                      right_exponent=u_next.right_exponent)
+                u_next = u_next.scaled(c, 1.0)
                 next_vals = c * next_vals
         scales.append(c)
-        factor = GridPowerFactor(res.u, q, res.quad, c)
+        factor = u_next.power_factor(q)
         nrm = _norm(c, _level_energy(res, sigma, expo), expo, cap)
         norms.append(nrm)
         if keep_iterates:
@@ -271,7 +248,7 @@ def iterate(p: float, w: Weight, sigma: RadonMeasure, q: float, gamma: float = 1
         if res_f.diverged:
             residual = INF
         else:
-            f_vals = _at_nodes(res_f.u, master)
+            f_vals = res_f.u.values_at(master)
             residual = float(np.max(np.abs(f_vals - cur_vals))) \
                 / max(float(np.max(cur_vals)), 1e-300)
     return IterationTrace(iterates=iterates, norms=norms, monotone=monotone,
@@ -291,11 +268,11 @@ def iterated_inequality_check(p: float, w: Weight, sigma: RadonMeasure, beta: fl
         return {"pass": True, "max_violation": 0.0, "diverged": True}
     u = res.u
     lhs = u.values ** beta
-    factor = GridPowerFactor(u, (beta - 1.0) * (p - 1.0), res.quad)
+    factor = u.power_factor((beta - 1.0) * (p - 1.0))
     res2 = potential(p, w, sigma.pushforward(factor), options)
     if res2.diverged:
         return {"pass": True, "max_violation": 0.0, "diverged": True}
-    rhs = beta * solution_values(res2.u, res2.quad, u.grid)
+    rhs = beta * res2.u.values_at(u.grid)
     scale = max(float(np.max(lhs)), 1e-300)
     violation = float(np.max(lhs - rhs)) / scale
     return {"pass": bool(violation <= tol), "max_violation": violation,
@@ -496,7 +473,7 @@ def _shell_energies(res: PotentialResult, gamma: float,
                     levels: range = range(30, 36)) -> np.ndarray:
     """Energy of the solved density in the shells 2^-(k+1) <= dist <= 2^-k,
     k in ``levels``, i.e. the increments of the energy with its tail cut at
-    2^-k: one Gauss panel each over u read from the solve (``solution_values``)
+    2^-k: one Gauss panel each over u read from the solve (``values_at``)
     above the grid's innermost node, so no declared edge exponent enters.
     They shrink by about 2^(sigma - 1) per shell when u^gamma dmu ~ dist^(-sigma)."""
     t, tw = gauss_rule(12)
@@ -505,7 +482,7 @@ def _shell_energies(res: PotentialResult, gamma: float,
     shells = np.zeros(lo.size)
     for side in (-1, 1):
         pts = points_from_edge(side, ys.ravel())
-        vals = solution_values(res.u, res.quad, pts) ** gamma * res.measure.density.values(pts)
+        vals = res.u.values_at(pts) ** gamma * res.measure.density.values(pts)
         shells += lo * (vals.reshape(ys.shape) @ tw)
     return shells
 

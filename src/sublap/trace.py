@@ -25,7 +25,7 @@ from .energy import _gradient_energy, _integrator, energy_ladder, measure_integr
 from .measures import RadonMeasure
 from .params import envelope_constant
 from .quadrature import graded_cumulative, points_from_x
-from .solver import DEFAULT_OPTIONS, GridFunction, GridPowerFactor, SolverOptions, solve_dirichlet
+from .solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, solve_dirichlet
 from .weights import Weight
 
 INF = math.inf
@@ -92,7 +92,7 @@ def _quotient_potential_power(p: float, w: Weight, sigma: RadonMeasure, q: float
     den_p = rho ** p * _gradient_energy(res, (rho - 1.0) * p + 1.0)
     if den_p <= 0.0:
         return 0.0
-    f = GridPowerFactor(res.u, rho * (1.0 + q), res.quad)
+    f = res.u.power_factor(rho * (1.0 + q))
     num, div = measure_integral(f.values, sigma, options,
                                 exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     if div:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import RadonMeasure
-from .quadrature import gauss_rule, points_from_x
-from .solver import DEFAULT_OPTIONS, SolverOptions, solution_values, solve_dirichlet
+from .quadrature import gauss_rule
+from .solver import DEFAULT_OPTIONS, SolverOptions, solve_dirichlet
 from .weights import Weight
 
 INF = math.inf
@@ -121,7 +121,7 @@ def ratio_report(p: float, w: Weight, mu: RadonMeasure, interior_margin: float =
         return {"empty": True, "ratio_min": None, "ratio_max": None}
     res = solve_dirichlet(p, w, mu, options)
     xs = np.linspace(-1.0 + interior_margin, 1.0 - interior_margin, n_samples)
-    uvals = solution_values(res.u, res.quad, points_from_x(xs))
+    uvals = res.u(xs)
     wolff = wolff_curve(p, w, mu, xs, R)
     mask = wolff > 0.0
     if not np.any(mask):

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from sublap import solver
-from sublap.measures import dirac
-from sublap.weights import constant_weight
+from sublap.energy import energy
+from sublap.measures import dirac, power_measure
+from sublap.weights import constant_weight, power_weight
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,6 +71,21 @@ def test_every_wrapped_method_exists():
     missing = [f"{mod}.{cls}.{attr}" for mod, cls, attr, _ in _tracing().METHOD_TARGETS
                if attr not in getattr(importlib.import_module(mod), cls).__dict__]
     assert missing == []
+
+
+def test_the_tracer_sees_the_reads_of_a_solve():
+    # a solve's u is a plain GridFunction, with no subclass of its own, so
+    # the wrapper on GridFunction.values_at records the library's reads of a
+    # solve: here energy's read of u at the atom
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        rep = tracer.run_op(0, "energy", lambda: energy(
+            2.4, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8)), 1.0))
+    finally:
+        tracer.uninstall()
+    assert type(rep.solution.u) is solver.GridFunction
+    assert tracer.layer_metrics(1, {})["solver.values_at.calls"] == 1
 
 
 def test_clearing_the_panel_cache_empties_it():

@@ -25,7 +25,7 @@ from sublap.measures import (
     lebesgue,
     power_measure,
 )
-from sublap.solver import GridPowerFactor, SolverOptions, potential, solve_dirichlet
+from sublap.solver import SolverOptions, potential, solve_dirichlet
 from sublap.sublinear import hardy_sweep, iterate
 from sublap.trace import trace_bracket
 from sublap.weights import constant_weight, power_weight
@@ -190,7 +190,7 @@ def test_mee_bound_reuses_the_energy_solve_of_mu(monkeypatch):
     assert solved == [mu, nu]
     # the bound from a separate solve of mu
     res = potential(2.5, W1, mu)
-    f = GridPowerFactor(res.u, 1.5, res.quad)
+    f = res.u.power_factor(1.5)
     lhs = measure_integral(f.values, nu, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     assert rep["lhs"] == lhs[0] and rep["pass"] and not rep["diverged"]
     # sup W mu = 1/4 is past the cap where E_1(mu) = 1/8 and E_1(nu) are not:
@@ -212,7 +212,7 @@ def test_mee_bound_reads_mu_from_its_solve(nu):
     # the PCHIP read of W mu put lhs 6.1e-6 (power) and 8.9e-6 (jump) high
     mu = lebesgue(0.5).add(dirac(0.3))
     ref = potential(2.5, W1, mu, REF)
-    f = GridPowerFactor(ref.u, 1.5, ref.quad)
+    f = ref.u.power_factor(1.5)
     lhs_ref = measure_integral(f.values, nu, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     assert mee_bound(2.5, W1, mu, nu, gamma=1.0, q=0.5)["lhs"] \
         == pytest.approx(lhs_ref[0], rel=1e-7, abs=0.0)
@@ -234,7 +234,7 @@ def test_mee_bound_reads_mu_next_to_an_atom(monkeypatch):
     mee_bound(p, w, mu, nu, gamma=1.0, q=0.5)
     pts = solver.measure_quadrature(nu)[0]
     ref = potential(p, w, mu, REF)
-    u_ref = solver.solution_values(ref.u, ref.quad, pts)
+    u_ref = ref.u.values_at(pts)
     err = np.abs(integrands[0](pts) ** (1.0 / 1.5) - u_ref)
     assert np.max(err) <= 1e-12 * ref.u.sup()
 

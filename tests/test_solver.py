@@ -909,9 +909,8 @@ def test_gridfunction_interpolation_between_nodes():
     res = solve_dirichlet(2.0, W1, lebesgue())
     xq = np.asarray([-0.777, -0.123, 0.001, 0.456, 0.987])
     exact = (1.0 - xq ** 2) / 2.0
-    # the public contract is monotone piecewise-cubic (PCHIP) interpolation,
-    # whose derivative estimates are second order: micro-level accuracy only
-    assert np.max(np.abs(res.u(xq) - exact)) < 1e-6
+    # a solve's u reads itself by the solve's own rule, between nodes too
+    assert np.max(np.abs(res.u(xq) - exact)) < 1e-13
 
 
 def test_custom_grid_options():
@@ -1042,7 +1041,8 @@ def test_solves_and_iterations_skip_the_hermite_fill(monkeypatch):
 
 def test_the_solve_reader_returns_quad_u_at_the_solve_points():
     res = solve_dirichlet(2.4, power_weight(0.3), lebesgue().add(dirac(0.3, 0.5)))
-    assert solver.solution_values(res.u, res.quad, res.quad.pts) is res.quad.u
+    assert res.u.values_at(res.quad.pts) is res.quad.u
+    assert not res.quad.u.flags.writeable  # no caller can write into the solve
 
 
 def test_the_solve_reader_follows_the_panel_rule_off_the_solve_points():
@@ -1054,7 +1054,7 @@ def test_the_solve_reader_follows_the_panel_rule_off_the_solve_points():
     y[[0, -1]] *= 0.5
     x = pts.x.copy()
     x[[0, -1]] = pts.side[[0, -1]] * (1.0 - y[[0, -1]])
-    vals = solver.solution_values(res.u, res.quad, Points(x=x, side=pts.side.copy(), y=y))
+    vals = res.u.values_at(Points(x=x, side=pts.side.copy(), y=y))
     err = np.abs(vals - res.quad.u)[1:-1]
     assert np.max(err) <= 1e-13 * res.u.sup()
 
@@ -1066,7 +1066,7 @@ def test_the_solve_reader_reads_the_atoms_from_the_nodal_u(mu):
     res = solve_dirichlet(2.4, power_weight(0.3), mu)
     locs = mu.atom_locations
     nodal = res.u.values[np.searchsorted(res.u.x, locs)]
-    assert np.array_equal(solver.solution_values(res.u, res.quad, points_from_x(locs)), nodal)
+    assert np.array_equal(res.u.values_at(points_from_x(locs)), nodal)
 
 
 # -- the lazily filled caches under concurrent first reads -----------------------------
@@ -1105,6 +1105,7 @@ def test_concurrent_first_reads_of_the_lazy_caches_agree():
 
 
 SIGMA = dirac(0.2).add(power_measure(0.6, 0.8))
+READ_X = np.linspace(-0.99, 0.99, 41)
 READER_CALLS = {
     "energy": lambda w, s: energy(2.4, w, s, 1.0),
     "triple_norm": lambda w, s: triple_norm(2.4, w, s, 1.0),
@@ -1122,6 +1123,9 @@ READER_CALLS = {
     "rayleigh_lower": lambda w, s: rayleigh_lower(2.4, w, s, 0.5),
     "ratio_report": lambda w, s: ratio_report(2.4, w, s),
     "check_comparison": lambda w, s: check_comparison(2.4, w, s, SIGMA),
+    "res.u(x)": lambda w, s: solve_dirichlet(2.4, w, s).u(READ_X),
+    "Envelope.u(x)": lambda w, s: lower_envelope(2.4, w, s, 0.5).u(READ_X),
+    "iterates(x)": lambda w, s: [u(READ_X) for u in iterate(2.4, w, s, 0.5).iterates],
 }
 
 

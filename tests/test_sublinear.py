@@ -1,5 +1,7 @@
+import gc
 import importlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from sublap.acceptance import _chain_instances
 from sublap.errors import InternalInvariantError, ValidationError
 from sublap.measures import RadonMeasure, dirac, lebesgue, manufactured_measure, power_measure
 from sublap.params import envelope_constant, hardy_threshold
-from sublap.quadrature import graded_grid
+from sublap.quadrature import graded_grid, points_from_edge, points_from_x
 from sublap.solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, potential
 from sublap.sublinear import (
     bounded_solution_check,
@@ -40,6 +42,71 @@ def test_envelope_dirac_closed_form():
 def test_envelope_zero_measure():
     env = lower_envelope(2.0, W1, RadonMeasure(), 0.5)
     assert np.all(env.u.values == 0.0)
+
+
+XS = np.linspace(-0.99, 0.99, 4001)
+REF = SolverOptions(n_nodes=8192)
+
+
+@pytest.mark.parametrize("p, w, sigma", [
+    (2.4, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8))),
+    (2.5, W1, lebesgue(0.5).add(dirac(0.3))),
+], ids=["atom+power", "lebesgue+atom"])
+def test_the_public_reads_of_a_solve_read_it_by_its_own_rule(monkeypatch, p, w, sigma):
+    # res.u(x), Envelope.u(x) and the iterates against 8192-node solves;
+    # through a PCHIP res.u(x) erred by 1.35e-3 and 8.6e-4 of sup u
+    solves = []
+
+    def recording(*args, **kwargs):
+        solves.append(potential(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(sublinear, "potential", recording)
+    ref = potential(p, w, sigma, REF).u(XS)
+    assert np.max(np.abs(potential(p, w, sigma).u(XS) - ref)) <= 1e-12 * np.max(ref)
+    q = 0.5
+    rho = (p - 1.0) / (p - 1.0 - q)
+    env = lower_envelope(p, w, sigma, q)
+    ref = envelope_constant(p, q) * ref ** rho
+    assert np.max(np.abs(env.u(XS) - ref)) <= 1e-12 * np.max(ref)
+    tr = iterate(p, w, sigma, q)
+    assert tr.converged and len(tr.iterates) == tr.steps + 1
+    # solves[1] is the envelope's solve of sigma, solves[1 + i] step i's
+    for i in (1, tr.steps):
+        ref = tr.scales[i - 1] * potential(p, w, solves[1 + i].measure, REF).u(XS)
+        assert np.max(np.abs(tr.iterates[i](XS) - ref)) <= 1e-12 * np.max(ref)
+
+
+def test_the_envelope_reads_as_its_constant_times_a_power_of_its_solve():
+    # c_V * (the read of sigma's solve) ** rho, in that order, as the first
+    # pushforward factor reads it: in the endpoint cells the edge profile of
+    # sigma's solve raised to rho, not a profile at rho times its exponent
+    p, q, w, sigma = 2.4, 0.5, power_weight(0.3), dirac(0.2).add(power_measure(0.6, 0.8))
+    env = lower_envelope(p, w, sigma, q)
+    rho = (p - 1.0) / (p - 1.0 - q)
+    base = env.base.u
+    edge = np.concatenate([points_from_edge(side, base.grid.y[1] * np.geomspace(1e-9, 0.9, 40)).x
+                           for side in (-1, 1)])
+    for pts in (points_from_x(edge), solver.measure_quadrature(power_measure(0.3))[0]):
+        assert np.array_equal(env.u.values_at(pts),
+                              envelope_constant(p, q) * base.values_at(pts) ** rho)
+
+
+def test_an_iteration_keeps_only_the_last_pushforward_alive(monkeypatch):
+    # a solve's u holds its quadrature view, which holds no measure
+    refs = []
+
+    def recording(p, w, mu, *args, **kwargs):
+        refs.append(weakref.ref(mu))
+        return potential(p, w, mu, *args, **kwargs)
+
+    monkeypatch.setattr(sublinear, "potential", recording)
+    sigma = dirac(0.2).add(power_measure(0.6, 0.8))
+    tr = iterate(2.4, power_weight(0.3), sigma, 0.5, keep_iterates=False)
+    gc.collect()
+    alive = [r() for r in refs if r() is not None]
+    assert tr.converged and len(refs) > 3
+    assert len(alive) == 2 and alive[0] is sigma and alive[1] is tr.last_solution.measure
 
 
 def test_envelope_power_density_value_at_center():
@@ -157,7 +224,7 @@ def _plain_iterate(p, w, sigma, q, tol=1e-8, max_steps=200, options=DEFAULT_OPTI
     factor = u.power_factor(q)
     for steps in range(1, max_steps + 1):
         res = potential(p, w, sigma.pushforward(factor), options)
-        u, factor = res.u, solver.GridPowerFactor(res.u, q, res.quad)
+        u, factor = res.u, res.u.power_factor(q)
         nxt = u.values_at(master)
         change = float(np.max(np.abs(nxt - vals))) / max(float(np.max(nxt)), 1e-300)
         vals = nxt

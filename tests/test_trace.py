@@ -10,7 +10,7 @@ from sublap.measures import RadonMeasure, dirac, lebesgue, power_measure
 from sublap.energy import _gradient_energy, measure_integral
 from sublap.params import envelope_constant
 from sublap.quadrature import gauss_rule, points_from_edge, points_from_x
-from sublap.solver import GridPowerFactor, SolverOptions, measure_quadrature, solve_dirichlet
+from sublap.solver import SolverOptions, measure_quadrature, solve_dirichlet
 from sublap.trace import HatFunction, rayleigh_lower, trace_bracket
 from sublap.weights import constant_weight, power_weight
 
@@ -131,7 +131,7 @@ def test_potential_power_quotient_reads_its_solve(level):
     p, w, q = 2.4, power_weight(0.3), 0.5
     rho = (p - 1.0) / (p - 1.0 - q)
     ref = solve_dirichlet(p, w, SIGMA.truncate(level), SolverOptions(n_nodes=8192))
-    f = GridPowerFactor(ref.u, rho * (1.0 + q), ref.quad)
+    f = ref.u.power_factor(rho * (1.0 + q))
     num = measure_integral(f.values, SIGMA, exponents=(f.edge_exponent(-1), f.edge_exponent(1)))
     den_p = rho ** p * _gradient_energy(ref, (rho - 1.0) * p + 1.0)
     rep = rayleigh_lower(p, w, SIGMA, q, levels=(level,))

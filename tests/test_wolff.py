@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sublap.measures import dirac, lebesgue, power_measure, RadonMeasure
-from sublap.quadrature import points_from_x
-from sublap.solver import SolverOptions, solution_values, solve_dirichlet
+from sublap.solver import SolverOptions, solve_dirichlet
 from sublap.weights import constant_weight, power_weight
 from sublap.wolff import DEFAULT_RADIUS, ratio_report, wolff_curve, wolff_truncated
 
@@ -118,7 +117,7 @@ def test_ratio_report_reads_u_from_its_solve(p, w, mu):
     rep = ratio_report(p, w, mu)
     ref = solve_dirichlet(p, w, mu, SolverOptions(n_nodes=8192))
     xs = np.linspace(-0.75, 0.75, 41)
-    u = solution_values(ref.u, ref.quad, points_from_x(xs))
+    u = ref.u(xs)
     ratios = u / wolff_curve(p, w, mu, xs, DEFAULT_RADIUS)
     assert rep["ratio_min"] == pytest.approx(float(np.min(ratios)), rel=1e-12, abs=0.0)
     assert rep["ratio_max"] == pytest.approx(float(np.max(ratios)), rel=1e-12, abs=0.0)
