@@ -29,14 +29,13 @@ import numpy as np
 from .errors import ValidationError
 from .measures import RadonMeasure
 from .params import energy_constant
-from .quadrature import points_from_x
+from .quadrature import close_tails, points_from_x
 from .solver import (  # noqa: F401  (perfbench/tracing.py wraps energy.solve_dirichlet)
     DEFAULT_OPTIONS,
     PotentialResult,
     SolverOptions,
     measure_quadrature,
     potential,
-    _reclose_tails,
     solve_dirichlet,
 )
 from .weights import Weight
@@ -97,7 +96,7 @@ def _level_energy(res: PotentialResult, mu: RadonMeasure, gamma: float) -> float
         dens = quad.dens_vals if mu is res.measure else mu.density.values(quad.pts)
         with np.errstate(invalid="ignore"):
             vals = np.where(quad.u > 0.0, quad.u ** gamma, 0.0 if gamma > 0.0 else 1.0)
-        total += float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), vals * dens))
+        total += float(np.dot(close_tails(quad.w_quad, quad.pts, sigmas), vals * dens))
     locs = mu.atom_locations
     if locs.size:
         u_at = res.u.values_at(points_from_x(locs))
@@ -133,7 +132,7 @@ def _gradient_energy(res: PotentialResult, gamma: float) -> float:
         integrand = np.abs(quad.flux) ** pp * quad.w_vals ** (-e)
         factor = np.where(quad.u > 0.0, quad.u ** (gamma - 1.0), 0.0)
     sigmas = _tail_powers(res, gamma, res.measure, 1.0)
-    return float(np.dot(_reclose_tails(quad.w_quad, quad.pts, sigmas), integrand * factor))
+    return float(np.dot(close_tails(quad.w_quad, quad.pts, sigmas), integrand * factor))
 
 
 def energy(p: float, w: Weight, mu: RadonMeasure, gamma: float,

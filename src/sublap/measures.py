@@ -111,7 +111,7 @@ class ConstantDensity(Density):
         return np.full(len(pts), self.c)
 
     def cum0_many(self, pts: Points) -> np.ndarray:
-        return self.c * pts.side * (1.0 - pts.y)
+        return self.c * pts.x
 
     def side_mass(self, side: int) -> float:
         return self.c
@@ -175,7 +175,7 @@ class ManufacturedDensity(Density):
 
     def values(self, pts: Points) -> np.ndarray:
         c = 2.0 ** (self.p - 1.0) * (self.p - 1.0)
-        ax = 1.0 - pts.y  # |x|, exact near the edges
+        ax = np.where(pts.y < 0.5, 1.0 - pts.y, np.abs(pts.x))  # |x|, exact on both sides
         return c * ax ** (self.p - 2.0) * (pts.y * (2.0 - pts.y)) ** (-self.q)
 
     def sing(self, side: int) -> float:

@@ -196,8 +196,6 @@ def build_panels(
     edge_breaks_left: np.ndarray | None = None,
     edge_breaks_right: np.ndarray | None = None,
     ladder_nodes: tuple[float, ...] = (),
-    tail_s_left: float = 0.0,
-    tail_s_right: float = 0.0,
 ) -> PanelSet:
     """Panels for the cell partition induced by ``grid``.
 
@@ -208,14 +206,10 @@ def build_panels(
     toward that edge, resolving the Hoelder kink of the integrand at a flux
     sign change.
 
-    Each endpoint ladder is closed by one pseudo-panel: a single point at the
-    ladder bottom y0 carrying weight y0/(1 - s), s capped at 0.995, which
-    equals the analytic tail integral of C * y^(-s) below y0 when the
-    integrand follows the declared power ``tail_s_*`` there (and is
-    negligible otherwise); s < 0 (an integrand vanishing at the endpoint)
-    is taken as it is.
-    The pseudo-points are the first and the last point, so an integrand
-    with another declared power can re-close them.
+    Each endpoint ladder ends in one pseudo-point at the ladder bottom y0,
+    weighted y0: the structure reads no integrand, and each sum closes the
+    tail below y0 at its integrand's power (``close_tails``).  The
+    pseudo-points are the first and the last point.
 
     The layout is x order (see ``PanelSet``): the pseudo-points at the ends
     and between them the panels cell by cell, where in the right endpoint
@@ -273,7 +267,6 @@ def build_panels(
 
     y_tail = np.asarray([ends[0][0], ends[1][0]])
     s_tail = np.asarray([-1.0, 1.0])
-    w_tail = y_tail / (1.0 - np.minimum([tail_s_left, tail_s_right], 0.995))
 
     def with_tails(a: np.ndarray, tails: np.ndarray) -> np.ndarray:
         return np.concatenate([tails[:1], a.ravel(), tails[1:]])
@@ -281,10 +274,20 @@ def build_panels(
     return PanelSet(
         pts=Points(x=with_tails(x, s_tail * (1.0 - y_tail)), side=with_tails(sides, s_tail),
                    y=with_tails(y, y_tail)),
-        w=with_tails(w, w_tail),
+        w=with_tails(w, y_tail),
         panel_cell=cell,
         n_cells=n_cells,
     )
+
+
+def close_tails(w: np.ndarray, pts: Points, sigmas) -> np.ndarray:
+    """A copy of the weights ``w`` of a ``PanelSet`` with the tail
+    pseudo-point of each side (the first and the last point, at the ladder
+    bottom y0) weighted y0 / (1 - sigma): the integral below y0 of an
+    integrand ~ y^(-sigma), sigma < 1, per unit of its value at y0."""
+    w = w.copy()
+    w[[0, -1]] = pts.y[[0, -1]] / (1.0 - np.asarray(sigmas, dtype=float))
+    return w
 
 
 def _ladder_edges(a: float, b: float, toward: int, ratio: float = 0.25,

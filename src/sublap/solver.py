@@ -45,6 +45,7 @@ from .quadrature import (
     Points,
     bracketed_root,
     build_panels,
+    close_tails,
     gauss_antiderivative,
     gauss_cumulative,
     gauss_rule,
@@ -315,8 +316,8 @@ class GridPowerFactor:
 
 @dataclass
 class SolutionQuad:
-    """Quadrature view of a solve: panel points with weights, weight values,
-    flux, u' and u, ready for energy integrals.
+    """Quadrature view of a solve: panel points with the solve's weights,
+    weight values, flux, u' and u, ready for energy integrals.
 
     ``u`` is filled on first read (``_hermite_at_points``: the solve's
     panel run of u' from the endpoints, carried into every panel), so solves
@@ -325,12 +326,11 @@ class SolutionQuad:
     summed in closed form), lets a solve's u read itself anywhere."""
 
     pts: Points
-    w_quad: np.ndarray  # the first and last point are the tail pseudo-points
+    w_quad: np.ndarray  # the tail pseudo-points first and last, closed at the solve's power
     w_vals: np.ndarray
     flux: np.ndarray
     uprime: np.ndarray
     dens_vals: np.ndarray  # density of the solved measure at the points
-    panels: PanelSet = field(repr=False, compare=False)
     n_gauss: int
     n_left: int  # Gauss panels left of x = 0
     bounds: np.ndarray | None = field(repr=False, compare=False)
@@ -342,7 +342,7 @@ class SolutionQuad:
         if u is None:
             # a concurrent first read fills an equal array; the fill is
             # looked up by name.  Read-only: the solve's u returns it itself
-            u = _hermite_at_points(self.panels, self.uprime, self.n_gauss, self.n_left,
+            u = _hermite_at_points(self.w_quad, self.uprime, self.n_gauss, self.n_left,
                                    self.bounds)
             _freeze(u)
             self._u = u
@@ -453,25 +453,23 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def _build_structure(opts: SolverOptions, mandatory: tuple[float, ...], ladder_nodes: tuple,
-                     y_cuts: tuple, deep: tuple, tail_s: tuple) -> tuple[Points, PanelSet]:
+def _build_structure(geometry: tuple, mandatory: tuple[float, ...], ladder_nodes: tuple,
+                     y_cuts: tuple, deep: tuple) -> tuple[Points, PanelSet]:
     """The graded grid on the ``mandatory`` nodes and its panels, read-only,
-    from everything ``graded_grid`` and ``build_panels`` read.  Its
-    ``memo["nodes"]`` holds each node's place in a panel run
-    (``_panel_bounds``): node i is the lower end of cell i's first panel,
-    one place further in the right half, which repeats x = 0 (the node
-    ``mid``)."""
-    grid = graded_grid(opts.n_nodes, opts.grading_ratio, opts.y_floor, mandatory)
+    from everything ``graded_grid`` and ``build_panels`` read: ``geometry``
+    is (n_nodes, grading_ratio, y_floor, n_gauss).  Its ``memo["nodes"]``
+    holds each node's place in a panel run (``_panel_bounds``): node i is
+    the lower end of cell i's first panel, one place further in the right
+    half, which repeats x = 0 (the node ``mid``)."""
+    grid = graded_grid(*geometry[:3], mandatory)
     panels = build_panels(
         grid,
-        n_gauss=opts.n_gauss,
+        n_gauss=geometry[3],
         y_cut_left=y_cuts[0],
         y_cut_right=y_cuts[1],
         edge_breaks_left=np.asarray(deep[0]),
         edge_breaks_right=np.asarray(deep[1]),
         ladder_nodes=ladder_nodes,
-        tail_s_left=tail_s[0],
-        tail_s_right=tail_s[1],
     )
     mid = int(np.searchsorted(grid.x, 0.0))  # x = 0 is always a node
     at = np.searchsorted(panels.panel_cell, np.arange(panels.n_cells + 1))
@@ -497,16 +495,17 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
                      extra_nodes: tuple, ladder_nodes: tuple, x_evaluated: bool,
                      tail_s: tuple[float, float]) -> tuple[Points, PanelSet]:
     """Grid and panels for an integrand ~ y^(-s) toward each endpoint, s =
-    ``tail_s`` per side.  An endpoint ladder is closed analytically below
-    the depth where the tail y^(1-s)/(1-s) is below ``_TAIL_TARGET`` for
-    finite mass (s clipped to 0.995); for infinite mass (mu ~ y^(-a), a >= 1)
-    the closure is exact for the power and errs by the integrand's relative
-    departure from it, ~ y^(a-1).  Each quadrature sum re-closes the tail at
-    its own integrand's power (``_reclose_tails``).  The depth reads the
-    declared powers alone, not the size of mu, so mu and its multiples share
-    one structure; it stays above 1e-12 where the integrand is
-    ``x_evaluated`` (x cannot resolve deeper distances), goes below
-    truncation edges under the grid floor, and is bucketed to its decade."""
+    ``tail_s`` per side.  An endpoint ladder stops at the depth where the
+    tail y^(1-s)/(1-s) is below ``_TAIL_TARGET`` for finite mass (s clipped
+    to 0.995); for infinite mass (mu ~ y^(-a), a >= 1) the closure below it
+    is exact for the power and errs by the integrand's relative departure
+    from it, ~ y^(a-1).  Each quadrature sum closes the tail at its own
+    integrand's power (``close_tails``).  The depth reads the declared
+    powers alone, not the size of mu, so mu and its multiples share one
+    structure, as do powers whose cuts share a decade; it stays above 1e-12
+    where the integrand is ``x_evaluated`` (x cannot resolve deeper
+    distances), goes below truncation edges under the grid floor, and is
+    bucketed to its decade."""
     y_cuts, deep = [], []
     for side, s in zip((-1, 1), tail_s):
         a = mu.sing(side)
@@ -519,8 +518,9 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
         if deep[-1]:
             y_cut = min(y_cut, deep[-1][0] / 16.0)
         y_cuts.append(10.0 ** np.floor(np.log10(max(y_cut, 1e-280))))
-    return _PANEL_CACHE(opts, _mandatory_nodes(mu, opts, extra_nodes), ladder_nodes,
-                        tuple(y_cuts), tuple(deep), tail_s)
+    return _PANEL_CACHE((opts.n_nodes, opts.grading_ratio, opts.y_floor, opts.n_gauss),
+                        _mandatory_nodes(mu, opts, extra_nodes), ladder_nodes,
+                        tuple(y_cuts), tuple(deep))
 
 
 def _weight_at(panels: PanelSet, w: Weight, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -552,7 +552,7 @@ class _Workspace:
     a closed cumulative, S comes from the same values by the panel run
     outward from the node ``mid`` at x = 0 (``_panel_cumulative``).
     ``S_nodes`` is the density part of S at the grid nodes, +-inf at an
-    endpoint of infinite mass."""
+    endpoint of infinite mass.  ``w_quad`` closes the tails at min(s, 0.995)."""
 
     def __init__(self, p: float, w: Weight, mu: RadonMeasure, opts: SolverOptions,
                  extra_nodes: tuple[float, ...] = (),
@@ -562,11 +562,13 @@ class _Workspace:
         self.mu = mu
         self.opts = opts
         self.exponent = 1.0 / (p - 1.0)
+        s = tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1))
         self.grid, self.panels = _panel_structure(
             mu, opts, tuple(extra_nodes), tuple(ladder_nodes),
-            w.family == "custom" or not mu.density.y_resolved,
-            tuple(_edge_singularity(p, w, mu, side) for side in (-1, 1)))
+            w.family == "custom" or not mu.density.y_resolved, s)
         pts = self.panels.pts
+        self.w_quad = close_tails(self.panels.w, pts, np.minimum(s, 0.995))
+        _freeze(self.w_quad)
         self.mid, self.n_left, self.at_nodes = self.panels.memo["nodes"]
         self.w_vals, self.w_fac = _weight_at(self.panels, w, p)
         self.dens = mu.density.values(pts)
@@ -586,7 +588,7 @@ class _Workspace:
         panel run of the density outward from x = 0.  The tail pseudo-points
         sit at the ladder bottoms; below them the nodes at x = +-1 add the
         declared power's closure, dens(y0) y0 / (1 - a)."""
-        w, f, n = self.panels.w, self.dens, self.opts.n_gauss
+        w, f, n = self.w_quad, self.dens, self.opts.n_gauss
         bounds = _panel_bounds(w, f, n, self.n_left, True)
         S = _panel_fill(bounds, w, f, n, self.n_left, True)
         S_nodes = bounds[self.at_nodes]
@@ -606,8 +608,8 @@ class _Workspace:
         size = np.abs(flux)
         mag = size ** self.exponent * self.w_fac
         rate = np.divide(mag, size, out=np.zeros_like(mag), where=size > 0.0)
-        return (float(np.dot(self.panels.w, np.copysign(mag, flux))),
-                self.exponent * float(np.dot(self.panels.w, rate)))
+        return (float(np.dot(self.w_quad, np.copysign(mag, flux))),
+                self.exponent * float(np.dot(self.w_quad, rate)))
 
     def solve_constant(self, x0: float = 0.0) -> tuple[float, float, int]:
         lo, hi = self.bracket
@@ -754,7 +756,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         uprime_nodes = np.where(flux_nodes == 0.0, 0.0,
                                 np.sign(flux_nodes) * np.abs(flux_nodes) ** e * w_nodes ** (-e))
 
-    panels, n, n_left, mid = ws.panels, opts.n_gauss, ws.n_left, ws.mid
+    n, n_left, mid = opts.n_gauss, ws.n_left, ws.mid
     if mu.density.is_zero and w.family == "constant":
         # cell i carries the flux just right of node i
         flux_right = ctilde - (ws.S_nodes + atom_cum_right)
@@ -765,7 +767,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         at_zero = (u_left[-1], u_right[-1])
         bounds = None  # the fill builds the run when it is read
     else:
-        bounds = _panel_bounds(panels.w, phi, n, n_left, False)
+        bounds = _panel_bounds(ws.w_quad, phi, n, n_left, False)
         u_nodes = bounds[ws.at_nodes]
         u_nodes[[0, -1]] = 0.0
         at_zero = bounds[[n_left, n_left + 1]]
@@ -774,8 +776,8 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     u_nodes = np.maximum(u_nodes, 0.0)
 
     quad = SolutionQuad(
-        pts=panels.pts, w_quad=panels.w, w_vals=ws.w_vals,
-        flux=flux, uprime=phi, dens_vals=ws.dens, panels=panels,
+        pts=ws.panels.pts, w_quad=ws.w_quad, w_vals=ws.w_vals,
+        flux=flux, uprime=phi, dens_vals=ws.dens,
         n_gauss=n, n_left=n_left, bounds=bounds,
     )
     # boundary exponents of the limit: u ~ dist^(1 - s)
@@ -854,14 +856,15 @@ def _panel_fill(bounds: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
     return out
 
 
-def _hermite_at_points(panels: PanelSet, phi: np.ndarray, n: int, n_left: int,
+def _hermite_at_points(w: np.ndarray, phi: np.ndarray, n: int, n_left: int,
                        bounds: np.ndarray | None) -> np.ndarray:
-    """u at the quadrature points: the panel run of u' from the endpoints
-    (``bounds``; built here when the nodal u was summed in closed form)
-    carried into every panel.  perfbench traces the fill by this name."""
+    """u at the quadrature points: the panel run of u' = ``phi`` by the
+    solve's weights ``w`` from the endpoints (``bounds``; built here when
+    the nodal u was summed in closed form) carried into every panel.
+    perfbench traces the fill by this name."""
     if bounds is None:
-        bounds = _panel_bounds(panels.w, phi, n, n_left, False)
-    return np.maximum(_panel_fill(bounds, panels.w, phi, n, n_left, False), 0.0)
+        bounds = _panel_bounds(w, phi, n, n_left, False)
+    return np.maximum(_panel_fill(bounds, w, phi, n, n_left, False), 0.0)
 
 
 def potential(p: float, w: Weight, mu: RadonMeasure,
@@ -913,18 +916,9 @@ def measure_quadrature(mu: RadonMeasure, options: SolverOptions = DEFAULT_OPTION
         closed.append(a - kappa)
     _, panels = _panel_structure(mu, options, tuple(extra_nodes), (),
                                  not mu.density.y_resolved, tuple(tail_s))
-    wq, dens = _reclose_tails(panels.w, panels.pts, closed), mu.density.values(panels.pts)
+    wq, dens = close_tails(panels.w, panels.pts, closed), mu.density.values(panels.pts)
     _freeze(wq, dens)
     return panels.pts, wq, dens
-
-
-def _reclose_tails(w_quad: np.ndarray, pts: Points, sigmas) -> np.ndarray:
-    """Weights with the tail pseudo-point of each side (the first and the
-    last point) closed exactly for an integrand ~ y^(-sigma) (sigma < 1)
-    below it: y0 / (1 - sigma)."""
-    w = w_quad.copy()
-    w[[0, -1]] = pts.y[[0, -1]] / (1.0 - np.asarray(sigmas, dtype=float))
-    return w
 
 
 def check_comparison(p: float, w: Weight, mu: RadonMeasure, nu: RadonMeasure,

@@ -7,8 +7,10 @@ from scipy import special
 from sublap.errors import QuadratureError, ValidationError
 from sublap.measures import (
     CallableFactor,
+    ConstantDensity,
     CumulativeMass,
     CustomDensity,
+    ManufacturedDensity,
     RadonMeasure,
     TabulatedDensity,
     add,
@@ -307,6 +309,21 @@ def test_atom_validation():
     # duplicate locations merge
     mu = RadonMeasure(atoms=((0.2, 1.0), (0.2, 0.5)))
     assert mu.atoms == ((0.2, 1.5),)
+
+
+# -- evaluators near x = 0, where y = 1 - |x| has lost |x| ----------------------
+
+@pytest.mark.parametrize("x", [1e-12, -1e-12, 3e-17, -3e-17, 1e-300, 0.3, -0.7])
+def test_manufactured_density_keeps_its_relative_accuracy_near_zero(x):
+    # 2^(p-1) (p-1) |x|^(p-2) (1 - x^2)^(-q) at p = 3, q = 1/2
+    got = ManufacturedDensity(3.0, 0.5).values(points_from_x(np.asarray([x])))[0]
+    assert got == pytest.approx(8.0 * abs(x) / math.sqrt(1.0 - x * x), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1e-20, -1e-20, 1e-9, -1e-9, 0.3, -0.7])
+def test_constant_density_cumulative_is_exact_near_zero(x):
+    pts = points_from_x(np.asarray([x]))
+    assert ConstantDensity(2.0).cum0_many(pts)[0] == 2.0 * x
 
 
 def test_tabulated_density_closed_cumulative():

@@ -6,6 +6,7 @@ from sublap.quadrature import (
     Points,
     _graded_base,
     build_panels,
+    close_tails,
     gauss_rule,
     graded_grid,
     points_from_edge,
@@ -46,10 +47,10 @@ def _split(edges, breaks):
 
 def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-32,
                             edge_ratio=0.25, edge_breaks_left=None, edge_breaks_right=None,
-                            ladder_nodes=(), tail_s_left=0.0, tail_s_right=0.0):
+                            ladder_nodes=()):
     """One closure call per panel, cell by cell in x order, between the left
-    and the right tail pseudo-point; the right endpoint cell's panels and
-    their points by descending y."""
+    and the right tail pseudo-point, each weighted its y; the right endpoint
+    cell's panels and their points by descending y."""
     gx, gs, gy = grid.x, grid.side, grid.y
     n_cells = len(gx) - 1
     t, tw = gauss_rule(n_gauss)
@@ -87,9 +88,8 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
                 add(points_from_edge(side, a_y + t * h), tw * h)
         panel_cell.append(cell)
 
-    def tail_point(side, y0, s):
-        pp = points_from_edge(side, np.asarray([y0]))
-        return pp, np.asarray([y0 / (1.0 - min(s, 0.995))])
+    def tail_point(side, y0):
+        return points_from_edge(side, np.asarray([y0])), np.asarray([y0])
 
     def edges_from(y_hi, y_cut, breaks):
         edges = _reference_endpoint_edges(y_hi, min(y_cut, y_hi / 4.0), edge_ratio)[::-1]
@@ -97,7 +97,7 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
 
     left = edges_from(gy[1] if gs[1] < 0 else 1.0 + gx[1], y_cut_left, edge_breaks_left)
     right = edges_from(gy[-2] if gs[-2] > 0 else 1.0 - gx[-2], y_cut_right, edge_breaks_right)
-    add(*tail_point(-1, left[0], tail_s_left))
+    add(*tail_point(-1, left[0]))
     for c in range(n_cells):
         kind = special.get(c)
         if kind == "left":
@@ -112,7 +112,7 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
             toward = +1 if kind == "ladder_hi" else -1
             for lo_e, hi_e in _reference_ladder_edges(gx[c], gx[c + 1], toward):
                 add_panel(c, lo_e, hi_e)
-    add(*tail_point(1, right[0], tail_s_right))
+    add(*tail_point(1, right[0]))
 
     return PanelSet(
         pts=Points(x=np.concatenate(px), side=np.concatenate(ps), y=np.concatenate(py)),
@@ -122,7 +122,7 @@ def _reference_build_panels(grid, n_gauss=12, y_cut_left=1e-32, y_cut_right=1e-3
     )
 
 
-def _panel_case(seed: int) -> tuple[Points, dict]:
+def _panel_case(seed: int) -> tuple[Points, dict, tuple[float, float]]:
     rng = np.random.default_rng(seed)
     y_floor = float(10.0 ** -rng.uniform(3.0, 13.0))
     grid = graded_grid(int(rng.integers(8, 600)), float(rng.uniform(0.5, 0.95)), y_floor,
@@ -139,18 +139,19 @@ def _panel_case(seed: int) -> tuple[Points, dict]:
         # edges below the grid floor, some of them below the ladder bottom
         return y_floor * 10.0 ** -rng.uniform(0.0, 250.0, int(rng.integers(0, 4)))
 
-    return grid, dict(
+    kwargs = dict(
         n_gauss=(8, 12)[seed % 2],
         y_cut_left=float(10.0 ** -rng.uniform(1.0, 280.0)),
         y_cut_right=float(10.0 ** -rng.uniform(1.0, 280.0)),
         edge_breaks_left=breaks(), edge_breaks_right=breaks(),
-        ladder_nodes=ladder_nodes,
-        tail_s_left=float(rng.uniform(-1.0, 2.0)), tail_s_right=float(rng.uniform(-1.0, 2.0)))
+        ladder_nodes=ladder_nodes)
+    # a tail power per side for close_tails, s > 1 clipped as a solve clips it
+    return grid, kwargs, (float(rng.uniform(-1.0, 2.0)), float(rng.uniform(-1.0, 2.0)))
 
 
 @pytest.mark.parametrize("seed", range(120))
 def test_build_panels_matches_the_per_panel_loop(seed):
-    grid, kwargs = _panel_case(seed)
+    grid, kwargs, _ = _panel_case(seed)
     got = build_panels(grid, **kwargs)
     ref = _reference_build_panels(grid, **kwargs)
     for name in ("x", "side", "y"):
@@ -165,7 +166,7 @@ def test_panels_are_laid_out_in_x_order(seed):
     # the contract the solver's consumers read the arrays by: x order, ties
     # in x (within float spacing of an endpoint) by y toward that endpoint,
     # the tail pseudo-points first and last, one panel per row in between
-    grid, kwargs = _panel_case(seed)
+    grid, kwargs, tail_s = _panel_case(seed)
     n = kwargs["n_gauss"]
     panels = build_panels(grid, **kwargs)
     x, side, y = panels.pts.x, panels.pts.side, panels.pts.y
@@ -178,8 +179,14 @@ def test_panels_are_laid_out_in_x_order(seed):
     assert (side[0], side[-1]) == (-1.0, 1.0)
     assert y[0] < np.min(y[1:-1][side[1:-1] < 0.0])
     assert y[-1] < np.min(y[1:-1][side[1:-1] > 0.0])
-    for i, s in ((0, kwargs["tail_s_left"]), (-1, kwargs["tail_s_right"])):
-        assert panels.w[i] == y[i] / (1.0 - min(s, 0.995))
+    assert (panels.w[0], panels.w[-1]) == (y[0], y[-1])
+    # close_tails weights them y0 / (1 - sigma), sigma < 0 taken as it is,
+    # in a copy, and leaves every other weight
+    closed = close_tails(panels.w, panels.pts, np.minimum(tail_s, 0.995))
+    for i, s in ((0, tail_s[0]), (-1, tail_s[1])):
+        assert closed[i] == y[i] / (1.0 - min(s, 0.995))
+    assert np.array_equal(closed[1:-1], panels.w[1:-1])
+    assert (panels.w[0], panels.w[-1]) == (y[0], y[-1])
     # one Gauss panel per row, each inside its cell, the cells in order
     cell = panels.panel_cell
     assert panels.w.size == 2 + n * cell.size

@@ -27,7 +27,7 @@ from sublap.measures import (
     manufactured_measure,
     power_measure,
 )
-from sublap.quadrature import Points, bracketed_root, graded_grid, points_from_x
+from sublap.quadrature import Points, bracketed_root, close_tails, graded_grid, points_from_x
 from sublap.solver import (
     DEFAULT_OPTIONS,
     SolverOptions,
@@ -562,13 +562,14 @@ def _stress_measure(k: int) -> RadonMeasure:
 
 def test_panel_cache_evictions_racing_lookups_keep_results_and_bound():
     w = power_weight(0.3)
-    n_measures, n_threads = 30, 8
+    n_measures, n_threads = 48, 8
     measures = [_stress_measure(k) for k in range(n_measures)]
     misses = solver.panel_cache_info().misses
     serial = [solve_dirichlet(2.4, w, mu) for mu in measures]
     serial_quad = [solver.measure_quadrature(mu) for mu in measures]
-    # more distinct structures than the bound (a solve, its re-solve and a
-    # measure quadrature each): every pass evicts
+    # more distinct structures than the bound (a solve and its re-solve
+    # each; a measure quadrature shares the solve's where the cuts agree):
+    # every pass evicts
     assert solver.panel_cache_info().misses - misses > solver._PANEL_CACHE_SIZE
     sizes, mismatches = [], []
     interval = sys.getswitchinterval()
@@ -676,6 +677,32 @@ def test_the_panel_structure_does_not_read_the_mass(mu):
         res = solve_dirichlet(1.5, W1, mu.scale(float(a)))
         assert not res.resolved
     assert solver.panel_cache_info().misses - before == 1
+
+
+def test_solves_whose_cuts_agree_share_one_structure():
+    # the structure is geometry only: two weights whose tail powers cut the
+    # ladders in one decade share it, each solve closing the tails at its own
+    # power, and it equals a fresh build
+    solver._PANEL_CACHE.clear()
+    solve = [potential(2.4, power_weight(beta), lebesgue()) for beta in (0.3, 0.31)]
+    assert solver.panel_cache_info().misses == 1
+    assert solve[0].quad.w_quad[0] != solve[1].quad.w_quad[0]
+    solver._PANEL_CACHE.clear()
+    fresh = potential(2.4, power_weight(0.31), lebesgue())
+    assert np.array_equal(fresh.u.values, solve[1].u.values)
+    assert np.array_equal(fresh.quad.w_quad, solve[1].quad.w_quad)
+
+
+def test_options_that_shape_no_structure_share_it():
+    # divergence_cap, bracket_tol and max_root_iter are not in the key
+    solver._PANEL_CACHE.clear()
+    first = solve_dirichlet(2.4, power_weight(0.3), lebesgue())
+    second = solve_dirichlet(2.4, power_weight(0.3), lebesgue(),
+                             SolverOptions(divergence_cap=1e6))
+    solve_dirichlet(2.4, power_weight(0.3), lebesgue(),
+                    SolverOptions(bracket_tol=1e-13, max_root_iter=100))
+    assert not first.resolved and solver.panel_cache_info().misses == 1
+    assert np.array_equal(first.u.values, second.u.values)
 
 
 def test_cached_structures_give_the_results_of_fresh_builds():
@@ -1005,10 +1032,13 @@ def test_quad_u_filled_on_first_read_equals_the_eager_fill(monkeypatch, p, w, mu
     monkeypatch.setattr(solver, "_panel_structure", recorded)
     res = potential(p, w, mu)
     calls = _count_hermite(monkeypatch)
-    # the eager fill on the panels of the last workspace, its run built anew
+    # the eager fill on the panels of the last workspace, its tails closed at
+    # the solve's power, its run built anew
     grid, panels = structures[-1]
     n_left = int(np.searchsorted(panels.panel_cell, np.searchsorted(grid.x, 0.0)))
-    eager = solver._hermite_at_points(panels, res.quad.uprime, DEFAULT_OPTIONS.n_gauss,
+    s = [solver._edge_singularity(p, w, mu, side) for side in (-1, 1)]
+    wq = close_tails(panels.w, panels.pts, np.minimum(s, 0.995))
+    eager = solver._hermite_at_points(wq, res.quad.uprime, DEFAULT_OPTIONS.n_gauss,
                                       n_left, None)
     assert np.array_equal(res.quad.u, eager)
     assert res.quad.u is res.quad.u
