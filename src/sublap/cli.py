@@ -59,26 +59,36 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _table(cfg: dict, key: str, name: str = "") -> dict:
+    """A copy of the table ``cfg[key]``; empty when it is absent or null."""
+    tbl = cfg.get(key) or {}
+    if not isinstance(tbl, dict):
+        raise ValidationError(f"cli: {name or key} must be an object, got {tbl!r}")
+    return dict(tbl)
+
+
+def _num(tbl: dict, name: str, key: str, default=None, kind=float):
+    """``kind(tbl[key])``, or of ``default`` when the key is absent."""
+    try:
+        return kind(tbl.get(key, default))
+    except (TypeError, ValueError):
+        raise ValidationError(f"cli: {name}.{key} must be a number, got {tbl[key]!r}") from None
+
+
 def effective_config(args: argparse.Namespace) -> dict:
     """Merge config file tables with command-line overrides (flags win)."""
     cfg = load_config(args.config)
-    problem = dict(cfg.get("problem", {}))
-    weight = dict(cfg.get("weight", {}))
-    measure = dict(cfg.get("measure", {}))
-    solver = dict(cfg.get("solver", {}))
-    output = dict(cfg.get("output", {}))
+    problem, weight, measure, solver, output = (
+        _table(cfg, k) for k in ("problem", "weight", "measure", "solver", "output"))
 
-    if args.p is not None:
-        problem["p"] = args.p
-    if args.q is not None:
-        problem["q"] = args.q
-    if args.gamma is not None:
-        problem["gamma"] = args.gamma
+    for key in ("p", "q", "gamma"):
+        if getattr(args, key) is not None:
+            problem[key] = getattr(args, key)
     if args.beta is not None:
         weight["family"] = weight.get("family", "power")
         weight["beta"] = args.beta
     if args.alpha is not None:
-        density = dict(measure.get("density", {}))
+        density = _table(measure, "density", "measure.density")
         density.setdefault("family", "power")
         density["alpha"] = args.alpha
         measure["density"] = density
@@ -92,38 +102,40 @@ def build_problem(cfg: dict) -> ProblemParams:
     tbl = cfg["problem"]
     if "p" not in tbl:
         raise ValidationError("cli: problem.p is required")
-    gamma = tbl.get("gamma", 1.0)
-    if isinstance(gamma, str) and gamma.lower() in ("inf", "infinity"):
-        gamma = math.inf
-    return ProblemParams(p=float(tbl["p"]), q=float(tbl.get("q", 0.0)),
-                         gamma=float(gamma))
+    # float() reads "inf" and "infinity" in any case
+    return ProblemParams(p=_num(tbl, "problem", "p"), q=_num(tbl, "problem", "q", 0.0),
+                         gamma=_num(tbl, "problem", "gamma", 1.0))
 
 
 def build_weight(cfg: dict) -> Weight:
     tbl = cfg["weight"]
     family = tbl.get("family", "constant")
     if family == "constant":
-        return constant_weight(float(tbl.get("value", 1.0)))
+        return constant_weight(_num(tbl, "weight", "value", 1.0))
     if family == "power":
-        return power_weight(float(tbl.get("beta", 0.0)))
+        return power_weight(_num(tbl, "weight", "beta", 0.0))
     raise ValidationError(f"cli: unsupported weight family {family!r} in config")
 
 
 def build_measure(cfg: dict) -> RadonMeasure:
     tbl = cfg["measure"]
-    atoms = tuple((float(x), float(m)) for x, m in tbl.get("atoms", []))
+    try:
+        atoms = tuple((float(x), float(m)) for x, m in tbl.get("atoms", []))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"cli: measure.atoms must be [x, mass] pairs, got {tbl['atoms']!r}") from None
     parts = []
-    dens_tbl = tbl.get("density")
+    dens_tbl = _table(tbl, "density", "measure.density")
     if dens_tbl:
-        family = dens_tbl.get("family", "constant")
+        family, name = dens_tbl.get("family", "constant"), "measure.density"
         if family == "power":
-            parts.append(PowerDensity(alpha=float(dens_tbl.get("alpha", 0.0)),
-                                      coef=float(dens_tbl.get("coef", 1.0))))
+            parts.append(PowerDensity(alpha=_num(dens_tbl, name, "alpha", 0.0),
+                                      coef=_num(dens_tbl, name, "coef", 1.0)))
         elif family == "constant":
-            parts.append(ConstantDensity(float(dens_tbl.get("value", 1.0))))
+            parts.append(ConstantDensity(_num(dens_tbl, name, "value", 1.0)))
         elif family == "manufactured":
-            parts.append(ManufacturedDensity(p=float(dens_tbl.get("p", 3.0)),
-                                             q=float(dens_tbl.get("q", 0.5))))
+            parts.append(ManufacturedDensity(p=_num(dens_tbl, name, "p", 3.0),
+                                             q=_num(dens_tbl, name, "q", 0.5)))
         elif family in ("zero", "none"):
             pass
         else:
@@ -134,11 +146,16 @@ def build_measure(cfg: dict) -> RadonMeasure:
             raise ValidationError(f"cli: tabulated density file {tab_path!r} missing")
         xs, vals = [], []
         with open(tab_path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            for n, row in enumerate(csv.reader(fh), 1):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                xs.append(float(row[0]))
-                vals.append(float(row[1]))
+                try:
+                    x, v = float(row[0]), float(row[1])
+                except (IndexError, ValueError):
+                    raise ValidationError(f"cli: tabulated density file {tab_path!r} row {n}: "
+                                          f"want x,value numbers, got {row!r}") from None
+                xs.append(x)
+                vals.append(v)
         parts.append(TabulatedDensity(xs=tuple(xs), vals=tuple(vals)))
     if not parts:
         density = ZeroDensity()
@@ -154,9 +171,9 @@ def build_options(cfg: dict) -> SolverOptions:
     ``--tol``) configured the truncation ladder of earlier versions: ignored."""
     tbl = cfg["solver"]
     return SolverOptions(
-        n_nodes=int(tbl.get("grid_nodes", DEFAULT_OPTIONS.n_nodes)),
-        grading_ratio=float(tbl.get("grading_ratio", DEFAULT_OPTIONS.grading_ratio)),
-        divergence_cap=float(tbl.get("divergence_cap", DEFAULT_OPTIONS.divergence_cap)),
+        n_nodes=_num(tbl, "solver", "grid_nodes", DEFAULT_OPTIONS.n_nodes, int),
+        grading_ratio=_num(tbl, "solver", "grading_ratio", DEFAULT_OPTIONS.grading_ratio),
+        divergence_cap=_num(tbl, "solver", "divergence_cap", DEFAULT_OPTIONS.divergence_cap),
     )
 
 
@@ -222,8 +239,8 @@ def cmd_wolff(cfg: dict) -> int:
     w = build_weight(cfg)
     mu = build_measure(cfg)
     out = cfg["output"]["directory"]
-    margin = float(cfg["solver"].get("interior_margin", 0.25))
-    radius = float(cfg["solver"].get("wolff_radius", DEFAULT_RADIUS))
+    margin = _num(cfg["solver"], "solver", "interior_margin", 0.25)
+    radius = _num(cfg["solver"], "solver", "wolff_radius", DEFAULT_RADIUS)
     xs = np.linspace(-1.0 + margin, 1.0 - margin, 41)
     vals = wolff_curve(prob.p, w, mu, xs, radius)
     write_csv(os.path.join(out, "wolff.csv"), ["x", "wolff"], zip(xs, vals))
@@ -273,7 +290,7 @@ def cmd_iterate(cfg: dict) -> int:
     mu = build_measure(cfg)
     opts = build_options(cfg)
     out = cfg["output"]["directory"]
-    tol = float(cfg["solver"].get("iteration_tol", 1e-8))
+    tol = _num(cfg["solver"], "solver", "iteration_tol", 1e-8)
     trace = iterate(prob.p, w, mu, prob.q,
                     gamma=prob.gamma if not prob.gamma_is_infinite else 1.0,
                     tol=tol, options=opts, keep_iterates=False)
@@ -326,16 +343,19 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     if name not in ("alpha", "p", "q", "beta"):
         raise ValidationError(f"cli sweep: unknown axis {name!r}")
     parts = rng.split(":")
-    if len(parts) == 1:
-        values = [float(v) for v in rng.split(",")]
-    elif len(parts) == 3:
-        start, stop, step = (float(v) for v in parts)
-        n = int(round((stop - start) / step)) + 1
-        values = [round(start + i * step, 12) for i in range(n)
+    try:
+        nums = [float(v) for v in (rng.split(",") if len(parts) == 1 else parts)]
+    except ValueError:
+        nums = []
+    if len(parts) == 1 and nums:
+        return name, nums
+    if len(parts) != 3 or not nums or not nums[2] > 0.0:
+        raise ValidationError(f"cli sweep: bad axis range {rng!r} "
+                              "(want numbers start:stop:step with step > 0, or v1,v2,...)")
+    start, stop, step = nums
+    n = int(round((stop - start) / step)) + 1
+    return name, [round(start + i * step, 12) for i in range(n)
                   if start + i * step <= stop + 1e-12]
-    else:
-        raise ValidationError(f"cli sweep: bad axis range {rng!r}")
-    return name, values
 
 
 def _sweep_row(task) -> dict:
@@ -443,25 +463,13 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    commands = {"solve": cmd_solve, "wolff": cmd_wolff, "energy": cmd_energy,
+                "iterate": cmd_iterate, "trace": cmd_trace,
+                "sweep": lambda cfg: cmd_sweep(cfg, args.axis, args.jobs),
+                "verify": lambda cfg: cmd_verify(cfg, args.suite)}
     try:
-        cfg = effective_config(args)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "wolff":
-            return cmd_wolff(cfg)
-        if args.command == "energy":
-            return cmd_energy(cfg)
-        if args.command == "iterate":
-            return cmd_iterate(cfg)
-        if args.command == "trace":
-            return cmd_trace(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.axis, args.jobs)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](effective_config(args))
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
@@ -471,7 +479,6 @@ def main(argv=None) -> int:
     except SublapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,10 @@ C * dist^(-a) near an endpoint) instead of probing them numerically: the
 quadrature grading and all finiteness decisions need them a priori.  Measures
 with non-integrable endpoint densities are first-class citizens; their total
 mass is reported as +inf and ``solver.potential`` solves them directly;
-``truncate(mu, k)`` restricts a measure to [-1 + 2^-k, 1 - 2^-k].
+``truncate(mu, k)`` restricts a measure to [-1 + 2^-k, 1 - 2^-k].  A composite
+(scaled, windowed, summed, pushed forward) declares the largest of its parts'
+powers and their edges, breaks and kinks together; a window adds its edges, and
+a pushforward lowers the power by the factor's edge exponent and adds its kinks.
 
 All cumulative bookkeeping is anchored at the center: S(x) = mu((0, x]) for
 x >= 0 and -mu((x, 0]) for x < 0 (right-continuous in x).  The anchored form
@@ -191,7 +194,8 @@ class TabulatedDensity(Density):
 
     xs: tuple[float, ...]
     vals: tuple[float, ...]
-    _cum: tuple[float, ...] = field(init=False, repr=False)
+    # xs, vals and the trapezoid cumulative at xs, as read-only arrays
+    _table: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -203,19 +207,17 @@ class TabulatedDensity(Density):
         if xs[0] < -1.0 or xs[-1] > 1.0:
             raise ValidationError("measures.TabulatedDensity: abscissae must lie in [-1, 1]")
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * np.diff(xs))])
-        object.__setattr__(self, "_cum", tuple(cum))
+        _freeze(xs, vs, cum)
+        object.__setattr__(self, "_table", (xs, vs, cum))
 
     def values(self, pts: Points) -> np.ndarray:
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vals)
+        xs, vs, _ = self._table
         out = np.interp(pts.x, xs, vs)
         out[(pts.x < xs[0]) | (pts.x > xs[-1])] = 0.0
         return out
 
     def _cum_at(self, x: np.ndarray) -> np.ndarray:
-        xs = np.asarray(self.xs)
-        vs = np.asarray(self.vals)
-        cum = np.asarray(self._cum)
+        xs, vs, cum = self._table
         xc = np.clip(x, xs[0], xs[-1])
         idx = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, xs.size - 2)
         x0 = xs[idx]
@@ -274,16 +276,42 @@ class CustomDensity(Density):
         return False
 
 
+class _Composite(Density):
+    """A density built from ``_parts``, with its geometry by the rule in the
+    module docstring; it is zero, or y-resolved, when all its parts are."""
+
+    @property
+    def _parts(self) -> tuple[Density, ...]:
+        return (self.base,)
+
+    def sing(self, side: int) -> float:
+        return max(p.sing(side) for p in self._parts)
+
+    def breakpoints_y(self, side: int) -> tuple[float, ...]:
+        return sum((p.breakpoints_y(side) for p in self._parts), ())
+
+    def interior_breaks(self) -> tuple[float, ...]:
+        return sum((p.interior_breaks() for p in self._parts), ())
+
+    def kinks(self) -> tuple[float, ...]:
+        return sum((p.kinks() for p in self._parts), ())
+
+    @property
+    def is_zero(self) -> bool:
+        return all(p.is_zero for p in self._parts)
+
+    @property
+    def y_resolved(self) -> bool:
+        return all(p.y_resolved for p in self._parts)
+
+
 @dataclass(frozen=True)
-class _ScaledDensity(Density):
+class _ScaledDensity(_Composite):
     base: Density
     factor: float
 
     def values(self, pts: Points) -> np.ndarray:
         return self.factor * self.base.values(pts)
-
-    def sing(self, side: int) -> float:
-        return self.base.sing(side)
 
     def cum0_many(self, pts: Points) -> np.ndarray | None:
         c = self.base.cum0_many(pts)
@@ -295,22 +323,9 @@ class _ScaledDensity(Density):
     def scaled(self, a: float) -> Density:
         return self.base.scaled(self.factor * a)
 
-    def breakpoints_y(self, side: int) -> tuple[float, ...]:
-        return self.base.breakpoints_y(side)
-
-    def interior_breaks(self) -> tuple[float, ...]:
-        return self.base.interior_breaks()
-
-    def kinks(self) -> tuple[float, ...]:
-        return self.base.kinks()
-
-    @property
-    def y_resolved(self) -> bool:
-        return self.base.y_resolved
-
 
 @dataclass(frozen=True)
-class WindowedDensity(Density):
+class WindowedDensity(_Composite):
     """Restriction of a density to [-1 + y_left, 1 - y_right].
 
     The window edges are stored as distances to the endpoints so dyadic
@@ -325,27 +340,21 @@ class WindowedDensity(Density):
         if not (0.0 <= self.y_left < 1.0 and 0.0 <= self.y_right < 1.0):
             raise ValidationError("measures.WindowedDensity: window edges must lie in [0, 1)")
 
-    def _mask_outside(self, pts: Points) -> np.ndarray:
-        return ((pts.side < 0) & (pts.y < self.y_left)) | ((pts.side > 0) & (pts.y < self.y_right))
+    def _outside(self, pts: Points) -> tuple[np.ndarray, np.ndarray]:
+        return ((pts.side < 0) & (pts.y < self.y_left)), ((pts.side > 0) & (pts.y < self.y_right))
 
     def _clip(self, pts: Points) -> Points:
-        out = self._mask_outside(pts)
-        if not np.any(out):
+        left, right = self._outside(pts)
+        if not (np.any(left) or np.any(right)):
             return pts
-        y = pts.y.copy()
-        left = (pts.side < 0) & (pts.y < self.y_left)
-        right = (pts.side > 0) & (pts.y < self.y_right)
-        y[left] = self.y_left
-        y[right] = self.y_right
-        x = pts.x.copy()
-        x[left] = -1.0 + self.y_left
-        x[right] = 1.0 - self.y_right
+        y, x = pts.y.copy(), pts.x.copy()
+        y[left], x[left] = self.y_left, -1.0 + self.y_left
+        y[right], x[right] = self.y_right, 1.0 - self.y_right
         return Points(x=x, side=pts.side, y=y)
 
     def values(self, pts: Points) -> np.ndarray:
-        vals = self.base.values(pts)
-        vals = np.where(self._mask_outside(pts), 0.0, vals)
-        return vals
+        left, right = self._outside(pts)
+        return np.where(left | right, 0.0, self.base.values(pts))
 
     def sing(self, side: int) -> float:
         edge = self.y_left if side < 0 else self.y_right
@@ -381,30 +390,20 @@ class WindowedDensity(Density):
             ib.append(1.0 - self.y_right)
         return tuple(ib)
 
-    def kinks(self) -> tuple[float, ...]:
-        return self.base.kinks()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
-
-    @property
-    def y_resolved(self) -> bool:
-        return self.base.y_resolved
-
 
 @dataclass(frozen=True)
-class SumDensity(Density):
+class SumDensity(_Composite):
     parts: tuple[Density, ...]
+
+    @property
+    def _parts(self) -> tuple[Density, ...]:
+        return self.parts
 
     def values(self, pts: Points) -> np.ndarray:
         out = np.zeros(len(pts))
         for p in self.parts:
             out += p.values(pts)
         return out
-
-    def sing(self, side: int) -> float:
-        return max(p.sing(side) for p in self.parts)
 
     def cum0_many(self, pts: Points) -> np.ndarray | None:
         out = np.zeros(len(pts))
@@ -421,26 +420,9 @@ class SumDensity(Density):
     def scaled(self, a: float) -> Density:
         return SumDensity(tuple(p.scaled(a) for p in self.parts))
 
-    def breakpoints_y(self, side: int) -> tuple[float, ...]:
-        return sum((p.breakpoints_y(side) for p in self.parts), ())
-
-    def interior_breaks(self) -> tuple[float, ...]:
-        return sum((p.interior_breaks() for p in self.parts), ())
-
-    def kinks(self) -> tuple[float, ...]:
-        return sum((p.kinks() for p in self.parts), ())
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.parts)
-
-    @property
-    def y_resolved(self) -> bool:
-        return all(p.y_resolved for p in self.parts)
-
 
 @dataclass(frozen=True)
-class ProductDensity(Density):
+class ProductDensity(_Composite):
     """base density multiplied by a nonnegative factor (e.g. u^q for iteration).
 
     The factor object provides ``values(pts)`` and ``edge_exponent(side)``
@@ -457,22 +439,13 @@ class ProductDensity(Density):
     def sing(self, side: int) -> float:
         return self.base.sing(side) - float(self.factor.edge_exponent(side))
 
-    def breakpoints_y(self, side: int) -> tuple[float, ...]:
-        return self.base.breakpoints_y(side)
-
-    def interior_breaks(self) -> tuple[float, ...]:
-        return self.base.interior_breaks()
-
     def kinks(self) -> tuple[float, ...]:
         return self.base.kinks() + tuple(getattr(self.factor, "kinks", tuple)())
 
-    @property
-    def is_zero(self) -> bool:
-        return self.base.is_zero
 
-    @property
-    def y_resolved(self) -> bool:
-        return self.base.y_resolved
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _graded_cum0(density: Density, pts: Points, atoms=()) -> np.ndarray:
@@ -497,30 +470,35 @@ class RadonMeasure:
 
     atoms: tuple[tuple[float, float], ...] = ()
     density: Density = field(default_factory=ZeroDensity)
+    # the atoms' locations, masses, running sum of masses from 0 and its
+    # part up to x = 0, as read-only arrays
+    _atom_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = tuple(sorted((float(x), float(m)) for x, m in self.atoms))
-        locs = [x for x, _ in atoms]
-        if any(not (-1.0 < x < 1.0) for x in locs):
-            raise ValidationError("measures.RadonMeasure: atom locations must lie in (-1, 1)")
-        if any(m <= 0.0 for _, m in atoms):
-            raise ValidationError("measures.RadonMeasure: atom masses must be positive")
-        if len(set(locs)) != len(locs):
-            merged: dict[float, float] = {}
-            for x, m in atoms:
-                merged[x] = merged.get(x, 0.0) + m
-            atoms = tuple(sorted(merged.items()))
-        object.__setattr__(self, "atoms", atoms)
+        merged: dict[float, float] = {}  # sorted by location; duplicates merge
+        for x, m in sorted((float(x), float(m)) for x, m in self.atoms):
+            if not (-1.0 < x < 1.0):
+                raise ValidationError("measures.RadonMeasure: atom locations must lie in (-1, 1)")
+            if m <= 0.0:
+                raise ValidationError("measures.RadonMeasure: atom masses must be positive")
+            merged[x] = merged.get(x, 0.0) + m
+        object.__setattr__(self, "atoms", tuple(merged.items()))
+        locs = np.asarray(list(merged), dtype=float)
+        masses = np.asarray(list(merged.values()), dtype=float)
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        _freeze(locs, masses, cum)
+        object.__setattr__(self, "_atom_table",
+                           (locs, masses, cum, cum[np.searchsorted(locs, 0.0, side="right")]))
 
     # -- basic structure -------------------------------------------------
 
     @property
     def atom_locations(self) -> np.ndarray:
-        return np.asarray([x for x, _ in self.atoms])
+        return self._atom_table[0]
 
     @property
     def atom_masses(self) -> np.ndarray:
-        return np.asarray([m for _, m in self.atoms])
+        return self._atom_table[1]
 
     @property
     def is_zero(self) -> bool:
@@ -543,16 +521,15 @@ class RadonMeasure:
 
     # -- anchored cumulative ----------------------------------------------
 
+    def _atom_cum(self, x: np.ndarray, side: str) -> np.ndarray:
+        """The atom part of S, right-continuous (``side="right"``: an atom
+        at x counts in S(x)) or left-continuous (``side="left"``)."""
+        locs, _, cum, upto0 = self._atom_table
+        return cum[np.searchsorted(locs, x, side=side)] - upto0
+
     def atom_cum_center(self, x: np.ndarray) -> np.ndarray:
         """Signed atom count-mass of (0, x] (x>0) / -(x, 0] (x<0), right-continuous."""
-        locs = self.atom_locations
-        if locs.size == 0:
-            return np.zeros(np.shape(x))
-        masses = self.atom_masses
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        upto = cum[np.searchsorted(locs, x, side="right")]
-        upto0 = cum[np.searchsorted(locs, 0.0, side="right")]
-        return upto - upto0
+        return self._atom_cum(x, "right")
 
     def cum_center_many(self, pts: Points) -> np.ndarray:
         """S at many points; the density part is its closed cumulative, or

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .measures import RadonMeasure
+from .measures import RadonMeasure, _freeze
 from .quadrature import (
     PanelSet,
     Points,
@@ -448,11 +448,6 @@ def panel_cache_info() -> PanelCacheInfo:
     return PanelCacheInfo(info.hits, info.misses, info.currsize, info.maxsize)
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 def _build_structure(geometry: tuple, mandatory: tuple[float, ...], ladder_nodes: tuple,
                      y_cuts: tuple, deep: tuple) -> tuple[Points, PanelSet]:
     """The graded grid on the ``mandatory`` nodes and its panels, read-only,
@@ -502,10 +497,11 @@ def _panel_structure(mu: RadonMeasure, opts: SolverOptions,
     from it, ~ y^(a-1).  Each quadrature sum closes the tail at its own
     integrand's power (``close_tails``).  The depth reads the declared
     powers alone, not the size of mu, so mu and its multiples share one
-    structure, as do powers whose cuts share a decade; it stays above 1e-12
-    where the integrand is ``x_evaluated`` (x cannot resolve deeper
-    distances), goes below truncation edges under the grid floor, and is
-    bucketed to its decade."""
+    structure, as do powers whose cuts share a decade; it is kept at or
+    above 1e-12 where the integrand is ``x_evaluated``, but the ladder ends
+    at min(cut, innermost node / 4), ~2.6e-14 in the default grid, so that
+    floor has no effect there.  The cut goes below truncation edges under
+    the grid floor and is bucketed to its decade."""
     y_cuts, deep = [], []
     for side, s in zip((-1, 1), tail_s):
         a = mu.sing(side)
@@ -636,7 +632,7 @@ class _Workspace:
         j = int(np.searchsorted(self.grid.x, a, side="right"))
         node = float(self.grid.x[j])
         if node < b:
-            if any(node == loc for loc, _ in self.mu.atoms):
+            if np.any(self.mu.atom_locations == node):
                 return None
             s_n = float(self.S_nodes[j] + self.mu.atom_cum_center(self.grid.x[j:j + 1])[0])
             if abs(ctilde - s_n) <= self.opts.bracket_tol:
@@ -740,17 +736,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     # nodal flux with the left-continuous convention: the flux at a node
     # excludes the atom sitting exactly there (it jumps down across it)
     nodes = ws.grid
-    locs = mu.atom_locations
-    if locs.size:
-        masses = mu.atom_masses
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        upto0 = cum[np.searchsorted(locs, 0.0, side="right")]
-        atom_cum_left = cum[np.searchsorted(locs, nodes.x, side="left")] - upto0
-        atom_cum_right = cum[np.searchsorted(locs, nodes.x, side="right")] - upto0
-    else:
-        atom_cum_left = np.zeros(nodes.x.size)
-        atom_cum_right = atom_cum_left
-    flux_nodes = ctilde - (ws.S_nodes + atom_cum_left)
+    flux_nodes = ctilde - (ws.S_nodes + mu._atom_cum(nodes.x, "left"))
     with np.errstate(divide="ignore", invalid="ignore"):
         w_nodes = w.values(nodes)
         uprime_nodes = np.where(flux_nodes == 0.0, 0.0,
@@ -759,7 +745,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     n, n_left, mid = opts.n_gauss, ws.n_left, ws.mid
     if mu.density.is_zero and w.family == "constant":
         # cell i carries the flux just right of node i
-        flux_right = ctilde - (ws.S_nodes + atom_cum_right)
+        flux_right = ctilde - (ws.S_nodes + mu._atom_cum(nodes.x, "right"))
         slope = (np.sign(flux_right) * np.abs(flux_right) ** e * w_nodes ** (-e))[:-1]
         u_left = _piecewise_linear_half(nodes.y[:mid + 1], slope[:mid])
         u_right = _piecewise_linear_half(nodes.y[mid:][::-1], -slope[mid:][::-1])

@@ -243,3 +243,35 @@ def test_verify_prints_wall_times_but_keeps_them_out_of_the_file(tmp_path, capsy
 
 def test_verify_unknown_suite(tmp_path):
     assert main(["--out", str(tmp_path / "o"), "verify", "--suite", "bogus"]) == 1
+
+
+# -- malformed input is a validation error naming the key or the row -------------
+
+@pytest.mark.parametrize("change, flags, key", [
+    ({"problem": {"p": "two"}}, [], "problem.p"),
+    ({"problem": 3}, [], "problem"),
+    ({"solver": {"grid_nodes": "many"}}, [], "solver.grid_nodes"),
+    ({"measure": {"atoms": [[0.1]]}}, [], "measure.atoms"),
+    ({"measure": {"density": 3}}, ["--alpha", "0.5"], "measure.density"),
+], ids=["non-numeric p", "table not an object", "grid_nodes many", "atom without mass",
+        "density not an object under --alpha"])
+def test_malformed_config_is_a_validation_error(tmp_path, capsys, change, flags, key):
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, **change))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o")] + flags + ["solve"]) == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.0", "0.0,lots"], ids=["one column", "non-numeric cell"])
+def test_malformed_tabulated_row_is_a_validation_error(tmp_path, capsys, row):
+    table = tmp_path / "dens.csv"
+    table.write_text(f"# x,value\n-0.5,0.0\n{row}\n0.5,0.0\n")
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, measure={"tabulated": str(table)}))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 1
+    assert "row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["alpha=1:2:0", "alpha=1:x:0.1"], ids=["zero step", "non-numeric stop"])
+def test_malformed_sweep_axis_is_a_validation_error(tmp_path, capsys, axis):
+    cfg = write_config(tmp_path, DIRAC_CFG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "sweep", "--axis", axis]) == 1
+    assert axis.split("=")[1] in capsys.readouterr().err

@@ -12,7 +12,9 @@ from sublap.measures import (
     CustomDensity,
     ManufacturedDensity,
     RadonMeasure,
+    SumDensity,
     TabulatedDensity,
+    ZeroDensity,
     add,
     ball_mass,
     cdf,
@@ -25,8 +27,9 @@ from sublap.measures import (
     weighted_pushforward,
 )
 from sublap.quadrature import gauss_rule, points_from_edge, points_from_x
+from sublap.solver import potential
 from sublap.sublinear import iterate
-from sublap.weights import power_weight
+from sublap.weights import constant_weight, power_weight
 
 # -- cdf -------------------------------------------------------------------
 
@@ -332,3 +335,57 @@ def test_tabulated_density_closed_cumulative():
     mu = RadonMeasure(density=dens)
     assert mu.total_mass() == pytest.approx(1.0, rel=1e-14)
     assert mu.cdf(0.0) == pytest.approx(0.5, rel=1e-14)
+
+
+# -- composite densities ----------------------------------------------------------
+
+def _custom(breaks):
+    return RadonMeasure(density=CustomDensity(lambda x: 1.0 + 0.0 * x, sing_left=0.3,
+                                              breaks=breaks))
+
+
+def _scaled_pushforward():
+    mu = power_measure(0.6)
+    u = potential(2.0, constant_weight(), mu).u  # u ~ y at both ends
+    s = 0.6 - 0.5 * 1.0
+    return (mu.pushforward(u.power_factor(0.5)).scale(2.0), s, s, (), (), (),
+            tuple(u.x[1:-1]), False, True)
+
+
+# each row: measure, sing(-1), sing(1), breakpoints_y(-1), breakpoints_y(1),
+# interior_breaks, kinks, is_zero, y_resolved
+COMPOSITES = {
+    "truncated power": lambda: (power_measure(1.2).truncate(3), 0.0, 0.0, (0.125,),
+                                (0.125,), (-0.875, 0.875), (), False, True),
+    "windowed power plus custom": lambda: (
+        power_measure(0.5).window(0.25, 0.0).add(_custom((0.1,))), 0.3, 0.5, (0.25,),
+        (), (-0.75, 0.1), (), False, False),
+    "scaled pushforward": _scaled_pushforward,
+    "window of a sum": lambda: (
+        power_measure(1.5).truncate(4).add(_custom((0.1, 0.95))).window(0.5, 0.125),
+        0.0, 0.0, (0.5, 0.0625), (0.125, 0.0625), (0.1, -0.5, 0.875), (), False, False),
+    "sum of zeros": lambda: (RadonMeasure(density=SumDensity((ZeroDensity(), ZeroDensity()))),
+                             0.0, 0.0, (), (), (), (), True, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSITES))
+def test_composite_geometry_follows_its_parts(case):
+    mu, s_left, s_right, by_left, by_right, ib, kinks, is_zero, y_res = COMPOSITES[case]()
+    dens = mu.density
+    assert (dens.sing(-1), dens.sing(1)) == (s_left, s_right)
+    assert (dens.breakpoints_y(-1), dens.breakpoints_y(1)) == (by_left, by_right)
+    assert dens.interior_breaks() == ib
+    assert dens.kinks() == kinks
+    assert (dens.is_zero, dens.y_resolved) == (is_zero, y_res)
+
+
+def test_atom_table_is_built_once_and_read_only():
+    mu = RadonMeasure(atoms=((0.2, 1.0), (-0.5, 2.0)))
+    assert mu.atom_locations is mu.atom_locations
+    assert not mu.atom_locations.flags.writeable
+    assert not mu.atom_masses.flags.writeable
+    # S is right-continuous: an atom counts at its own location for x > 0,
+    # and leaves (x, 0] there for x < 0
+    x = np.asarray([np.nextafter(0.2, 0.0), 0.2, np.nextafter(-0.5, -1.0), -0.5])
+    assert mu.atom_cum_center(x).tolist() == [0.0, 1.0, -2.0, 0.0]
