@@ -68,11 +68,25 @@ def _table(cfg: dict, key: str, name: str = "") -> dict:
 
 
 def _num(tbl: dict, name: str, key: str, default=None, kind=float):
-    """``kind(tbl[key])``, or of ``default`` when the key is absent."""
+    """``kind(tbl[key])``, or of ``default`` when the key is absent; an
+    ``int`` must be whole, where int() would drop the fraction."""
+    value = tbl.get(key, default)
     try:
-        return kind(tbl.get(key, default))
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return kind(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"cli: {name}.{key} must be a number, got {tbl[key]!r}") from None
+        raise ValidationError(f"cli: {name}.{key} must be a {'whole ' if kind is int else ''}"
+                              f"number, got {tbl[key]!r}") from None
+
+
+def _set_power(tbl: dict, name: str, key: str, value: float) -> dict:
+    """``tbl`` with ``--key``'s value; the flag sets the power family where none is named."""
+    if tbl.setdefault("family", "power") != "power":
+        raise ValidationError(f"cli: --{key} needs the power family, but {name}.family is "
+                              f"{tbl['family']!r}")
+    tbl[key] = value
+    return tbl
 
 
 def effective_config(args: argparse.Namespace) -> dict:
@@ -85,13 +99,10 @@ def effective_config(args: argparse.Namespace) -> dict:
         if getattr(args, key) is not None:
             problem[key] = getattr(args, key)
     if args.beta is not None:
-        weight["family"] = weight.get("family", "power")
-        weight["beta"] = args.beta
+        _set_power(weight, "weight", "beta", args.beta)
     if args.alpha is not None:
-        density = _table(measure, "density", "measure.density")
-        density.setdefault("family", "power")
-        density["alpha"] = args.alpha
-        measure["density"] = density
+        measure["density"] = _set_power(_table(measure, "density", "measure.density"),
+                                        "measure.density", "alpha", args.alpha)
     out_dir = args.out or output.get("directory") or os.environ.get(OUT_ENV) or "."
     output["directory"] = out_dir
     return {"problem": problem, "weight": weight, "measure": measure,
@@ -150,10 +161,10 @@ def build_measure(cfg: dict) -> RadonMeasure:
                 if not row or row[0].lstrip().startswith("#"):
                     continue
                 try:
-                    x, v = float(row[0]), float(row[1])
-                except (IndexError, ValueError):
+                    x, v = (float(cell) for cell in row)
+                except ValueError:
                     raise ValidationError(f"cli: tabulated density file {tab_path!r} row {n}: "
-                                          f"want x,value numbers, got {row!r}") from None
+                                          f"want two numbers x,value, got {row!r}") from None
                 xs.append(x)
                 vals.append(v)
         parts.append(TabulatedDensity(xs=tuple(xs), vals=tuple(vals)))

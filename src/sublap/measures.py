@@ -9,6 +9,8 @@ mass is reported as +inf and ``solver.potential`` solves them directly;
 (scaled, windowed, summed, pushed forward) declares the largest of its parts'
 powers and their edges, breaks and kinks together; a window adds its edges, and
 a pushforward lowers the power by the factor's edge exponent and adds its kinks.
+A side mass is +inf where the declared power is 1 or more, else the cumulative
+from 0 at the endpoint; power, scaled and summed densities keep closed masses.
 
 All cumulative bookkeeping is anchored at the center: S(x) = mu((0, x]) for
 x >= 0 and -mu((x, 0]) for x < 0 (right-continuous in x).  The anchored form
@@ -50,10 +52,13 @@ class Density:
         return None
 
     def side_mass(self, side: int) -> float:
-        """Mass of the density on (0, 1) or (-1, 0); may be +inf."""
+        """Mass on (0, 1) or (-1, 0): side times the cumulative from 0 at the
+        endpoint, the closed one where there is one, else the graded one."""
         if self.sing(side) >= 1.0:
             return INF
-        return side * float(_graded_cum0(self, points_from_edge(side, np.zeros(1)))[0])
+        edge = points_from_edge(side, np.zeros(1))
+        cum = self.cum0_many(edge)
+        return side * float((_graded_cum0(self, edge) if cum is None else cum)[0])
 
     def scaled(self, a: float) -> "Density":
         if a == 0.0:
@@ -91,9 +96,6 @@ class ZeroDensity(Density):
     def cum0_many(self, pts: Points) -> np.ndarray:
         return np.zeros(len(pts))
 
-    def side_mass(self, side: int) -> float:
-        return 0.0
-
     def scaled(self, a: float) -> Density:
         return self
 
@@ -116,9 +118,6 @@ class ConstantDensity(Density):
     def cum0_many(self, pts: Points) -> np.ndarray:
         return self.c * pts.x
 
-    def side_mass(self, side: int) -> float:
-        return self.c
-
     def scaled(self, a: float) -> Density:
         return ConstantDensity(self.c * a)
 
@@ -133,6 +132,8 @@ class PowerDensity(Density):
     def __post_init__(self):
         if self.coef < 0.0:
             raise ValidationError("measures.PowerDensity: coefficient must be nonnegative")
+        if self.coef == 0.0:  # the zero density, which declares no power
+            object.__setattr__(self, "alpha", 0.0)
 
     def values(self, pts: Points) -> np.ndarray:
         return self.coef * pts.y ** (-self.alpha)
@@ -150,12 +151,14 @@ class PowerDensity(Density):
         return self.coef * pts.side * self._cum_mag(pts.y)
 
     def side_mass(self, side: int) -> float:
-        if self.alpha >= 1.0:
-            return INF if self.coef > 0.0 else 0.0
-        return self.coef / (1.0 - self.alpha)
+        return INF if self.alpha >= 1.0 else self.coef / (1.0 - self.alpha)
 
     def scaled(self, a: float) -> Density:
         return PowerDensity(self.alpha, self.coef * a)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.coef == 0.0
 
 
 @dataclass(frozen=True)
@@ -227,11 +230,6 @@ class TabulatedDensity(Density):
 
     def cum0_many(self, pts: Points) -> np.ndarray:
         return self._cum_at(pts.x) - self._cum_at(np.zeros(1))[0]
-
-    def side_mass(self, side: int) -> float:
-        edge = np.asarray([1.0 if side > 0 else -1.0])
-        v = self._cum_at(edge)[0] - self._cum_at(np.zeros(1))[0]
-        return abs(v)
 
     def interior_breaks(self) -> tuple[float, ...]:
         if len(self.xs) <= 64:
@@ -362,16 +360,6 @@ class WindowedDensity(_Composite):
 
     def cum0_many(self, pts: Points) -> np.ndarray | None:
         return self.base.cum0_many(self._clip(pts))
-
-    def side_mass(self, side: int) -> float:
-        edge = self.y_left if side < 0 else self.y_right
-        if edge == 0.0:
-            return self.base.side_mass(side)
-        pts = points_from_edge(side, np.asarray([edge]))
-        c = self.base.cum0_many(pts)
-        if c is None:
-            c = _graded_cum0(self.base, pts)
-        return abs(float(c[0]))
 
     def scaled(self, a: float) -> Density:
         return WindowedDensity(self.base.scaled(a), self.y_left, self.y_right)

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sublap
+from sublap import cli
 from sublap.cli import main
 from sublap.energy import triple_norm
+from sublap.errors import ConvergenceError, QuadratureError
 from sublap.measures import dirac
 from sublap.weights import constant_weight
 
@@ -220,6 +227,85 @@ def test_divergent_energy_exit_code(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "energy"]) == 2
 
 
+DIVERGENT_ITERATION_CFG = {
+    # alpha = 1.9 lies above alpha* = 1.75 for p = 2, q = 0.5
+    "problem": {"p": 2.0, "q": 0.5},
+    "weight": {"family": "constant"},
+    "measure": {"density": {"family": "power", "alpha": 1.9}},
+    "solver": {},
+}
+
+
+def test_divergent_iteration_exit_code(tmp_path):
+    cfg = write_config(tmp_path, DIVERGENT_ITERATION_CFG)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "iterate"]) == 2
+    assert "diverged = true" in (out / "iterate_report.txt").read_text().splitlines()
+
+
+def test_the_module_entry_point_exits_with_the_command_code(tmp_path):
+    cfg = write_config(tmp_path, DIVERGENT_ITERATION_CFG)
+    src = str(Path(sublap.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sublap.cli", "--config", cfg, "--out", str(tmp_path / "o"),
+         "iterate"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "diverged=True" in proc.stdout
+
+
+@pytest.mark.parametrize("error", [QuadratureError, ConvergenceError])
+def test_numerical_errors_exit_with_code_2(tmp_path, capsys, monkeypatch, error):
+    def fail(cfg):
+        raise error("no root in the bracket")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    cfg = write_config(tmp_path, DIRAC_CFG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"]) == 2
+    assert capsys.readouterr().err == "numerical error: no root in the bracket\n"
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_a_power_density_with_coefficient_zero_solves_as_the_zero_measure(tmp_path, alpha, p):
+    # the artifacts are those of the zero measure: no nan, no divergence
+    texts = []
+    for name, density in (("power", {"family": "power", "alpha": alpha, "coef": 0}),
+                          ("zero", {"family": "zero"})):
+        cfg = write_config(tmp_path, dict(DIRAC_CFG, problem={"p": p},
+                                          measure={"density": density}), name + ".json")
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out), "solve"]) == 0
+        texts.append([(out / f).read_text() for f in ("solution.csv", "solve_report.txt")])
+    assert texts[0] == texts[1]
+    assert "nan" not in texts[0][0] and "diverged = false" in texts[0][1].splitlines()
+
+
+@pytest.mark.parametrize("flag, table", [("--alpha", "measure.density"), ("--beta", "weight")])
+def test_a_power_flag_on_another_configured_family_is_a_validation_error(tmp_path, capsys,
+                                                                         flag, table):
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, weight={"family": "constant"},
+                                      measure={"density": {"family": "constant"}}))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), flag, "0.5", "solve"]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and f"{table}.family is 'constant'" in err
+
+
+def test_power_flags_set_the_power_family_where_the_config_names_none(tmp_path):
+    named = {"weight": {"family": "power", "beta": 0.3},
+             "measure": {"density": {"family": "power", "alpha": 0.6}}}
+    unnamed = {"weight": {}, "measure": {"density": {"coef": 1.0}}}
+    solutions = []
+    for name, tables, flags in (("named", named, []),
+                                ("unnamed", unnamed, ["--alpha", "0.6", "--beta", "0.3"])):
+        cfg = write_config(tmp_path, dict(DIRAC_CFG, **tables), name + ".json")
+        out = tmp_path / name
+        assert main(["--config", cfg, "--out", str(out)] + flags + ["solve"]) == 0
+        solutions.append((out / "solution.csv").read_bytes())
+    assert solutions[0] == solutions[1]
+
+
 def test_verify_smoke_suite(tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify", "--suite", "smoke"]) == 0
@@ -251,17 +337,19 @@ def test_verify_unknown_suite(tmp_path):
     ({"problem": {"p": "two"}}, [], "problem.p"),
     ({"problem": 3}, [], "problem"),
     ({"solver": {"grid_nodes": "many"}}, [], "solver.grid_nodes"),
+    ({"solver": {"grid_nodes": 64.9}}, [], "solver.grid_nodes"),
     ({"measure": {"atoms": [[0.1]]}}, [], "measure.atoms"),
     ({"measure": {"density": 3}}, ["--alpha", "0.5"], "measure.density"),
-], ids=["non-numeric p", "table not an object", "grid_nodes many", "atom without mass",
-        "density not an object under --alpha"])
+], ids=["non-numeric p", "table not an object", "grid_nodes many", "fractional grid_nodes",
+        "atom without mass", "density not an object under --alpha"])
 def test_malformed_config_is_a_validation_error(tmp_path, capsys, change, flags, key):
     cfg = write_config(tmp_path, dict(DIRAC_CFG, **change))
     assert main(["--config", cfg, "--out", str(tmp_path / "o")] + flags + ["solve"]) == 1
     assert key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["0.0", "0.0,lots"], ids=["one column", "non-numeric cell"])
+@pytest.mark.parametrize("row", ["0.0", "0.0,lots", "0.0,1.0,junk"],
+                         ids=["one column", "non-numeric cell", "three columns"])
 def test_malformed_tabulated_row_is_a_validation_error(tmp_path, capsys, row):
     table = tmp_path / "dens.csv"
     table.write_text(f"# x,value\n-0.5,0.0\n{row}\n0.5,0.0\n")

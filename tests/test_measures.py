@@ -14,6 +14,7 @@ from sublap.measures import (
     RadonMeasure,
     SumDensity,
     TabulatedDensity,
+    WindowedDensity,
     ZeroDensity,
     add,
     ball_mass,
@@ -117,6 +118,52 @@ def test_pushforward_side_mass_and_cdf_match_a_node_split_reference():
     inner = np.concatenate([[0.0], u.x[(u.x > 0.0) & (u.x < 0.95)], [0.95]])
     cum = _gauss40(lambda x: nu.density.values(points_from_x(x)), inner) + nu.atom_side_mass(1)
     assert nu.cdf(0.95) == pytest.approx(side_ref(-1) + cum, rel=1e-12)
+
+
+# -- side masses -------------------------------------------------------------
+
+def _manufactured_mass(b):
+    # manufactured p = 3, q = 0.5 is 8 |x| (1 - x^2)^(-1/2): mass 8 (1 - sqrt(1 - b^2)) on (0, b)
+    return 8.0 * (1.0 - math.sqrt(1.0 - b * b))
+
+
+def _power_mass(alpha, coef, y):
+    # coef (1 - t)^(-alpha) on (0, 1 - y)
+    return coef * (1.0 - y ** (1.0 - alpha)) / (1.0 - alpha)
+
+
+SIDE_MASSES = {
+    "windowed manufactured": lambda: (
+        manufactured_measure(3.0, 0.5).window(0.1, 0.2), _manufactured_mass(0.9),
+        _manufactured_mass(0.8)),
+    "one-sided power window": lambda: (
+        power_measure(0.6, 0.8).window(0.25, 0.0), _power_mass(0.6, 0.8, 0.25),
+        _power_mass(0.6, 0.8, 0.0)),
+    "manufactured plus constant": lambda: (
+        manufactured_measure(3.0, 0.5).add(lebesgue(0.5)), 8.5, 8.5),
+    # linear through (-3/4, 1), (-1/4, 3), (0, 2), (1/2, 0) and (1, 2)
+    "tabulated": lambda: (
+        RadonMeasure(density=TabulatedDensity((-0.75, -0.25, 0.5, 1.0), (1.0, 3.0, 0.0, 2.0))),
+        1.625, 1.0),
+    "zero": lambda: (RadonMeasure(), 0.0, 0.0),
+    "window of a windowed manufactured": lambda: (
+        manufactured_measure(3.0, 0.5).window(0.1, 0.2).window(0.3, 0.05),
+        _manufactured_mass(0.7), _manufactured_mass(0.8)),
+    "window of a one-sided power window": lambda: (
+        power_measure(0.6, 0.8).window(0.25, 0.0).window(0.0, 0.5),
+        _power_mass(0.6, 0.8, 0.25), _power_mass(0.6, 0.8, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDE_MASSES))
+def test_side_masses_meet_their_closed_forms(case):
+    mu, left, right = SIDE_MASSES[case]()
+    for side, want in ((-1, left), (1, right)):
+        assert abs(mu.side_mass(side) - want) <= 1e-15 * want
+    if case.startswith("window of"):
+        # windows merge into one window of the base
+        assert isinstance(mu.density, WindowedDensity)
+        assert not isinstance(mu.density.base, WindowedDensity)
 
 
 def test_cdf_rejects_out_of_domain():

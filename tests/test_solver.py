@@ -397,6 +397,20 @@ def test_the_zero_measure_is_an_ordinary_solve(solve):
     assert np.all(res.u_prime == 0.0)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_a_power_density_with_coefficient_zero_solves_as_the_zero_measure(alpha, p):
+    mu = power_measure(alpha, 0.0)
+    assert mu.is_zero and mu.sing(-1) == mu.sing(1) == 0.0 and mu.total_mass() == 0.0
+    with np.errstate(all="raise"):
+        res = potential(p, W1, mu)
+    ref = potential(p, W1, RadonMeasure())
+    assert not res.diverged and res.flux_constant == ref.flux_constant == 0.0
+    for got, want in ((res.u.x, ref.u.x), (res.u.values, ref.u.values),
+                      (res.u_prime, ref.u_prime), (res.flux_nodes, ref.flux_nodes)):
+        assert np.array_equal(got, want)
+
+
 def test_potential_monotone_in_truncation_level():
     mu = power_measure(1.2)
     prev = None
