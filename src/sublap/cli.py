@@ -68,11 +68,12 @@ def _table(cfg: dict, key: str, name: str = "") -> dict:
 
 
 def _num(tbl: dict, name: str, key: str, default=None, kind=float):
-    """``kind(tbl[key])``, or of ``default`` when the key is absent; an
-    ``int`` must be whole, where int() would drop the fraction."""
+    """``kind(tbl[key])``, or of ``default`` when the key is absent; a JSON
+    boolean is no number, and an ``int`` must be whole (int() drops a fraction)."""
     value = tbl.get(key, default)
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or \
+                kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError):

@@ -121,6 +121,10 @@ class ConstantDensity(Density):
     def scaled(self, a: float) -> Density:
         return ConstantDensity(self.c * a)
 
+    @property
+    def is_zero(self) -> bool:
+        return self.c == 0.0
+
 
 @dataclass(frozen=True)
 class PowerDensity(Density):
@@ -235,6 +239,10 @@ class TabulatedDensity(Density):
         if len(self.xs) <= 64:
             return tuple(self.xs)
         return (self.xs[0], self.xs[-1])
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._table[1].any()
 
     @property
     def y_resolved(self) -> bool:

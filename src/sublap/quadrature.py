@@ -33,16 +33,6 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def gauss_cumulative(n: int) -> np.ndarray:
-    """Matrix C with (C @ f)[i] the integral over [0, t_i] of the polynomial
-    through the values f at the Gauss-Legendre nodes t of ``gauss_rule(n)``."""
-    leg = np.polynomial.legendre
-    x = 2.0 * gauss_rule(n)[0] - 1.0
-    anti = np.column_stack([leg.legval(x, leg.legint(np.eye(n)[j], lbnd=-1.0)) for j in range(n)])
-    return 0.5 * anti @ np.linalg.inv(leg.legvander(x, n - 1))
-
-
-@lru_cache(maxsize=8)
 def gauss_antiderivative(n: int) -> np.ndarray:
     """Matrix A with ``A @ f`` the Legendre coefficients, in 2 s - 1, of the
     integral over [0, s] of the polynomial through the values f at the nodes
@@ -50,6 +40,15 @@ def gauss_antiderivative(n: int) -> np.ndarray:
     leg = np.polynomial.legendre
     x = 2.0 * gauss_rule(n)[0] - 1.0
     return 0.5 * leg.legint(np.linalg.inv(leg.legvander(x, n - 1)), lbnd=-1.0)
+
+
+@lru_cache(maxsize=8)
+def gauss_cumulative(n: int) -> np.ndarray:
+    """Matrix C with (C @ f)[i] the integral over [0, t_i] of the polynomial
+    through the values f at the Gauss-Legendre nodes t of ``gauss_rule(n)``:
+    ``gauss_antiderivative`` read at the nodes."""
+    x = 2.0 * gauss_rule(n)[0] - 1.0
+    return np.polynomial.legendre.legvander(x, n) @ gauss_antiderivative(n)
 
 
 @dataclass(frozen=True)

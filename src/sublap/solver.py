@@ -248,7 +248,7 @@ class GridFunction:
         at the solve's points and at the head and tail that ``pts`` shares
         with them (structures of one measure are in x order and differ only
         in the cells refined at a flux zero); elsewhere the nodal u at nodes
-        (atoms are nodes), ``_panel_rule`` in the interior cells, the boundary
+        (atoms are nodes), ``_panel_values`` in the interior cells, the boundary
         power profile in the endpoint cells, 0 outside [-1, 1]."""
         quad = self._quad
         own = quad.pts
@@ -271,7 +271,8 @@ class GridFunction:
         vals[at] = self.values[g[at]]
         inner = np.flatnonzero(~at & (x > nodes[1]) & (x < nodes[-2]))
         if inner.size:
-            vals[inner] = _panel_rule(quad, x[inner])
+            args = (quad.bounds, quad.w_quad, quad.uprime, quad.n_gauss, quad.n_left, False)
+            vals[inner] = np.maximum(_panel_values(*args, (x[inner], own.x)), 0.0)
         out[head:end] = vals
         return out
 
@@ -319,11 +320,11 @@ class SolutionQuad:
     """Quadrature view of a solve: panel points with the solve's weights,
     weight values, flux, u' and u, ready for energy integrals.
 
-    ``u`` is filled on first read (``_hermite_at_points``: the solve's
-    panel run of u' from the endpoints, carried into every panel), so solves
-    whose callers read only the nodal solution do not pay for it.
-    ``bounds``, that run at the panel ends (None where the nodal u was
-    summed in closed form), lets a solve's u read itself anywhere."""
+    ``bounds``, the panel run of u' from the endpoints (``_panel_bounds``),
+    is built on first read where the nodal u was summed in closed form, and
+    ``u``, that run carried into every panel (``_hermite_at_points``), is
+    always filled on first read: solves read only at their nodes pay for
+    neither.  The run lets a solve's u read itself anywhere."""
 
     pts: Points
     w_quad: np.ndarray  # the tail pseudo-points first and last, closed at the solve's power
@@ -333,8 +334,15 @@ class SolutionQuad:
     dens_vals: np.ndarray  # density of the solved measure at the points
     n_gauss: int
     n_left: int  # Gauss panels left of x = 0
-    bounds: np.ndarray | None = field(repr=False, compare=False)
+    _bounds: np.ndarray | None = field(repr=False, compare=False)
     _u: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def bounds(self) -> np.ndarray:
+        if self._bounds is None:  # a concurrent first read builds an equal array
+            self._bounds = _panel_bounds(self.w_quad, self.uprime, self.n_gauss,
+                                         self.n_left, False)
+        return self._bounds
 
     @property
     def u(self) -> np.ndarray:
@@ -384,32 +392,6 @@ def _shared_run(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray) 
         return 0
     same = (ax[:n] == bx[:n]) & (ay[:n] == by[:n])
     return n if same.all() else int(np.argmin(same))
-
-
-def _panel_rule(quad: SolutionQuad, x: np.ndarray) -> np.ndarray:
-    """u at points x inside the Gauss panels: the panel run at the panel's
-    lower end plus h times the integral of the interpolant of u' through the
-    panel's values, in the right half the run at its upper end less h times
-    the integral to there, as ``_panel_fill`` reads it at the Gauss points."""
-    n, n_left = quad.n_gauss, quad.n_left
-    run = quad.bounds if quad.bounds is not None \
-        else _panel_bounds(quad.w_quad, quad.uprime, n, n_left, False)
-    t, tw = gauss_rule(n)
-    h = quad.w_quad[1:-1:n] / tw[0]  # the panel lengths
-    lo = quad.pts.x[1:-1:n] - t[0] * h  # and lower ends
-    # the panel of the first point at or past x, or the one before it
-    i = (np.searchsorted(quad.pts.x, x) - 1) // n
-    i -= x < lo[i]
-    left = i < n_left
-    s = (x - lo[i]) / h[i]
-    # per panel the Legendre coefficients of the integral of u' from its
-    # lower end, in the right half from its upper end: the integral over
-    # [s, 1] is the one over [0, 1 - s] of the reversed values
-    f = quad.uprime[1:-1].reshape(-1, n)
-    coef = (np.concatenate([f[:n_left], f[n_left:, ::-1]]) @ gauss_antiderivative(n).T)[i].T
-    part = h[i] * np.polynomial.legendre.legval(np.where(left, 2.0 * s - 1.0, 1.0 - 2.0 * s),
-                                                coef, tensor=False)
-    return np.maximum(np.where(left, run[i] + part, run[i + 2] - part), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +568,7 @@ class _Workspace:
         declared power's closure, dens(y0) y0 / (1 - a)."""
         w, f, n = self.w_quad, self.dens, self.opts.n_gauss
         bounds = _panel_bounds(w, f, n, self.n_left, True)
-        S = _panel_fill(bounds, w, f, n, self.n_left, True)
+        S = _panel_values(bounds, w, f, n, self.n_left, True)
         S_nodes = bounds[self.at_nodes]
         for i, side in ((0, -1), (-1, 1)):
             a = self.mu.sing(side)
@@ -751,7 +733,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
         u_right = _piecewise_linear_half(nodes.y[mid:][::-1], -slope[mid:][::-1])
         u_nodes = np.concatenate([u_left, u_right[-2::-1]])
         at_zero = (u_left[-1], u_right[-1])
-        bounds = None  # the fill builds the run when it is read
+        bounds = None  # built when it is read
     else:
         bounds = _panel_bounds(ws.w_quad, phi, n, n_left, False)
         u_nodes = bounds[ws.at_nodes]
@@ -764,7 +746,7 @@ def _assemble(ws: _Workspace, ctilde: float, evals: int) -> PotentialResult:
     quad = SolutionQuad(
         pts=ws.panels.pts, w_quad=ws.w_quad, w_vals=ws.w_vals,
         flux=flux, uprime=phi, dens_vals=ws.dens,
-        n_gauss=n, n_left=n_left, bounds=bounds,
+        n_gauss=n, n_left=n_left, _bounds=bounds,
     )
     # boundary exponents of the limit: u ~ dist^(1 - s)
     u = GridFunction(grid=nodes, values=u_nodes,
@@ -804,12 +786,11 @@ def _panel_bounds(w: np.ndarray, f: np.ndarray, n: int, n_left: int,
     the tail pseudo-points' parts below the ladder bottoms, w f at -1 and
     -w f at +1, which keeps u's relative accuracy near both endpoints.
     ``w`` and ``f`` are flat over a ``PanelSet``'s points, ``n`` per panel
-    and ``n_left`` panels left of x = 0.  The result lists the left half's
-    panel ends in x order, then the right half's: x = 0 comes twice."""
-    # panel masses summed pairwise (numpy's sum) for S, point by point in x
-    # order for u': a change of either order moves results by a rounding
+    and ``n_left`` panels left of x = 0; each panel's mass is summed point
+    by point in x order.  The result lists the left half's panel ends in x
+    order, then the right half's: x = 0 comes twice."""
     wf = w[1:-1].reshape(-1, n) * f[1:-1].reshape(-1, n)
-    mass = np.sum(wf, axis=1) if outward else functools.reduce(np.add, wf.T)
+    mass = functools.reduce(np.add, wf.T)
     ends = (0.0, 0.0) if outward else (w[0] * f[0], -w[-1] * f[-1])
     halves = []
     for m, start, back in ((mass[:n_left], ends[0], outward),
@@ -820,37 +801,49 @@ def _panel_bounds(w: np.ndarray, f: np.ndarray, n: int, n_left: int,
     return np.concatenate(halves)
 
 
-def _panel_fill(bounds: np.ndarray, w: np.ndarray, f: np.ndarray, n: int,
-                n_left: int, outward: bool) -> np.ndarray:
-    """The run of ``_panel_bounds`` at every point: a panel's value at its
-    lower end plus the Gauss cumulative of f from there, in the right half
-    of an inward run its value at the upper end less the cumulative to
-    there (the panels are in x order, the Gauss nodes symmetric).  The tail
-    pseudo-points take the values at the ladder bottoms."""
-    wp, fp = w[1:-1].reshape(-1, n), f[1:-1].reshape(-1, n)
-    h = wp[:, :1] / gauss_rule(n)[1][0]  # the panel lengths
-    C = gauss_cumulative(n)
-    out = np.empty(f.size)
-    out[0], out[-1] = bounds[0], bounds[-1]
-    body = out[1:-1].reshape(-1, n)
-    if outward:
-        lower = np.concatenate([bounds[:n_left], bounds[n_left + 1:-1]])
-        body[:] = lower[:, None] + h * (fp @ C.T)
-    else:
-        body[:n_left] = bounds[:n_left, None] + h[:n_left] * (fp[:n_left] @ C.T)
-        body[n_left:] = bounds[n_left + 2:, None] - h[n_left:] * (fp[n_left:] @ C[::-1, ::-1].T)
-    return out
+def _panel_values(run: np.ndarray, w: np.ndarray, f: np.ndarray, n: int, n_left: int,
+                  outward: bool, at: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The run of ``_panel_bounds`` carried into its panels: at a panel's
+    lower end plus h times the integral of the interpolant of f through its
+    Gauss points, in the right half of an inward run at its upper end less
+    the integral to there.  At every point (the tail pseudo-points take the
+    run at the ladder bottoms), or at the points x inside the panels given
+    ``at`` = (x, the panel points' x), from each panel's Legendre coefficients."""
+    t, tw = gauss_rule(n)
+    h = w[1:-1:n] / tw[0]  # the panel lengths
+    fp = f[1:-1].reshape(-1, n)
+    k = fp.shape[0] if outward else n_left  # the panels whose run goes with x
+    # the run where each panel's integral starts; x = 0 comes twice in it
+    start = np.concatenate([run[:n_left], run[n_left + 1:k + 1], run[k + 2:]])
+    step = np.concatenate([h[:k], -h[k:]])
+    if at is None:
+        C = gauss_cumulative(n)
+        out = np.empty(f.size)
+        out[0], out[-1] = run[0], run[-1]
+        body = out[1:-1].reshape(-1, n)
+        np.matmul(fp[:k], C.T, out=body[:k])
+        np.matmul(fp[k:], C[::-1, ::-1].T, out=body[k:])  # the nodes are symmetric
+        body *= step[:, None]
+        body += start[:, None]
+        return out
+    x, px = at
+    lo = px[1:-1:n] - t[0] * h  # the panels' lower ends
+    # the panel of the first point at or past x, or the one before it
+    i = (np.searchsorted(px, x) - 1) // n
+    i -= x < lo[i]
+    s = (x - lo[i]) / h[i]
+    coef = (np.concatenate([fp[:k], fp[k:, ::-1]]) @ gauss_antiderivative(n).T)[i].T
+    part = np.polynomial.legendre.legval(np.where(i < k, 2.0 * s - 1.0, 1.0 - 2.0 * s),
+                                         coef, tensor=False)
+    return start[i] + step[i] * part
 
 
 def _hermite_at_points(w: np.ndarray, phi: np.ndarray, n: int, n_left: int,
-                       bounds: np.ndarray | None) -> np.ndarray:
+                       bounds: np.ndarray) -> np.ndarray:
     """u at the quadrature points: the panel run of u' = ``phi`` by the
-    solve's weights ``w`` from the endpoints (``bounds``; built here when
-    the nodal u was summed in closed form) carried into every panel.
-    perfbench traces the fill by this name."""
-    if bounds is None:
-        bounds = _panel_bounds(w, phi, n, n_left, False)
-    return np.maximum(_panel_fill(bounds, w, phi, n, n_left, False), 0.0)
+    solve's weights ``w`` from the endpoints (``bounds``) carried into every
+    panel.  perfbench traces the fill by this name."""
+    return np.maximum(_panel_values(bounds, w, phi, n, n_left, False), 0.0)
 
 
 def potential(p: float, w: Weight, mu: RadonMeasure,

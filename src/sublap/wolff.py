@@ -76,6 +76,7 @@ def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = 
     A radius below the float spacing at x gives an empty ball (x - r ==
     x + r, mass and weight 0); its integrand is taken as 0, since the true
     panel value is at most the bounded r -> 0 limit times r, below rounding.
+    The sample is one dot product, of the panel lengths with the Gauss sums.
     """
     if not (R > 0.0):
         raise ValidationError("wolff.wolff_truncated: need R > 0")
@@ -98,10 +99,7 @@ def wolff_truncated(p: float, w: Weight, mu: RadonMeasure, x: float, R: float = 
     wb = w.ball_weight(x, rj)
     q = np.divide(rj ** p * mb, wb, out=np.zeros_like(mb), where=wb > 0.0)
     g = (q ** e / rj).reshape(hj.size, t.size)
-    total = 0.0
-    for j in range(hj.size):
-        total += hj[j] * float(tw @ g[j])
-    return WolffSample(x=x, R=R, value=total)
+    return WolffSample(x=x, R=R, value=float(hj @ (g @ tw)))
 
 
 def wolff_curve(p: float, w: Weight, mu: RadonMeasure, xs: np.ndarray,

@@ -348,6 +348,16 @@ def test_malformed_config_is_a_validation_error(tmp_path, capsys, change, flags,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"problem": dict(DIRAC_CFG["problem"], gamma=True)}, "problem.gamma"),
+    ({"solver": {"divergence_cap": True}}, "solver.divergence_cap"),
+], ids=["gamma", "divergence_cap"])
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys, change, key):
+    cfg = write_config(tmp_path, dict(DIRAC_CFG, **change))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "energy"]) == 1
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("row", ["0.0", "0.0,lots", "0.0,1.0,junk"],
                          ids=["one column", "non-numeric cell", "three columns"])
 def test_malformed_tabulated_row_is_a_validation_error(tmp_path, capsys, row):

@@ -442,3 +442,10 @@ def test_finite_mass_limits_keep_the_cap():
 def test_truncation_ladder_keywords_are_ignored(call, keywords, key):
     # they configured the truncation ladder of earlier versions
     assert key(call(**keywords)) == key(call())
+
+
+@pytest.mark.parametrize("mu, diverged", [(lebesgue(), False), (power_measure(1.9), True)],
+                         ids=["finite", "divergent"])
+def test_energy_report_ladder_converged_is_not_diverged(mu, diverged):
+    rep = energy(2.0, W1, mu, 1.0)
+    assert rep.diverged is diverged and rep.ladder_converged is not diverged

@@ -436,3 +436,45 @@ def test_atom_table_is_built_once_and_read_only():
     # and leaves (x, 0] there for x < 0
     x = np.asarray([np.nextafter(0.2, 0.0), 0.2, np.nextafter(-0.5, -1.0), -0.5])
     assert mu.atom_cum_center(x).tolist() == [0.0, 1.0, -2.0, 0.0]
+
+
+# -- composite, custom and tabulated branches against closed forms or twins -------------
+
+def test_scaled_sums_and_windows_equal_their_scaled_parts():
+    assert lebesgue(0.5).add(power_measure(0.3)).scale(2.0).density == \
+        lebesgue(1.0).add(power_measure(0.3, 2.0)).density
+    assert power_measure(0.5).truncate(4).scale(3.0).density == \
+        power_measure(0.5, 3.0).truncate(4).density
+
+
+def test_a_sum_with_a_manufactured_part_has_no_closed_cumulative():
+    parts = (manufactured_measure(3, 0.5), lebesgue(0.5))
+    mu = parts[0].add(parts[1])
+    pts = points_from_x(np.linspace(-0.99, 0.99, 41))
+    assert isinstance(mu.density, SumDensity) and mu.density.cum0_many(pts) is None
+    want = parts[0].cum_center_many(pts) + parts[1].cum_center_many(pts)
+    assert np.max(np.abs(mu.cum_center_many(pts) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_a_custom_density_reads_its_given_cumulative():
+    # -u'' = 1 + x on (-1, 1): u = 1/2 + x/6 - x^2/2 - x^3/6
+    mu = RadonMeasure(density=CustomDensity(func=lambda x: 1.0 + x,
+                                            cum0=lambda x: x + 0.5 * x * x))
+    x = np.linspace(-0.9, 0.9, 7)
+    assert np.array_equal(mu.density.cum0_many(points_from_x(x)), x + 0.5 * x * x)
+    assert mu.total_mass() == 2.0
+    res = potential(2.0, constant_weight(), mu)
+    x = res.u.x
+    assert np.max(np.abs(res.u.values - (0.5 + x / 6 - x ** 2 / 2 - x ** 3 / 6))) <= 1e-15
+
+
+def test_a_table_past_64_samples_declares_only_its_ends():
+    # the same hat sampled at 101 points and at its 3 corners
+    xs = np.linspace(-0.5, 0.5, 101)
+    long = TabulatedDensity(tuple(xs), tuple(1.0 - 2.0 * np.abs(xs)))
+    short = TabulatedDensity((-0.5, 0.0, 0.5), (0.0, 1.0, 0.0))
+    assert long.interior_breaks() == (-0.5, 0.5)
+    res = potential(2.0, constant_weight(), RadonMeasure(density=long))
+    ref = potential(2.0, constant_weight(), RadonMeasure(density=short))
+    assert np.array_equal(res.u.x, ref.u.x)
+    assert np.max(np.abs(res.u.values - ref.u.values)) <= 1e-15 * ref.u.sup()

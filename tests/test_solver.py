@@ -1052,8 +1052,9 @@ def test_quad_u_filled_on_first_read_equals_the_eager_fill(monkeypatch, p, w, mu
     n_left = int(np.searchsorted(panels.panel_cell, np.searchsorted(grid.x, 0.0)))
     s = [solver._edge_singularity(p, w, mu, side) for side in (-1, 1)]
     wq = close_tails(panels.w, panels.pts, np.minimum(s, 0.995))
-    eager = solver._hermite_at_points(wq, res.quad.uprime, DEFAULT_OPTIONS.n_gauss,
-                                      n_left, None)
+    eager = solver._hermite_at_points(wq, res.quad.uprime, DEFAULT_OPTIONS.n_gauss, n_left,
+                                      solver._panel_bounds(wq, res.quad.uprime,
+                                                           DEFAULT_OPTIONS.n_gauss, n_left, False))
     assert np.array_equal(res.quad.u, eager)
     assert res.quad.u is res.quad.u
     assert len(calls) == 2  # the eager fill and the first read only

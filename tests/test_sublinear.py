@@ -9,7 +9,15 @@ import pytest
 from sublap import solver, sublinear
 from sublap.acceptance import _chain_instances
 from sublap.errors import InternalInvariantError, ValidationError
-from sublap.measures import RadonMeasure, dirac, lebesgue, manufactured_measure, power_measure
+from sublap.measures import (
+    RadonMeasure,
+    TabulatedDensity,
+    ZeroDensity,
+    dirac,
+    lebesgue,
+    manufactured_measure,
+    power_measure,
+)
 from sublap.params import envelope_constant, hardy_threshold
 from sublap.quadrature import graded_grid, points_from_edge, points_from_x
 from sublap.solver import DEFAULT_OPTIONS, GridFunction, SolverOptions, potential
@@ -397,6 +405,25 @@ def test_iterate_rejects_zero_measure_and_bad_q():
         iterate(2.0, W1, D0, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [
+    lebesgue(0.0),
+    RadonMeasure(density=TabulatedDensity((-0.5, 0.2, 0.5), (0.0, 0.0, 0.0))),
+    RadonMeasure(),
+    power_measure(0.5, 0.0),
+], ids=["zero constant", "zero tabulated", "zero measure", "zero power"])
+def test_iterate_refuses_every_zero_measure_alike(sigma):
+    assert sigma.is_zero
+    with pytest.raises(ValidationError, match="sigma must be a nonzero measure"):
+        iterate(2.0, W1, sigma, 0.5)
+
+
+def test_a_zero_constant_density_adds_nothing():
+    mu = lebesgue(0.0).add(dirac(0.3))
+    assert isinstance(mu.density, ZeroDensity) and mu.atoms == dirac(0.3).atoms
+    res, ref = potential(2.5, W1, mu), potential(2.5, W1, dirac(0.3))
+    assert np.array_equal(res.u.values, ref.u.values)
+
+
 def test_iterates_dominate_envelope():
     tr = iterate(2.0, W1, D0, 0.5)
     env = lower_envelope(2.0, W1, D0, 0.5)
@@ -583,3 +610,12 @@ def test_hardy_sweep_validates_window():
         hardy_sweep(2.0, 0.0, 0.5, [2.5])  # outside alpha < p - beta
     with pytest.raises(ValidationError):
         hardy_sweep(2.0, 1.5, 0.5, [1.0])  # beta outside (-1, p-1)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_bounded_solution_check_reads_the_power_through_a_window(k):
+    p, q, alpha = 2.0, 0.5, 0.5
+    rep = bounded_solution_check(p, W1, power_measure(alpha).truncate(k), q)
+    C, A = sublinear._supersolution_profile(p, 0.0, q, alpha)
+    assert (rep["supersolution_C"], rep["supersolution_A"]) == (C, A)
+    assert rep["pass"] and rep["dominated"] and rep["boundary_decay"]

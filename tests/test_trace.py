@@ -182,3 +182,15 @@ def test_trace_bracket_rejects_bad_q():
         trace_bracket(2.0, W1, D0, -1.0)
     with pytest.raises(ValidationError):
         trace_bracket(2.0, W1, D0, 1.0)
+
+
+def test_rayleigh_hat_width_optimum_inside_the_scan():
+    # a hat of half-width h at an atom at 0 under w = (1 - |x|)^b, q = 0,
+    # p = 2: quotient h / sqrt(w(B(0, h))), w(B(0, h)) = 2 (1 - (1-h)^(1+b))
+    # / (1 + b), largest near h = 0.85, so the golden section moves both ends
+    b = -0.6
+    rep = rayleigh_lower(2.0, power_weight(b), dirac(0.0), 0.0, levels=())
+    h = np.linspace(1e-6, 1.0 - 1e-9, 2_000_001)
+    quotient = h * np.sqrt((1.0 + b) / (2.0 * (1.0 - (1.0 - h) ** (1.0 + b))))
+    assert 0.8 < h[np.argmax(quotient)] < 0.9
+    assert rep["value"] == pytest.approx(np.max(quotient), rel=1e-8)
